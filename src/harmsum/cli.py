@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,8 @@ from .montecarlo import SimulationConfig, histogram, simulate
 from .sequences import SequenceSpec, generate, terms_array
 
 EMITS = ("tsv", "json", "bfile")
+_LONG_FLAG = re.compile(r"--[a-z][a-z-]*")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 @dataclass(frozen=True)
@@ -477,10 +480,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv) -> list[str]:
+    """Rewrite '--flag -2:2:9' as '--flag=-2:2:9'.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain negative number, so values such as -2:2:9 or -1/3 would be refused.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and _LONG_FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     threads = None

@@ -21,6 +21,10 @@ class CapExceeded(HarmsumError):
     """Requested N is above the configured cap for this operation."""
 
 
+class CertificateError(HarmsumError):
+    """An exact result failed its independent run-time check: a bug, not bad input."""
+
+
 class ResourceLimit(HarmsumError):
     """Estimated memory for the search exceeds the configured budget."""
 

@@ -1,30 +1,37 @@
 """Exact search over signed reciprocal sums.
 
-Everything here works in integer arithmetic: with den = lcm of the terms
+Every result is decided in integer arithmetic: with den = lcm of the terms
 (times the target's denominator), each signed sum sum_i s_i / b_i maps to
 an integer sum_i s_i * (den // b_i), so comparisons and differences are
 exact and results come back as Fractions.
 
 Sign vectors are encoded as integers: bit i set means the (i+1)-th term is
-taken with +, clear means -. Ties between equally good sign choices are
-broken toward the smallest encoding, which makes every result reproducible.
+taken with +, clear means -. Trit vectors (coefficients in {-1, 0, +1})
+are encoded in base 3: digit i is 0, 1 or 2 for a coefficient 0, +1 or -1
+on the (i+1)-th term. Ties between equally good choices are broken toward
+the smallest encoding, which makes every result reproducible.
 
-`min_signed_sum` splits the terms in half and meets in the middle, so cost
-is about 2^(n/2) space and time. `min_gap` and `enumerate_sums` walk all
-2^n sums. Caps on n and a memory estimate guard against runaway inputs.
+`min_signed_sum` and `min_gap` share one meet-in-the-middle engine: the
+first ceil(n/2) terms and the rest are expanded into float64 half sums,
+2^(n/2) per side for signs and 3^(n/2) per side for trits, and matched by
+sorting one side and binary-searching the other. The floats only filter:
+every pair within a proven rounding bound of the float optimum is
+re-scored in exact integers, and the optimum is picked from those. Every
+result is then checked once more against `evaluate_signs`. `enumerate_sums`
+walks all 2^n sums in exact integers. Caps on n and a memory estimate
+guard against runaway inputs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import CapExceeded, RangeUnreachable, ResourceLimit
+from .errors import CapExceeded, CertificateError, RangeUnreachable, ResourceLimit
 from .sequences import SequenceSpec, SequenceTerms, count_up_to, generate
 
 MINSUM_CAP = 48
@@ -33,6 +40,18 @@ GAP_CAP = 26
 GAP_CAP_FORCED = 30
 ENUM_CAP = 24
 MEMORY_GIB = 8.0
+
+SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
+TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
+
+# Peak bytes per half-sum entry in `_meet`. The sorted side holds at once its
+# float64 sums, the int64 argsort index, the sorted copy and argsort's merge
+# buffer (half an index): 28. The searched side holds its float64 queries,
+# their int64 searchsorted positions, an int64 neighbour index and two
+# float64 neighbour distances: 40. Summing both is an upper bound on the peak.
+_SORTED_BYTES = 28
+_QUERY_BYTES = 40
+_GROUP = 5  # terms per exact lookup table in `_exact_sums`, at most 3^5 rows
 
 
 def parse_exact(text: str) -> Fraction:
@@ -187,23 +206,138 @@ def _check_cap(n: int, cap: int | None, default: int, forced: int, force: bool) 
         raise CapExceeded(f"n={n} exceeds the cap of {limit}")
 
 
-def _check_memory(entries: int, den: int, memory_gib: float) -> None:
-    int_bytes = 36 + den.bit_length() // 8
-    est = entries * (int_bytes + 48)
+def _check_memory(est: int, memory_gib: float) -> None:
+    """Refuse an estimated allocation of `est` bytes above the budget."""
     if est > memory_gib * 2**30:
         raise ResourceLimit(
             f"estimated {est / 2**30:.1f} GiB exceeds the {memory_gib} GiB budget"
         )
 
 
-def _signed_half_sums(weights: Sequence[int]) -> list[int]:
-    # index doubles as the sign encoding: bit j of the index is the sign of
-    # weights[j], so appending the +w copies after the -w copies keeps the
-    # encoding aligned as the list grows
-    sums = [0]
+def _int_bytes(den: int) -> int:
+    """Size of one Python int of den's magnitude plus the pointer to it."""
+    return 44 + den.bit_length() // 8
+
+
+def _expand(weights, digits, dtype=np.float64) -> np.ndarray:
+    """sum_i c_i * weights[i] for every coefficient vector c over `digits`.
+
+    The index is the encoding: digit i of the index, in base len(digits),
+    selects c_i = digits[digit]. Floats are summed term by term, left to
+    right, one rounding per term; dtype=object keeps exact Python ints.
+    """
+    base = len(digits)
+    sums = np.zeros(base ** len(weights), dtype=dtype)
+    size = 1
     for w in weights:
-        sums = [s - w for s in sums] + [s + w for s in sums]
+        block = sums[:size]
+        # digit 0 goes last because it rewrites the block the others read
+        for k in range(base - 1, -1, -1):
+            if digits[k]:
+                sums[k * size:(k + 1) * size] = block + digits[k] * w
+        size *= base
     return sums
+
+
+def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
+    """Exact half sums at the given encodings (an object array of ints),
+    added up from one lookup table per group of `_GROUP` terms."""
+    base = len(digits)
+    total = np.zeros(len(encs), dtype=object)
+    for g in range(0, len(weights), _GROUP):
+        table = _expand(weights[g:g + _GROUP], digits, object)
+        total += table[encs // base**g % len(table)]
+    return total
+
+
+def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=False):
+    """Every exact optimum of |sum_i c_i * (den // b_i) - target| over the
+    coefficient vectors c with entries in `digits`, leaving out c = 0 when
+    `nonzero` (0 must then be digit 0, so c = 0 is encoding 0).
+
+    Returns (residuals, encodings): an object array of the exact signed
+    residuals sum_i c_i * (den // b_i) - target, all of the optimal size,
+    and an int64 array of the matching full encodings, in no set order.
+    """
+    n = len(terms)
+    half = (n + 1) // 2
+    base = len(digits)
+    _check_memory(_SORTED_BYTES * base**half + _QUERY_BYTES * base ** (n - half), memory_gib)
+    weights = [den // b for b in terms]
+
+    # The float filter. x_i = fl(1/b_i) and t = fl(tau') are correctly
+    # rounded (int / int true division), where tau' = target / den clamped to
+    # the reachable range [-r, r], r = sum_i 1/b_i: past it every distance
+    # shifts by one constant, so the optima stay, and float() cannot overflow.
+    # A pair (k, j) is scored as |fl(a_k - q_j)|, with a_k and b_j the half
+    # sums from `_expand` and q_j = fl(t - b_j). Let R = r + |tau'| and
+    # u = 2^-53. The exact value of every intermediate (a partial half sum,
+    # q_j, a_k - q_j) is at most R in size, so while the error built up stays
+    # below R each rounded add errs by at most u * 2R. One pair meets at most
+    # n + 2 rounded adds (n expanding, one for q_j, one for the distance),
+    # and its inputs carry at most sum_i u/b_i + u|tau'| = u R, plus
+    # (n + 1) * 2^-1075 should a 1/b_i underflow. So a scored distance is
+    # within E = (2n + 5) u R + (n + 1) 2^-1075 of the exact one. Let d be the
+    # least scored distance, reached by a pair p. An exact optimum o has
+    # exact distance D_o <= D_p <= d + E, so it scores at most D_o + E <= d + 2E:
+    # every exact optimum lies in the window d + 2E. `err` doubles E, which
+    # covers the rounding in computing R from floats and in forming the
+    # window edge d + 2 * err.
+    reach = sum(weights)
+    t = max(-reach, min(target, reach)) / den
+    x = [1 / b for b in terms]
+    err = 2 * ((2 * n + 5) * 2.0**-53 * (math.fsum(x) + abs(t)) + (n + 1) * 2.0**-1074)
+
+    a = _expand(x[:half], digits)
+    order = np.argsort(a, kind="stable")
+    a = a[order]
+    q = _expand(x[half:], digits)
+    np.subtract(t, q, out=q)
+
+    # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on one
+    # side or the other of q_j's insertion point
+    pos = np.searchsorted(a, q)
+    idx = pos - 1
+    np.maximum(idx, 0, out=idx)
+    near = a[idx]
+    near -= q
+    np.abs(near, out=near)
+    np.minimum(pos, len(a) - 1, out=idx)
+    if nonzero:
+        # q_0 = 0 must skip a's encoding 0, which the stable sort puts first
+        # among a's zeros, at pos[0]; the half sums are symmetric about 0, so
+        # pos[0] + 1 is in range
+        idx[0] = pos[0] + 1
+    right = a[idx]
+    right -= q
+    np.abs(right, out=right)
+    np.minimum(near, right, out=near)
+    del pos, idx, right
+
+    limit = near.min() + 2 * err
+    js = np.flatnonzero(near <= limit)
+    del near
+    # A pair scoring within limit has |a_k - q_j| <= limit / (1 - u); as
+    # limit >= 2 * err > 28 u R exceeds the rounding u|q_j| <= u R of these
+    # edges many times over, fl(q_j -+ 2 * limit) brackets every such a_k.
+    lo = np.searchsorted(a, q[js] - 2 * limit)
+    hi = np.searchsorted(a, q[js] + 2 * limit, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    _check_memory(total * (48 + 4 * _int_bytes(den)), memory_gib)
+    jb = np.repeat(js, counts)
+    kk = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    keep = np.abs(a[kk] - q[jb]) <= limit
+    ka, jb = order[kk[keep]], jb[keep]
+    if nonzero:
+        keep = (ka != 0) | (jb != 0)
+        ka, jb = ka[keep], jb[keep]
+
+    res = _exact_sums(weights[:half], digits, ka) + _exact_sums(weights[half:], digits, jb)
+    res -= target
+    size = np.abs(res)
+    opt = size == size.min()
+    return res[opt], ka[opt] + jb[opt] * base**half
 
 
 def min_signed_sum(
@@ -217,8 +351,9 @@ def min_signed_sum(
     """Minimize |sum_i s_i/b_i - tau| over all 2^n sign choices, exactly.
 
     Meet in the middle: the first ceil(n/2) terms and the rest are expanded
-    separately and matched through binary search. Among optimal sign
-    vectors the one with the smallest encoding is returned.
+    separately and matched through binary search, with floats as a filter
+    and exact integers deciding. Among optimal sign vectors the one with
+    the smallest encoding is returned.
     """
     terms = _as_terms(seq)
     n = len(terms)
@@ -227,49 +362,19 @@ def min_signed_sum(
 
     den = math.lcm(math.lcm(*terms), tau.denominator)
     target = tau.numerator * (den // tau.denominator)
-    half = (n + 1) // 2
-    _check_memory(2 ** half + 2 * 2 ** (n - half), den, memory_gib)
-
-    a_sums = _signed_half_sums([den // b for b in terms[:half]])
-    b_sums = _signed_half_sums([den // b for b in terms[half:]])
-
-    # first occurrence keeps the smallest encoding for each distinct sum
-    first: dict[int, int] = {}
-    for enc, s in enumerate(b_sums):
-        if s not in first:
-            first[s] = enc
-    b_vals = sorted(first)
-    b_encs = [first[v] for v in b_vals]
-
-    best_d = None
-    best_enc = None
-    last = len(b_vals) - 1
-    for enc_a, sa in enumerate(a_sums):
-        pos = bisect_left(b_vals, target - sa)
-        for j in (pos - 1, pos):
-            if j < 0 or j > last:
-                continue
-            d = sa + b_vals[j] - target
-            if d < 0:
-                d = -d
-            if best_d is None or d < best_d:
-                best_d = d
-                best_enc = (b_encs[j] << half) | enc_a
-            elif d == best_d:
-                enc = (b_encs[j] << half) | enc_a
-                if enc < best_enc:
-                    best_enc = enc
-
-    witness = SignVector(best_enc, n)
-    value = Fraction(best_d, den)
-    assert abs(evaluate_signs(terms, witness) - tau) == value
-    return SearchResult(value=value, scaled_num=best_d, den=den, witness=witness, tau=tau)
+    res, encs = _meet(terms, SIGNS, target, den, memory_gib)
+    best = abs(res[0])
+    witness = SignVector(int(encs.min()), n)
+    value = Fraction(best, den)
+    if abs(evaluate_signs(terms, witness) - tau) != value:
+        raise CertificateError(f"witness {witness} does not reach the minimum {value}")
+    return SearchResult(value=value, scaled_num=best, den=den, witness=witness, tau=tau)
 
 
 def _scaled_sums(terms: tuple[int, ...], memory_gib: float) -> tuple[int, list[int]]:
     den = math.lcm(*terms)
-    _check_memory(2 ** len(terms), den, memory_gib)
-    return den, _signed_half_sums([den // b for b in terms])
+    _check_memory(2 ** len(terms) * (_int_bytes(den) + 40), memory_gib)
+    return den, _expand([den // b for b in terms], SIGNS, object).tolist()
 
 
 def enumerate_sums(
@@ -301,32 +406,24 @@ def min_gap(
 ) -> GapResult:
     """Smallest |sum_i e_i/b_i| over nonzero e in {-1,0,+1}^n.
 
-    Every such e is half the difference of two sign vectors, so the answer
-    is half the smallest distance between two of the 2^n signed sums; a
-    stable sort keeps the reported witness deterministic.
+    Meets in the middle over trit vectors, 3^ceil(n/2) half sums on each
+    side. The witness: orient every optimal e so that its sum is >= 0 (a
+    zero sum keeps both e and -e), then take the smallest base-3 encoding.
     """
     terms = _as_terms(seq)
     n = len(terms)
     _check_cap(n, cap, GAP_CAP, GAP_CAP_FORCED, force)
-    den, sums = _scaled_sums(terms, memory_gib)
-    order = sorted(range(len(sums)), key=sums.__getitem__)
-    best_d = None
-    best_pair = None
-    for j in range(len(order) - 1):
-        lo, hi = order[j], order[j + 1]
-        d = sums[hi] - sums[lo]
-        if best_d is None or d < best_d:
-            best_d = d
-            best_pair = (lo, hi)
-
-    lo, hi = best_pair
-    trits = tuple(((hi >> i) & 1) - ((lo >> i) & 1) for i in range(n))
-    witness = TritVector(trits)
-    # sign-vector differences are twice a trit vector, so d is always even
-    assert best_d % 2 == 0
-    gap = Fraction(best_d // 2, den)
-    assert evaluate_signs(terms, witness) == gap
-    return GapResult(gap=gap, scaled_num=best_d // 2, den=den, witness=witness)
+    den = math.lcm(*terms)
+    res, encs = _meet(terms, TRITS, 0, den, memory_gib, nonzero=True)
+    best = abs(res[0])
+    # the optima come as pairs e, -e, so those with a sum >= 0 are all of
+    # them, oriented (a zero sum keeps both)
+    code = int(encs[res >= 0].min())
+    witness = TritVector(tuple(TRITS[code // 3**i % 3] for i in range(n)))
+    gap = Fraction(best, den)
+    if not any(witness.trits) or evaluate_signs(terms, witness) != gap:
+        raise CertificateError(f"witness {witness} does not evaluate to the gap {gap}")
+    return GapResult(gap=gap, scaled_num=best, den=den, witness=witness)
 
 
 def two_stage_approx(
@@ -356,7 +453,8 @@ def two_stage_approx(
     first = min_signed_sum(comp, tau, cap=cap, force=force, memory_gib=memory_gib)
     achieved = evaluate_signs(comp, first.witness)
     refined = achieved - tau
-    assert abs(refined) <= 1
+    if abs(refined) > 1:
+        raise CertificateError(f"refined target {refined} lies outside [-1, 1]")
     primes = tuple(prime_seq.terms if isinstance(prime_seq, SequenceTerms) else prime_seq)
     if primes:
         second = min_signed_sum(

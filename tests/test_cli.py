@@ -89,6 +89,16 @@ def test_density_grid_tsv(capsys):
     assert len(lines) == 4
 
 
+def test_density_grid_negative_lo_space_form(capsys):
+    # argparse alone reads -2:2:9 as a flag and exits 2
+    code, spaced, _ = run(capsys, ["density", "--grid", "-2:2:9", "--eps", "1e-4"])
+    assert code == 0
+    code, glued, _ = run(capsys, ["density", "--grid=-2:2:9", "--eps", "1e-4"])
+    assert code == 0
+    assert spaced == glued
+    assert len(spaced.splitlines()) == 10
+
+
 def test_check_json(capsys):
     code, out, _ = run(capsys, ["check", "--bound", "exp", "--n", "10", "--pairs", "50"])
     assert code == 0

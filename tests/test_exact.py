@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import harmsum
 from harmsum.errors import CapExceeded, RangeUnreachable, ResourceLimit
 from harmsum.exact import (
     SignVector,
@@ -259,3 +265,119 @@ def test_rejects_bad_terms():
         min_signed_sum([3, 3])
     with pytest.raises(ValueError):
         min_signed_sum([5, 2])
+
+
+def brute_minsum_witness(terms, tau):
+    """(value, encoding) of the smallest-encoding optimum, by walking all
+    sign vectors; bit i of the encoding set means + on term i."""
+    n = len(terms)
+    return min(
+        (abs(sum(Fraction(1 if enc >> i & 1 else -1, b) for i, b in enumerate(terms)) - tau), enc)
+        for enc in range(2**n)
+    )
+
+
+def brute_gap_witness(terms):
+    """(gap, trits) by walking all nonzero trit vectors: each optimum is
+    oriented to a nonnegative sum (both orientations when the sum is 0) and
+    the smallest base-3 encoding wins, digits 0, 1, 2 meaning 0, +1, -1."""
+    n = len(terms)
+    digit = {0: 0, 1: 1, -1: 2}
+    best = None
+    for code in range(1, 3**n):
+        trits = tuple((0, 1, -1)[code // 3**i % 3] for i in range(n))
+        value = sum(Fraction(t, b) for t, b in zip(trits, terms))
+        flipped = tuple(-t for t in trits)
+        if value > 0:
+            orientations = (trits,)
+        elif value < 0:
+            orientations = (flipped,)
+        else:
+            orientations = (trits, flipped)
+        for oriented in orientations:
+            key = (abs(value), sum(digit[t] * 3**i for i, t in enumerate(oriented)), oriented)
+            best = key if best is None or key < best else best
+    return best[0], best[2]
+
+
+COLLIDING = (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1))
+
+
+def test_minsum_smallest_witness_on_colliding_families():
+    for spec in COLLIDING:
+        for n in range(1, 11):
+            terms = generate(spec, n).terms
+            for tau in (Fraction(1, 3), Fraction(-7, 5), Fraction(1, 2)):
+                got = min_signed_sum(terms, tau)
+                assert (got.value, got.witness.encoding) == brute_minsum_witness(terms, tau)
+
+
+def test_gap_witness_order_on_colliding_families():
+    for spec in COLLIDING + (SequenceSpec.primes(),):
+        for n in range(1, 8):
+            terms = generate(spec, n).terms
+            got = min_gap(terms)
+            assert (got.gap, got.witness.trits) == brute_gap_witness(terms)
+            assert any(got.witness.trits)
+            assert evaluate_signs(terms, got.witness) == got.gap
+            if got.gap == 0:
+                assert got.scaled_num == 0 and got.gap == Fraction(0)
+
+
+def test_engine_edge_cases_one_and_two_terms():
+    # n = 1 leaves the second half empty, n = 2 gives it one term; targets
+    # past the reachable range, and one far beyond float range, included
+    taus = (Fraction(0), Fraction(1, 3), Fraction(-5, 4), Fraction(7), Fraction(10**400))
+    for terms in ((2,), (1,), (2, 3), (1, 2), (4, 6)):
+        for tau in taus:
+            got = min_signed_sum(terms, tau)
+            assert (got.value, got.witness.encoding) == brute_minsum_witness(terms, tau)
+        gap = min_gap(terms)
+        assert (gap.gap, gap.witness.trits) == brute_gap_witness(terms)
+
+
+CERTIFICATE_SCRIPT = """
+from fractions import Fraction
+from types import SimpleNamespace
+import harmsum.exact as ex
+from harmsum.errors import CertificateError
+
+def refused(call):
+    try:
+        call()
+    except CertificateError:
+        return True
+    return False
+
+ex.evaluate_signs = lambda *args: Fraction(7)  # disagrees with every search
+print("minsum", refused(lambda: ex.min_signed_sum((2, 3, 5), Fraction(1, 3))))
+print("gap", refused(lambda: ex.min_gap((2, 3, 5))))
+ex.min_signed_sum = lambda *args, **kwargs: SimpleNamespace(witness=None)
+print("two_stage", refused(lambda: ex.two_stage_approx((1, 4), (2, 3), 0)))
+print("debug", __debug__)
+"""
+
+
+def test_certificates_survive_optimize_flag():
+    src = str(Path(harmsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFICATE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "minsum", "True", "gap", "True", "two_stage", "True", "debug", "False"
+    ]
+
+
+def test_gap_memory_guard_refuses_before_allocating():
+    terms = generate(SequenceSpec.primes(), 34)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            min_gap(terms, force=True, cap=34, memory_gib=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
