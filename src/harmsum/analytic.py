@@ -14,9 +14,13 @@ allowance proportional to the number of factors.
 
 The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du is computed
 by adaptive Simpson quadrature on [0, U], where U doubles until a sampled
-envelope of |rho(2u)| on [U, 2U] drops below the working tolerance. Every
-rho(2u) evaluation carries its own truncation certificate; the sample
-records the worst truncation parameters and an error estimate.
+envelope of |rho(2u)| on [U, 2U] drops below the working tolerance. The
+envelope does not depend on x, so `densities` chooses U once per request,
+and it keeps one request-local table of kernel nodes u -> rho(2u) that
+every x of the request shares: a node is computed once however many
+quadratures touch it. Every rho(2u) evaluation carries its own truncation
+certificate; each sample records the worst truncation parameters and an
+error estimate.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .errors import DivergedTruncation, TruncationFailure
 from .sequences import KIND_PK, KIND_PRIMES, SequenceSpec, SequenceTerms, terms_array
-from .exact import _as_terms, _scaled_sums
+from .exact import ENUM_CAP, MEMORY_GIB, _as_terms, _check_cap, _scaled_sums
 
 RHO_TERM_CAP = 10**8
 DENSITY_POINT_EPS = 1e-7   # per-point floor for rho tolerances inside density
@@ -351,10 +355,11 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
     outcomes (exact enumeration, float evaluation); `quadrature` computes
     2 * integral_0^x_max bump_transform(x) * rho_N(2x) dx by composite
     Simpson with the given step. The transform decays like x^-4, so the
-    x_max tail is ~1e-10 at the default settings.
+    x_max tail is ~1e-10 at the default settings. N is capped at ENUM_CAP.
     """
     terms = _as_terms(seq)
-    den, sums = _scaled_sums(terms, 8.0)
+    _check_cap(len(terms), None, ENUM_CAP, ENUM_CAP, False)
+    den, sums = _scaled_sums(terms, MEMORY_GIB)
     outcomes = np.array(sums, dtype=np.float64) / den
     exact = float(np.mean(smooth_bump(outcomes)))
 
@@ -391,48 +396,17 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, tol, depth):
     return sl + sr, el + er
 
 
-def density(spec: SequenceSpec, x: float, eps: float) -> DensitySample:
-    """g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du, truncated at U.
-
-    U doubles from 8 until a 65-point envelope of |rho(2u)| on [U, 2U]
-    falls below the working tolerance (the requested eps floored at
-    1e-7, which keeps truncation points desk-scale; the error estimate
-    accounts for it). Even in x by construction.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ax = abs(float(x))
-    eps_pt = max(eps, DENSITY_POINT_EPS)
-
+def _density_at(node, ax: float, U: float, eps_pt: float) -> tuple[float, float, int]:
+    """(g, error estimate, worst M over the kernel nodes touched) at |x| = ax,
+    by adaptive Simpson on panels of half a cosine period over [0, U]."""
     worst_m = 0
-    memo: dict[float, float] = {}
-
-    def rho2(u: float) -> float:
-        nonlocal worst_m
-        v = memo.get(u)
-        if v is None:
-            rv = cosine_product_limit(spec, 2.0 * u, eps_pt)
-            v = rv.value
-            memo[u] = v
-            if rv.terms_used > worst_m:
-                worst_m = rv.terms_used
-        return v
-
-    u_cap = DENSITY_U_CAP
-    U = 8.0
-    while True:
-        samples = np.linspace(U, 2.0 * U, 65)
-        envelope = max(abs(rho2(float(u))) for u in samples)
-        if envelope < eps_pt:
-            break
-        U *= 2.0
-        if U > u_cap:
-            raise TruncationFailure(
-                f"kernel envelope {envelope:.2e} not below {eps_pt:.1e} by U={u_cap}"
-            )
 
     def f(u: float) -> float:
-        return math.cos(2.0 * math.pi * u * ax) * rho2(u)
+        nonlocal worst_m
+        v, m = node(u)
+        if m > worst_m:
+            worst_m = m
+        return math.cos(2.0 * math.pi * u * ax) * v
 
     width = 0.5 if ax <= 1.0 else 0.5 / ax  # half-period of the cosine factor
     total = 0.0
@@ -446,12 +420,66 @@ def density(spec: SequenceSpec, x: float, eps: float) -> DensitySample:
         total += s
         err_total += e
         a = b
-    g = 2.0 * total
-    est = 2.0 * err_total + 2.0 * U * eps_pt
-    return DensitySample(
-        x=float(x), g=g, quadrature_error_estimate=est,
-        truncation_m=worst_m, truncation_u=U,
-    )
+    return 2.0 * total, 2.0 * err_total + 2.0 * U * eps_pt, worst_m
+
+
+def densities(spec: SequenceSpec, xs, eps: float) -> list[DensitySample]:
+    """g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du at every x in xs,
+    truncated at U.
+
+    U doubles from 8 until a 65-point envelope of |rho(2u)| on [U, 2U]
+    falls below the working tolerance (the requested eps floored at
+    1e-7, which keeps truncation points desk-scale; the error estimate
+    accounts for it). The envelope does not depend on x, so U is found
+    once, and every kernel node rho(2u) is computed once for the whole
+    request and shared by all x. Each distinct |x| is integrated once;
+    g is even in x by construction. A sample's truncation_m is the worst
+    M over the envelope nodes and the nodes its own quadrature touched.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    eps_pt = max(eps, DENSITY_POINT_EPS)
+    table: dict[float, tuple[float, int]] = {}  # u -> (rho(2u), terms_used)
+
+    def node(u: float) -> tuple[float, int]:
+        hit = table.get(u)
+        if hit is None:
+            rv = cosine_product_limit(spec, 2.0 * u, eps_pt)
+            hit = table[u] = (rv.value, rv.terms_used)
+        return hit
+
+    U = 8.0
+    while True:
+        samples = np.linspace(U, 2.0 * U, 65)
+        envelope = max(abs(node(float(u))[0]) for u in samples)
+        if envelope < eps_pt:
+            break
+        U *= 2.0
+        if U > DENSITY_U_CAP:
+            raise TruncationFailure(
+                f"kernel envelope {envelope:.2e} not below {eps_pt:.1e} by U={DENSITY_U_CAP}"
+            )
+    envelope_m = max(m for _, m in table.values())
+
+    by_ax: dict[float, tuple[float, float, int]] = {}
+    out = []
+    for x in xs:
+        x = float(x)
+        ax = abs(x)
+        if ax not in by_ax:
+            by_ax[ax] = _density_at(node, ax, U, eps_pt)
+        g, est, m = by_ax[ax]
+        out.append(DensitySample(
+            x=x, g=g, quadrature_error_estimate=est,
+            truncation_m=max(envelope_m, m), truncation_u=U,
+        ))
+    return out
+
+
+def density(spec: SequenceSpec, x: float, eps: float) -> DensitySample:
+    """g(x) at one point; see `densities`, which serves many x at the
+    cost of one."""
+    return densities(spec, [x], eps)[0]
 
 
 def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -> float:
@@ -461,17 +489,7 @@ def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -
         raise ValueError("need lo < hi")
     npts = max(33, 1 + 2 * math.ceil(4.0 * (hi - lo)))
     xs = np.linspace(lo, hi, npts)
-    cache: dict[float, float] = {}
-
-    def g_at(xi: float) -> float:
-        key = abs(xi)  # density is even, reuse mirrored samples
-        v = cache.get(key)
-        if v is None:
-            v = density(spec, key, eps).g
-            cache[key] = v
-        return v
-
-    values = np.array([g_at(float(xi)) for xi in xs])
+    values = np.array([d.g for d in densities(spec, xs, eps)])
     h = (hi - lo) / (npts - 1)
     weights = np.ones(npts)
     weights[1:-1:2] = 4.0

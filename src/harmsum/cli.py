@@ -28,6 +28,7 @@ from .analytic import (
     check_decay,
     cosine_product,
     cosine_product_limit,
+    densities,
     density,
     exponential_bound_suite,
     sandwich_suite,
@@ -41,7 +42,7 @@ from .errors import (
     ResourceLimit,
     TruncationFailure,
 )
-from .exact import decay_profile, min_gap, min_signed_sum, parse_exact, two_stage_for_n
+from .exact import MEMORY_GIB, decay_profile, min_gap, min_signed_sum, parse_exact, two_stage_for_n
 from .montecarlo import SimulationConfig, histogram, simulate
 from .sequences import SequenceSpec, generate, terms_array
 
@@ -300,10 +301,10 @@ def cmd_density(args, rc: RunConfig) -> int:
             raise ValueError("--grid expects lo:hi:steps")
         if steps < 2 or not lo < hi:
             raise ValueError("--grid expects lo < hi and steps >= 2")
-        rows = []
-        for x in np.linspace(lo, hi, steps):
-            d = density(spec, float(x), args.eps)
-            rows.append((_jnum(d.x), _jnum(d.g), _jnum(d.quadrature_error_estimate)))
+        rows = [
+            (_jnum(d.x), _jnum(d.g), _jnum(d.quadrature_error_estimate))
+            for d in densities(spec, np.linspace(lo, hi, steps), args.eps)
+        ]
         _emit_table(rc.emit, ("x", "g", "quadrature_error_estimate"), rows, "rows")
     else:
         d = density(spec, args.x, args.eps)
@@ -397,7 +398,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--force", action="store_true", help="lift the default size caps")
     p.add_argument("--minsum-cap", type=_positive_int, help="override the minimum-search cap")
     p.add_argument("--gap-cap", type=_positive_int, help="override the gap-search cap")
-    p.add_argument("--memory-gib", type=float, default=8.0, help="memory budget in GiB")
+    p.add_argument(
+        "--memory-gib", type=float, default=MEMORY_GIB,
+        help="memory budget in GiB (default: half of physical memory)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

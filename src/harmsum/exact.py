@@ -25,6 +25,7 @@ guard against runaway inputs.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -39,7 +40,19 @@ MINSUM_CAP_FORCED = 60
 GAP_CAP = 26
 GAP_CAP_FORCED = 30
 ENUM_CAP = 24
-MEMORY_GIB = 8.0
+
+
+def _half_physical_memory_gib() -> float:
+    """Half of the machine's physical memory in GiB; 8.0 where the
+    platform does not report it."""
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        total = 0
+    return total / 2**31 if total > 0 else 8.0
+
+
+MEMORY_GIB = _half_physical_memory_gib()  # default budget of every memory check
 
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2

@@ -17,13 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import density, interval_probability
-from .exact import _scaled_sums
+from .analytic import densities, interval_probability
+from .exact import ENUM_CAP, MEMORY_GIB, _check_cap, _scaled_sums
 from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
 CHUNK = 1 << 16  # samples per internal chunk; counter addressing makes draws chunk-invariant
-MEMORY_GIB = 8.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,9 @@ def simulate(config: SimulationConfig, *, eps: float = DENSITY_EPS) -> Simulatio
 
 
 def exhaustive_probability(config: SimulationConfig) -> Fraction:
-    """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors."""
+    """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors;
+    n is capped at ENUM_CAP."""
+    _check_cap(config.n, None, ENUM_CAP, ENUM_CAP, False)
     terms = [int(t) for t in terms_array(config.spec, config.n)]
     den, sums = _scaled_sums(terms, MEMORY_GIB)
     lo, hi = config.interval
@@ -163,13 +164,8 @@ def histogram(
         counts += np.bincount(idx[ok], minlength=bins)
     in_range = int(counts.sum())
     centers = lo + width * (np.arange(bins) + 0.5)
-    gcache: dict[float, float] = {}
     rows = []
-    for i in range(bins):
-        c = float(centers[i])
-        key = abs(c)
-        if key not in gcache:
-            gcache[key] = density(config.spec, key, eps).g
-        emp = counts[i] / (in_range * width) if in_range else 0.0
-        rows.append(HistogramRow(center=c, empirical=float(emp), expected=gcache[key]))
+    for count, sample in zip(counts, densities(config.spec, centers, eps)):
+        emp = count / (in_range * width) if in_range else 0.0
+        rows.append(HistogramRow(center=sample.x, empirical=float(emp), expected=sample.g))
     return rows

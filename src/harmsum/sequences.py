@@ -196,6 +196,15 @@ def _iter_prime_masks(hi: int, block: int = _BLOCK):
         yield lo, mask
 
 
+def _iter_nonprime_masks(hi: int):
+    """Yield (lo, mask) flagging 1 and the composites in [lo, lo+len)."""
+    for lo, mask in _iter_prime_masks(hi):
+        inv = ~mask
+        if lo == 0:
+            inv[0] = False  # 0 is not a term; 1 is
+        yield lo, inv
+
+
 def _iter_almost_masks(hi: int, k: int, squarefree: bool, block: int = _BLOCK):
     """Yield (lo, mask) flagging numbers in [lo, lo+len) with exactly k
     distinct prime factors (restricted to squarefree numbers if asked)."""
@@ -274,35 +283,10 @@ def _collect_first_n_array(mask_iter_factory, n: int, limit: int) -> np.ndarray:
         limit = min(limit * 2, MAX_TERM + 1)
 
 
-def _collect_first_n(mask_iter_factory, n: int, limit: int) -> list[int]:
-    return _collect_first_n_array(mask_iter_factory, n, limit).tolist()
-
-
-def _primes_first_n(n: int) -> list[int]:
-    return _collect_first_n(lambda hi: _iter_prime_masks(hi), n, _nth_prime_limit(n) + 1)
-
-
 def _count_primes_up_to(t: int) -> int:
     if t < 2:
         return 0
     return sum(int(mask.sum()) for _, mask in _iter_prime_masks(t + 1))
-
-
-def _nonprimes_first_n(n: int) -> list[int]:
-    def factory(hi):
-        for lo, mask in _iter_prime_masks(hi):
-            inv = ~mask
-            if lo == 0:
-                inv[0] = False  # 0 is not a term; 1 is
-            yield lo, inv
-
-    return _collect_first_n(factory, n, max(16, 2 * n))
-
-
-def _almost_first_n(n: int, k: int, squarefree: bool) -> list[int]:
-    return _collect_first_n(
-        lambda hi: _iter_almost_masks(hi, k, squarefree), n, _landau_limit(n, k)
-    )
 
 
 def _count_almost_up_to(t: int, k: int, squarefree: bool) -> int:
@@ -320,42 +304,19 @@ def generate(spec: SequenceSpec, n: int) -> SequenceTerms:
     Terms are exact Python ints, strictly increasing, and fit in 64 bits
     (Overflow otherwise).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if spec.kind == KIND_PRIMES:
-        terms = _primes_first_n(n)
-    elif spec.kind == KIND_PK:
-        terms = _almost_first_n(n, spec.k, squarefree=True)
-    elif spec.kind == KIND_OMEGA:
-        terms = _almost_first_n(n, spec.k, squarefree=False)
-    elif spec.kind == KIND_NONPRIMES:
-        terms = _nonprimes_first_n(n)
-    elif spec.kind == KIND_AP:
-        last = spec.a + spec.q * (n - 1)
-        if last > MAX_TERM:
-            raise Overflow(f"term {last} does not fit in 64 bits")
-        terms = [spec.a + spec.q * i for i in range(n)]
-    else:  # custom
-        if n > len(spec.values):
-            raise InvalidSpec(
-                f"custom sequence has {len(spec.values)} terms, {n} requested"
-            )
-        terms = list(spec.values[:n])
-    return SequenceTerms(spec, tuple(terms))
+    return SequenceTerms(spec, tuple(terms_array(spec, n).tolist()))
 
 
 def terms_array(spec: SequenceSpec, n: int) -> np.ndarray:
     """First n terms as an int64 array, skipping Python int materialization.
 
-    Matches generate(spec, n).terms element for element; meant for bulk
-    numerical work where n can reach millions.
+    `generate` wraps this; use it directly for bulk numerical work where
+    n can reach millions.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if spec.kind == KIND_PRIMES:
-        return _collect_first_n_array(
-            lambda hi: _iter_prime_masks(hi), n, _nth_prime_limit(n) + 1
-        )
+        return _collect_first_n_array(_iter_prime_masks, n, _nth_prime_limit(n) + 1)
     if spec.kind == KIND_PK:
         return _collect_first_n_array(
             lambda hi: _iter_almost_masks(hi, spec.k, True), n, _landau_limit(n, spec.k)
@@ -365,15 +326,7 @@ def terms_array(spec: SequenceSpec, n: int) -> np.ndarray:
             lambda hi: _iter_almost_masks(hi, spec.k, False), n, _landau_limit(n, spec.k)
         )
     if spec.kind == KIND_NONPRIMES:
-
-        def factory(hi):
-            for lo, mask in _iter_prime_masks(hi):
-                inv = ~mask
-                if lo == 0:
-                    inv[0] = False
-                yield lo, inv
-
-        return _collect_first_n_array(factory, n, max(16, 2 * n))
+        return _collect_first_n_array(_iter_nonprime_masks, n, max(16, 2 * n))
     if spec.kind == KIND_AP:
         last = spec.a + spec.q * (n - 1)
         if last > MAX_TERM:

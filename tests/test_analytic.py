@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import harmsum.analytic as analytic
 from harmsum.analytic import (
     C_PRIME_DEFAULT,
     check_decay,
@@ -11,6 +13,7 @@ from harmsum.analytic import (
     cosine_product_limit,
     count_far_from_integer,
     count_near_multiples,
+    densities,
     density,
     exponential_bound_suite,
     expectation_identity,
@@ -20,7 +23,8 @@ from harmsum.analytic import (
     smooth_bump,
     smooth_bump_transform,
 )
-from harmsum.errors import DivergedTruncation, TruncationFailure
+from harmsum.errors import CapExceeded, DivergedTruncation, TruncationFailure
+from harmsum.exact import ENUM_CAP
 from harmsum.sequences import SequenceSpec, terms_array
 
 PRIMES = SequenceSpec.primes()
@@ -281,6 +285,18 @@ def test_expectation_identity():
         assert abs(exact - quad) <= 1e-6
 
 
+def test_expectation_identity_capped_before_allocating():
+    terms = terms_array(PRIMES, ENUM_CAP + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            expectation_identity(terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_density_even_exact():
     a = density(PRIMES, 0.7, 1e-6)
     b = density(PRIMES, -0.7, 1e-6)
@@ -319,3 +335,26 @@ def test_interval_probability_even():
     assert abs(left - right) <= 1e-12
     with pytest.raises(ValueError):
         interval_probability(PRIMES, 0.5, 0.5, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "spec, xs",
+    [(PRIMES, np.linspace(-2.0, 2.0, 9)), (AP, np.linspace(0.0, 3.0, 7))],
+)
+def test_densities_match_pointwise_density(spec, xs):
+    # mirrored points and |x| > 1 (narrower panels) share one request
+    assert densities(spec, xs, 1e-4) == [density(spec, float(x), 1e-4) for x in xs]
+
+
+def test_interval_probability_evaluates_each_node_once(monkeypatch):
+    calls = []
+    kernel = analytic.cosine_product_limit
+
+    def recording(spec, x, eps, **kwargs):
+        calls.append(x)
+        return kernel(spec, x, eps, **kwargs)
+
+    monkeypatch.setattr(analytic, "cosine_product_limit", recording)
+    interval_probability(PRIMES, -0.1, 0.1, 1e-6)
+    assert calls
+    assert len(calls) == len(set(calls))

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from harmsum.cli import main
+from harmsum import exact, montecarlo
+from harmsum.cli import build_parser, main
 
 BFILE_LINE = re.compile(r"^\d+ -?\d+$")
 
@@ -170,3 +171,8 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "subcommand" in out or "usage" in out
+
+
+def test_memory_budget_default_is_shared():
+    args = build_parser().parse_args(["minsum", "--n", "3"])
+    assert args.memory_gib == exact.MEMORY_GIB == montecarlo.MEMORY_GIB > 0

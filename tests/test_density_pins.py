@@ -7,7 +7,7 @@ and modeled the far tail by a centered Gaussian with the exact residual
 variance. The quadrature values must sit within a few standard errors.
 """
 
-from harmsum.analytic import density, interval_probability
+from harmsum.analytic import densities, density, interval_probability
 from harmsum.sequences import SequenceSpec
 
 PRIMES = SequenceSpec.primes()
@@ -47,7 +47,15 @@ def test_ap_window_probability_matches_simulation():
 
 
 def test_ap_density_at_zero_anchor():
-    # for b_n = n the density at 0 equals 1/4 (classical closed form)
+    # for b_n = n, g(0) = 0.2499943958..., just below 1/4 and not equal to
+    # it: 1/4 - g(0) is about 5.6e-6, inside the 1e-5 tolerance
     sample = density(AP11, 0.0, 1e-6)
     assert abs(sample.g - 0.25) <= 1e-5
     assert sample.quadrature_error_estimate < 1e-3
+
+
+def test_harmonic_density_at_two_is_one_eighth():
+    # for b_n = n, g(2) = 1/8 to about 40 digits (Schmuland, "Random
+    # harmonic series", Amer. Math. Monthly 110, 2003)
+    (sample,) = densities(AP11, [2.0], 1e-6)
+    assert abs(sample.g - 0.125) <= sample.quadrature_error_estimate

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 import harmsum.montecarlo as mc
-from harmsum.exact import _scaled_sums
+from harmsum.errors import CapExceeded
+from harmsum.exact import ENUM_CAP, _scaled_sums
 from harmsum.montecarlo import (
     SimulationConfig,
     exhaustive_probability,
@@ -93,6 +95,18 @@ def test_exhaustive_half_open():
     cfg = SimulationConfig(spec=spec, n=2, samples=1, seed=0, interval=(0.25, 0.75))
     # outcomes: -3/4, -1/4, 1/4, 3/4; [1/4, 3/4) catches exactly one
     assert exhaustive_probability(cfg) == Fraction(1, 4)
+
+
+def test_exhaustive_capped_before_allocating():
+    cfg = SimulationConfig(spec=PRIMES, n=ENUM_CAP + 1, samples=1, seed=0, interval=(-0.1, 0.1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            exhaustive_probability(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_simulation_agrees_with_exhaustive():
