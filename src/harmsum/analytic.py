@@ -9,8 +9,10 @@ tail bound: log|cos t| >= -t^2 for |t| <= 1 gives
 
 once b_M >= pi x, and the tail sum is bounded by 1/M in general (terms are
 strictly increasing integers, so b_n >= n) and by 1/(M log^2 M) for the
-prime sequence. The reported tail_bound also carries a float-rounding
-allowance proportional to the number of factors.
+prime sequence. The reported tail_bound adds a float-rounding allowance
+of |rho_M| * sqrt(M) * 1e-15: an RMS estimate of M roundings with random
+signs, not a bound. So tail_bound certifies the truncation and estimates
+the rounding.
 
 The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du is computed
 by adaptive Simpson quadrature on [0, U], where U doubles until a sampled
@@ -49,8 +51,9 @@ C_PRIME_DEFAULT = (1.0 / (2.0 * 1.518 * math.e)) ** 2
 @dataclass(frozen=True)
 class RhoValue:
     """A kernel evaluation; n is the factor count, or None for the
-    infinite-product limit, in which case terms_used and tail_bound record
-    the truncation and its certificate."""
+    infinite-product limit, in which case terms_used records the truncation
+    and tail_bound its certified bound plus an estimated rounding
+    allowance."""
 
     x: float
     n: int | None
@@ -143,10 +146,12 @@ def cosine_product_limit(
 ) -> RhoValue:
     """The infinite product lim_N rho_N(x), truncated with a certificate.
 
-    Doubles the truncation point M from max(64, 4|x|) until the certified
-    tail bound drops below eps; raises DivergedTruncation when M would
-    pass term_cap first. For a finite custom sequence the product is exact
-    once every term is used.
+    Doubles the truncation point M from max(64, 4|x|) until tail_bound
+    drops below eps; raises DivergedTruncation when M would pass term_cap
+    first. tail_bound is the certified truncation bound plus the rounding
+    allowance |rho_M| * sqrt(M) * 1e-15, which is an estimate, not a
+    bound. For a finite custom sequence the truncation term is zero once
+    every term is used.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -168,8 +173,9 @@ def cosine_product_limit(
             tail_sq = 0.0
         else:
             tail_sq = _tail_square_sum_bound(spec, m)
-        # rounding allowance: ~1 ulp per factor accumulating with random
-        # signs, so RMS sqrt(m) with a safety factor on the machine epsilon
+        # rounding allowance, an estimate rather than a bound: ~1 ulp per
+        # factor accumulating with random signs, so RMS sqrt(m) with a
+        # safety factor on the machine epsilon
         bound = abs(prod) * ((math.pi * ax) ** 2 * tail_sq + math.sqrt(m) * 1e-15)
         if bound <= eps:
             return RhoValue(
@@ -368,12 +374,15 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
         npts += 1  # composite Simpson needs an even panel count
     xs = np.linspace(0.0, x_max, npts + 1)
     integrand = smooth_bump_transform(xs) * _rho_batch(np.array(terms, float), 2.0 * xs)
-    h = x_max / npts
-    weights = np.ones(npts + 1)
+    return exact, 2.0 * _simpson(integrand, x_max / npts)
+
+
+def _simpson(values: np.ndarray, h: float) -> float:
+    """Composite Simpson over an odd number of values spaced h apart."""
+    weights = np.ones(len(values))
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    quad = 2.0 * float(h / 3.0 * np.dot(weights, integrand))
-    return exact, quad
+    return float(h / 3.0 * np.dot(weights, values))
 
 
 # -- density -----------------------------------------------------------------
@@ -490,8 +499,4 @@ def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -
     npts = max(33, 1 + 2 * math.ceil(4.0 * (hi - lo)))
     xs = np.linspace(lo, hi, npts)
     values = np.array([d.g for d in densities(spec, xs, eps)])
-    h = (hi - lo) / (npts - 1)
-    weights = np.ones(npts)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, values))
+    return _simpson(values, (hi - lo) / (npts - 1))

@@ -16,11 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,16 +46,6 @@ from .sequences import SequenceSpec, generate, terms_array
 EMITS = ("tsv", "json", "bfile")
 _LONG_FLAG = re.compile(r"--[a-z][a-z-]*")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    emit: str
-    force: bool
-    minsum_cap: int | None
-    gap_cap: int | None
-    memory_gib: float
-    threads: int | None  # reserved; all operations are deterministic single-thread
 
 
 def _positive_int(text: str) -> int:
@@ -135,35 +122,35 @@ def _search_pairs(res) -> list:
     ]
 
 
-def cmd_seq(args, rc: RunConfig) -> int:
+def cmd_seq(args) -> int:
     spec = _spec_from_args(args)
     terms = generate(spec, args.n).terms
-    if rc.emit == "json":
+    if args.emit == "json":
         print(json.dumps({"kind": spec.label(), "n": len(terms), "terms": [str(t) for t in terms]}))
     else:
         rows = [(i + 1, t) for i, t in enumerate(terms)]
-        _emit_table(rc.emit, ("index", "term"), rows, "terms", bfile_cols=(0, 1))
+        _emit_table(args.emit, ("index", "term"), rows, "terms", bfile_cols=(0, 1))
     return 0
 
 
-def cmd_minsum(args, rc: RunConfig) -> int:
+def cmd_minsum(args) -> int:
     spec = _spec_from_args(args)
     tau = parse_exact(args.tau)
     res = min_signed_sum(
         generate(spec, args.n),
         tau,
-        cap=rc.minsum_cap,
-        force=rc.force,
-        memory_gib=rc.memory_gib,
+        cap=args.minsum_cap,
+        force=args.force,
+        memory_gib=args.memory_gib,
     )
-    _emit_pairs(rc.emit, _search_pairs(res), bfile_row=(res.n, res.scaled_num))
+    _emit_pairs(args.emit, _search_pairs(res), bfile_row=(res.n, res.scaled_num))
     return 0
 
 
-def cmd_gap(args, rc: RunConfig) -> int:
+def cmd_gap(args) -> int:
     spec = _spec_from_args(args)
     res = min_gap(
-        generate(spec, args.n), cap=rc.gap_cap, force=rc.force, memory_gib=rc.memory_gib
+        generate(spec, args.n), cap=args.gap_cap, force=args.force, memory_gib=args.memory_gib
     )
     pairs = [
         ("n", res.n),
@@ -171,33 +158,35 @@ def cmd_gap(args, rc: RunConfig) -> int:
         ("den", str(res.den)),
         ("witness", str(res.witness)),
     ]
-    _emit_pairs(rc.emit, pairs, bfile_row=(res.n, res.scaled_num))
+    _emit_pairs(args.emit, pairs, bfile_row=(res.n, res.scaled_num))
     return 0
 
 
-def cmd_table1(args, rc: RunConfig) -> int:
+def cmd_table1(args) -> int:
     terms = generate(SequenceSpec.primes(), args.upto)
     rows = []
     for n in range(1, args.upto + 1):
         res = min_signed_sum(
-            terms.prefix(n), 0, cap=rc.minsum_cap, force=rc.force, memory_gib=rc.memory_gib
+            terms.prefix(n), 0, cap=args.minsum_cap, force=args.force, memory_gib=args.memory_gib
         )
         rows.append((n, str(res.scaled_num)))
-    _emit_table(rc.emit, ("n", "scaled_minimum"), rows, "rows", bfile_cols=(0, 1))
+    _emit_table(args.emit, ("n", "scaled_minimum"), rows, "rows", bfile_cols=(0, 1))
     return 0
 
 
-def cmd_table3(args, rc: RunConfig) -> int:
+def cmd_table3(args) -> int:
     terms = generate(SequenceSpec.primes(), args.upto)
     rows = []
     for n in range(1, args.upto + 1):
-        res = min_gap(terms.prefix(n), cap=rc.gap_cap, force=rc.force, memory_gib=rc.memory_gib)
+        res = min_gap(
+            terms.prefix(n), cap=args.gap_cap, force=args.force, memory_gib=args.memory_gib
+        )
         rows.append((n, str(res.scaled_num)))
-    _emit_table(rc.emit, ("n", "scaled_gap"), rows, "rows", bfile_cols=(0, 1))
+    _emit_table(args.emit, ("n", "scaled_gap"), rows, "rows", bfile_cols=(0, 1))
     return 0
 
 
-def cmd_decay(args, rc: RunConfig) -> int:
+def cmd_decay(args) -> int:
     spec = _spec_from_args(args)
     tau = parse_exact(args.tau)
     terms = generate(spec, args.hi)
@@ -205,9 +194,9 @@ def cmd_decay(args, rc: RunConfig) -> int:
         terms,
         range(args.lo, args.hi + 1),
         tau,
-        cap=rc.minsum_cap,
-        force=rc.force,
-        memory_gib=rc.memory_gib,
+        cap=args.minsum_cap,
+        force=args.force,
+        memory_gib=args.memory_gib,
     )
     rows = [
         (
@@ -222,7 +211,7 @@ def cmd_decay(args, rc: RunConfig) -> int:
         for r in profile.rows
     ]
     header = ("n", "scaled_num", "den", "value", "log_value", "ref_log_sq", "ref_power")
-    if rc.emit == "json":
+    if args.emit == "json":
         print(
             json.dumps(
                 {
@@ -233,49 +222,37 @@ def cmd_decay(args, rc: RunConfig) -> int:
                 }
             )
         )
-    elif rc.emit == "bfile":
-        raise ValueError("bfile output is not available for this subcommand")
     else:
-        print("# " + "\t".join(header))
-        for r in rows:
-            print("\t".join(str(v) for v in r))
+        _emit_table(args.emit, header, rows, "rows")
         print(f"# slope={profile.slope!r} intercept={profile.intercept!r} r_squared={profile.r_squared!r}")
     return 0
 
 
-def cmd_two_stage(args, rc: RunConfig) -> int:
+def cmd_two_stage(args) -> int:
     tau = parse_exact(args.tau)
     res = two_stage_for_n(
-        args.n, tau, cap=rc.minsum_cap, force=rc.force, memory_gib=rc.memory_gib
+        args.n, tau, cap=args.minsum_cap, force=args.force, memory_gib=args.memory_gib
     )
-    if rc.emit == "json":
-        print(
-            json.dumps(
-                {
-                    "tau": str(tau),
-                    "refined_target": str(res.refined_target),
-                    "residual": str(res.residual),
-                    "first": dict(_search_pairs(res.first)),
-                    "second": dict(_search_pairs(res.second)),
-                }
-            )
-        )
-    elif rc.emit == "bfile":
-        raise ValueError("bfile output is not available for this subcommand")
+    pairs = [
+        ("tau", str(tau)),
+        ("refined_target", str(res.refined_target)),
+        ("residual", str(res.residual)),
+    ]
+    stages = (("first", _search_pairs(res.first)), ("second", _search_pairs(res.second)))
+    if args.emit == "json":
+        pairs += [(name, dict(sp)) for name, sp in stages]
     else:
-        pairs = [("tau", tau), ("refined_target", res.refined_target), ("residual", res.residual)]
-        pairs += [("first." + k, v) for k, v in _search_pairs(res.first)]
-        pairs += [("second." + k, v) for k, v in _search_pairs(res.second)]
-        _emit_pairs("tsv", pairs)
+        pairs += [(f"{name}.{k}", v) for name, sp in stages for k, v in sp]
+    _emit_pairs(args.emit, pairs)
     return 0
 
 
-def cmd_rho(args, rc: RunConfig) -> int:
+def cmd_rho(args) -> int:
     spec = _spec_from_args(args)
     if args.n is not None:
         rv = cosine_product(terms_array(spec, args.n), args.x)
         pairs = [("x", _jnum(rv.x)), ("n", rv.n), ("value", _jnum(rv.value))]
-        _emit_pairs(rc.emit, pairs)
+        _emit_pairs(args.emit, pairs)
     else:
         if args.eps is None:
             raise ValueError("need --n for the finite kernel or --eps for the limit")
@@ -287,11 +264,11 @@ def cmd_rho(args, rc: RunConfig) -> int:
             ("tail_bound", _jnum(rv.tail_bound)),
             ("terms_used", rv.terms_used),
         ]
-        _emit_pairs(rc.emit, pairs)
+        _emit_pairs(args.emit, pairs)
     return 0
 
 
-def cmd_density(args, rc: RunConfig) -> int:
+def cmd_density(args) -> int:
     spec = _spec_from_args(args)
     if args.grid:
         try:
@@ -305,7 +282,7 @@ def cmd_density(args, rc: RunConfig) -> int:
             (_jnum(d.x), _jnum(d.g), _jnum(d.quadrature_error_estimate))
             for d in densities(spec, np.linspace(lo, hi, steps), args.eps)
         ]
-        _emit_table(rc.emit, ("x", "g", "quadrature_error_estimate"), rows, "rows")
+        _emit_table(args.emit, ("x", "g", "quadrature_error_estimate"), rows, "rows")
     else:
         d = density(spec, args.x, args.eps)
         pairs = [
@@ -316,11 +293,11 @@ def cmd_density(args, rc: RunConfig) -> int:
             ("truncation_m", d.truncation_m),
             ("truncation_u", _jnum(d.truncation_u)),
         ]
-        _emit_pairs(rc.emit, pairs)
+        _emit_pairs(args.emit, pairs)
     return 0
 
 
-def cmd_check(args, rc: RunConfig) -> int:
+def cmd_check(args) -> int:
     spec = _spec_from_args(args)
     if args.bound == "exp":
         report = exponential_bound_suite(
@@ -345,17 +322,11 @@ def cmd_check(args, rc: RunConfig) -> int:
         "c_prime": report.c_prime,
         "c_prime_defaulted": report.c_prime_defaulted,
     }
-    if rc.emit == "bfile":
-        raise ValueError("bfile output is not available for this subcommand")
-    if rc.emit == "tsv":
-        for key, value in payload.items():
-            print(f"{key}\t{value}")
-    else:
-        print(json.dumps(payload))
+    _emit_pairs(args.emit, payload.items())
     return 0
 
 
-def cmd_mc(args, rc: RunConfig) -> int:
+def cmd_mc(args) -> int:
     spec = _spec_from_args(args)
     config = SimulationConfig(
         spec=spec, n=args.n, samples=args.samples, seed=args.seed, interval=(args.lo, args.hi)
@@ -365,7 +336,7 @@ def cmd_mc(args, rc: RunConfig) -> int:
             (_jnum(r.center), _jnum(r.empirical), _jnum(r.expected))
             for r in histogram(config, args.bins, eps=args.eps)
         ]
-        _emit_table(rc.emit, ("center", "empirical", "expected"), rows, "bins")
+        _emit_table(args.emit, ("center", "empirical", "expected"), rows, "bins")
     else:
         rep = simulate(config, eps=args.eps)
         pairs = [
@@ -376,7 +347,7 @@ def cmd_mc(args, rc: RunConfig) -> int:
             ("sample_mean", _jnum(rep.sample_mean)),
             ("sample_variance", _jnum(rep.sample_variance)),
         ]
-        _emit_pairs(rc.emit, pairs)
+        _emit_pairs(args.emit, pairs)
     return 0
 
 
@@ -505,26 +476,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    threads = None
-    env_threads = os.environ.get("HARMONIC_THREADS")
-    if env_threads:
-        try:
-            threads = int(env_threads)
-            if threads < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: HARMONIC_THREADS must be a positive integer, got {env_threads!r}", file=sys.stderr)
-            return 2
-    rc = RunConfig(
-        emit=args.emit,
-        force=args.force,
-        minsum_cap=getattr(args, "minsum_cap", None),
-        gap_cap=getattr(args, "gap_cap", None),
-        memory_gib=args.memory_gib,
-        threads=threads,
-    )
     try:
-        return args.func(args, rc)
+        return args.func(args)
     except (InvalidSpec, Overflow, RangeUnreachable, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

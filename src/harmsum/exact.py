@@ -391,11 +391,7 @@ def _scaled_sums(terms: tuple[int, ...], memory_gib: float) -> tuple[int, list[i
 
 
 def enumerate_sums(
-    seq,
-    *,
-    cap: int | None = None,
-    force: bool = False,
-    memory_gib: float = MEMORY_GIB,
+    seq, *, cap: int | None = None, memory_gib: float = MEMORY_GIB
 ) -> tuple[int, list[tuple[int, SignVector]]]:
     """All 2^n signed sums, scaled by den = lcm(terms).
 
@@ -404,7 +400,7 @@ def enumerate_sums(
     """
     terms = _as_terms(seq)
     n = len(terms)
-    _check_cap(n, cap, ENUM_CAP, ENUM_CAP, force)
+    _check_cap(n, cap, ENUM_CAP, ENUM_CAP, False)
     den, sums = _scaled_sums(terms, memory_gib)
     order = sorted(range(len(sums)), key=sums.__getitem__)
     return den, [(sums[enc], SignVector(enc, n)) for enc in order]

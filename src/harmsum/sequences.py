@@ -30,7 +30,8 @@ MAX_TERM = 2**63 - 1
 
 _BLOCK = 1 << 20
 
-# deterministic Miller-Rabin base set, valid for all n < 3.3e24
+# deterministic Miller-Rabin base set, valid for all n < 3.3e24; is_prime
+# also trial-divides by these primes first
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 KIND_PRIMES = "primes"
@@ -144,7 +145,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every 64-bit integer."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -283,16 +284,21 @@ def _collect_first_n_array(mask_iter_factory, n: int, limit: int) -> np.ndarray:
         limit = min(limit * 2, MAX_TERM + 1)
 
 
-def _count_primes_up_to(t: int) -> int:
-    if t < 2:
-        return 0
-    return sum(int(mask.sum()) for _, mask in _iter_prime_masks(t + 1))
-
-
-def _count_almost_up_to(t: int, k: int, squarefree: bool) -> int:
-    if t < 2:
-        return 0
-    return sum(int(mask.sum()) for _, mask in _iter_almost_masks(t + 1, k, squarefree))
+def _sieve(spec: SequenceSpec):
+    """(masks, first_limit) for a sieved kind, else None: masks(hi) yields
+    the (lo, mask) blocks covering [0, hi), and first_limit(n) is where the
+    search for the first n terms starts."""
+    if spec.kind == KIND_PRIMES:
+        return _iter_prime_masks, lambda n: _nth_prime_limit(n) + 1
+    if spec.kind in (KIND_PK, KIND_OMEGA):
+        squarefree = spec.kind == KIND_PK
+        return (
+            lambda hi: _iter_almost_masks(hi, spec.k, squarefree),
+            lambda n: _landau_limit(n, spec.k),
+        )
+    if spec.kind == KIND_NONPRIMES:
+        return _iter_nonprime_masks, lambda n: max(16, 2 * n)
+    return None
 
 
 # -- public operations -----------------------------------------------------
@@ -315,18 +321,10 @@ def terms_array(spec: SequenceSpec, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spec.kind == KIND_PRIMES:
-        return _collect_first_n_array(_iter_prime_masks, n, _nth_prime_limit(n) + 1)
-    if spec.kind == KIND_PK:
-        return _collect_first_n_array(
-            lambda hi: _iter_almost_masks(hi, spec.k, True), n, _landau_limit(n, spec.k)
-        )
-    if spec.kind == KIND_OMEGA:
-        return _collect_first_n_array(
-            lambda hi: _iter_almost_masks(hi, spec.k, False), n, _landau_limit(n, spec.k)
-        )
-    if spec.kind == KIND_NONPRIMES:
-        return _collect_first_n_array(_iter_nonprime_masks, n, max(16, 2 * n))
+    sieve = _sieve(spec)
+    if sieve is not None:
+        masks, first_limit = sieve
+        return _collect_first_n_array(masks, n, first_limit(n))
     if spec.kind == KIND_AP:
         last = spec.a + spec.q * (n - 1)
         if last > MAX_TERM:
@@ -343,14 +341,10 @@ def count_up_to(spec: SequenceSpec, t: int) -> int:
         raise Overflow("t does not fit in 64 bits")
     if t < 1:
         return 0
-    if spec.kind == KIND_PRIMES:
-        return _count_primes_up_to(t)
-    if spec.kind == KIND_PK:
-        return _count_almost_up_to(t, spec.k, squarefree=True)
-    if spec.kind == KIND_OMEGA:
-        return _count_almost_up_to(t, spec.k, squarefree=False)
-    if spec.kind == KIND_NONPRIMES:
-        return t - _count_primes_up_to(t)
+    sieve = _sieve(spec)
+    if sieve is not None:
+        masks, _ = sieve
+        return sum(int(mask.sum()) for _, mask in masks(t + 1))
     if spec.kind == KIND_AP:
         return 0 if t < spec.a else (t - spec.a) // spec.q + 1
     return bisect_right(spec.values, t)

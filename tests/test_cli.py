@@ -151,20 +151,55 @@ def test_cap_and_truncation_exit_codes(capsys):
     assert code == 4
 
 
-def test_bfile_unavailable(capsys):
-    code, _, err = run(capsys, ["density", "--x", "0", "--eps", "1e-6", "--emit", "bfile"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--x", "0", "--eps", "1e-6"],
+        ["check", "--bound", "exp", "--n", "10", "--pairs", "5"],
+        ["decay", "--lo", "4", "--hi", "8"],
+        ["two-stage", "--n", "6"],
+    ],
+    ids=["density", "check", "decay", "two-stage"],
+)
+def test_bfile_unavailable(capsys, argv):
+    code, out, err = run(capsys, argv + ["--emit", "bfile"])
     assert code == 2
     assert "bfile" in err
+    assert out == ""
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("HARMONIC_THREADS", "4")
-    code, out, _ = run(capsys, ["seq", "--n", "3", "--emit", "bfile"])
+def test_tsv_layouts(capsys):
+    code, out, _ = run(capsys, ["check", "--bound", "exp", "--n", "10", "--pairs", "5",
+                                "--emit", "tsv"])
     assert code == 0
-    monkeypatch.setenv("HARMONIC_THREADS", "zero")
-    code, _, err = run(capsys, ["seq", "--n", "3"])
-    assert code == 2
-    assert "HARMONIC_THREADS" in err
+    keys = [line.split("\t")[0] for line in out.splitlines()]
+    assert keys == ["bound", "a", "x_lo", "x_hi", "samples", "violations", "passed",
+                    "c_prime", "c_prime_defaulted"]
+    assert out.startswith("bound\texp\n")
+
+    code, out, _ = run(capsys, ["decay", "--lo", "4", "--hi", "8"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("# n\tscaled_num\t")
+    assert [int(line.split("\t")[0]) for line in lines[1:-1]] == [4, 5, 6, 7, 8]
+    assert lines[-1].startswith("# slope=")
+
+    code, out, _ = run(capsys, ["two-stage", "--n", "6"])
+    assert code == 0
+    rows = dict(line.split("\t") for line in out.splitlines())
+    assert list(rows)[:3] == ["tau", "refined_target", "residual"]
+    assert "first.n" in rows and "second.n" in rows
+
+
+def test_threads_env_is_ignored(capsys, monkeypatch):
+    monkeypatch.delenv("HARMONIC_THREADS", raising=False)
+    code, plain, _ = run(capsys, ["seq", "--n", "3"])
+    assert code == 0
+    for value in ("4", "zero"):
+        monkeypatch.setenv("HARMONIC_THREADS", value)
+        code, out, _ = run(capsys, ["seq", "--n", "3"])
+        assert code == 0
+        assert out == plain
 
 
 def test_help_exits_zero(capsys):

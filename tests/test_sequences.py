@@ -103,6 +103,8 @@ def test_count_inverts_generate():
     for spec in [
         SequenceSpec.primes(),
         SequenceSpec.k_squarefree(2),
+        SequenceSpec.k_distinct(1),
+        SequenceSpec.k_distinct(2),
         SequenceSpec.nonprimes(),
         SequenceSpec.arithmetic(3, 4),
     ]:
