@@ -26,7 +26,7 @@ class CertificateError(HarmsumError):
 
 
 class ResourceLimit(HarmsumError):
-    """Estimated memory for the search exceeds the configured budget."""
+    """Estimated memory for an operation exceeds the configured budget."""
 
 
 class RangeUnreachable(HarmsumError):

@@ -3,10 +3,13 @@ comparison with the limiting density.
 
 Sign vectors come from a counter-based generator (Philox) addressed by
 sample index: each sample owns a fixed number of 256-bit counter blocks,
-so any chunking of the sample range reproduces identical draws. Per-sample
-sums are accumulated in double precision with Kahan compensation over
-64-column blocks; einsum with optimize=False keeps the reduction order
-fixed. Reports are bit-reproducible for a fixed seed.
+so any chunking of the sample range reproduces identical draws. Bit i of
+byte k of a sample's raw words is the sign of term 8k + i (1 is +). Each
+byte position has a 256-entry table of the signed sums of its 8 terms, so
+a sample's sum is one table lookup per byte: lookups are added plainly in
+groups of 8 bytes (64 terms), and the group partials are added into the
+total with Kahan compensation. Every sample is summed in the same order
+whatever the chunk, so reports are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import densities, interval_probability
-from .exact import ENUM_CAP, MEMORY_GIB, _check_cap, _scaled_sums
+from .exact import ENUM_CAP, MEMORY_GIB, _check_cap, _check_memory, _scaled_sums
 from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
 CHUNK = 1 << 16  # samples per internal chunk; counter addressing makes draws chunk-invariant
+_TILE = 1 << 16  # sign bytes per transpose tile, small enough to stay in cache
 
 
 @dataclass(frozen=True)
@@ -69,31 +73,64 @@ def _blocks_per_sample(n: int) -> int:
     return -(-words // 4)
 
 
+def _byte_tables(inv_terms: np.ndarray) -> np.ndarray:
+    """T[k, v] = sum_i (2 bit_i(v) - 1) / b_{8k+i} over i < 8, with 1/b
+    zero-padded to a multiple of 8 terms so a partial last byte adds 0."""
+    nbytes = -(-len(inv_terms) // 8)
+    padded = np.zeros(8 * nbytes)
+    padded[: len(inv_terms)] = inv_terms
+    signs = 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1) - 1.0
+    return np.einsum("vi,ki->kv", signs, padded.reshape(nbytes, 8), optimize=False)
+
+
 def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     """X values for samples [start, start+count), independent of chunking."""
     n = len(inv_terms)
+    nbytes = -(-n // 8)
     blocks = _blocks_per_sample(n)
     bg = np.random.Philox(key=seed)
     bg.advance(start * blocks)
-    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
-    bits = np.unpackbits(raw.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks).view(np.uint8)
+    # one row per byte position; copied in tiles of samples, since a plain
+    # transpose reads one byte per cache line
+    signs = np.empty((nbytes, count), dtype=np.uint8)
+    rows = max(256, _TILE // nbytes)
+    for r in range(0, count, rows):
+        signs[:, r : r + rows] = raw[r : r + rows, :nbytes].T
+    del raw
+    tables = _byte_tables(inv_terms)
     total = np.zeros(count)
     comp = np.zeros(count)
-    for j in range(0, n, 64):
-        signs = 2.0 * bits[:, j : j + 64].astype(np.float64) - 1.0
-        part = np.einsum("ij,j->i", signs, inv_terms[j : j + 64], optimize=False)
-        y = part - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    part = np.empty(count)
+    buf = np.empty(count)
+    t = np.empty(count)
+    for g in range(0, nbytes, 8):
+        tables[g].take(signs[g], out=part)
+        for k in range(g + 1, min(g + 8, nbytes)):
+            part += tables[k].take(signs[k], out=buf)
+        # Kahan step total += part, in place
+        part -= comp
+        np.add(total, part, out=t)
+        np.subtract(t, total, out=comp)
+        comp -= part
+        total, t = t, total
     return total
 
 
 def _iter_chunks(config: SimulationConfig):
+    nbytes = -(-config.n // 8)
+    blocks = _blocks_per_sample(config.n)
+    # 2^28 random bits a chunk: its raw Philox words, 32 bytes per counter
+    # block, stay at most 32 MiB regardless of n, and its sign bytes are no
+    # larger; the 1024-sample floor only binds past 2^18 terms
+    cap = max(1024, (1 << 28) // (256 * blocks))
+    # Price the run before allocating: 2 KiB of tables per byte position,
+    # 1/b and its padded copy, and per sample of the largest chunk its raw
+    # words, its sign bytes and eight float64-sized vectors (five in
+    # _chunk_sums, the index copy made by take, the consumer's temporaries).
+    largest = min(CHUNK, cap, config.samples)
+    _check_memory(2048 * nbytes + 128 * nbytes + largest * (32 * blocks + nbytes + 64), MEMORY_GIB)
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
-    # keep the unpacked bit matrix near 256 MiB regardless of n
-    per_sample = 256 * _blocks_per_sample(config.n)
-    cap = max(1024, (1 << 28) // per_sample)
     done = 0
     while done < config.samples:
         c = min(CHUNK, cap, config.samples - done)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import harmsum.montecarlo as mc
-from harmsum.errors import CapExceeded
+from harmsum.errors import CapExceeded, ResourceLimit
 from harmsum.exact import ENUM_CAP, _scaled_sums
 from harmsum.montecarlo import (
     SimulationConfig,
@@ -60,6 +60,65 @@ def test_counter_addressing():
     inv2 = 1.0 / terms_array(PRIMES, 257).astype(np.float64)
     whole2 = mc._chunk_sums(inv2, 9, 0, 10)
     assert np.array_equal(whole2[3:], mc._chunk_sums(inv2, 9, 3, 7))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100, 257])
+def test_chunk_sums_match_decoded_signs(n):
+    # Decode the signs from the same Philox words, term i from bit i of the
+    # little-endian bit stream, and sum x_i = +-fl(1/b_i) with fsum, which
+    # rounds the exact sum S once: error <= u|S| <= uA, where u = 2^-53 and
+    # A = sum |x_i|. The code under test sums each byte's 8 terms into a
+    # table entry (at most 7 rounded adds: error <= g7 A_k, g_m = mu/(1-mu),
+    # A_k the byte's share of A), adds 8 entries plainly (7 more adds:
+    # g7 (1+g7) A_g over the group's share), and Kahan-adds the group
+    # partials (error <= (2u + O(G u^2)) times the sum of their sizes,
+    # Higham, "Accuracy and Stability of Numerical Algorithms", Thm 4.8).
+    # With G <= 5 groups here that totals below 16.1 u A; with fsum's u A,
+    # 18 u A bounds the distance to the fsum value.
+    inv = 1.0 / terms_array(PRIMES, n).astype(np.float64)
+    seed, start, count = 77, 5, 300
+    vals = mc._chunk_sums(inv, seed, start, count)
+    blocks = mc._blocks_per_sample(n)
+    bg = np.random.Philox(key=seed)
+    bg.advance(start * blocks)
+    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
+    bits = np.unpackbits(raw.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    bound = 18 * 2.0**-53 * math.fsum(inv)
+    assert bound <= 1e-13
+    for row, val in zip(bits, vals):
+        expected = math.fsum(x if b else -x for b, x in zip(row, inv))
+        assert abs(val - expected) <= bound
+
+
+def test_one_sampler_feeds_both_consumers():
+    # n = 37 leaves a partial last byte. The histogram's empirical column is
+    # count_i / (K * width) for its in-range count K; rebuilding each count_i
+    # from K = hits of simulate must reproduce every row exactly and sum to K.
+    cfg = SimulationConfig(spec=PRIMES, n=37, samples=40_000, seed=23, interval=(-0.3, 0.45))
+    bins = 7
+    k = round(simulate(cfg, eps=1e-6).empirical_prob * cfg.samples)
+    rows = histogram(cfg, bins, eps=1e-6)
+    width = (0.45 - -0.3) / bins
+    counts = [round(r.empirical * k * width) for r in rows]
+    assert k > 0
+    assert sum(counts) == k
+    assert [c / (k * width) for c in counts] == [r.empirical for r in rows]
+
+
+def test_memory_guard_refuses_before_allocating(monkeypatch):
+    # 2 KiB of tables per byte position alone is 2.4 MiB at n = 10^4
+    monkeypatch.setattr(mc, "MEMORY_GIB", 0.001)
+    cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=1000, seed=0, interval=(-0.1, 0.1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            simulate(cfg, eps=1e-6)
+        with pytest.raises(ResourceLimit):
+            histogram(cfg, 11, eps=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_chunk_invariance():
