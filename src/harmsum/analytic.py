@@ -1,46 +1,53 @@
 """Cosine-product kernels, their infinite-product limit, the limiting
-density, and finite-range inequality checks.
+density and interval probabilities, and finite-range inequality checks.
 
 The kernel rho_N(x) = prod_{n<=N} cos(pi x / b_n) is evaluated in double
-precision. The infinite product is truncated at M terms with a certified
-tail bound: log|cos t| >= -t^2 for |t| <= 1 gives
+precision. `cosine_product_limit` (the `rho` subcommand) doubles the
+truncation M until |rho_M| (pi x)^2 sum_{n>M} 1/b_n^2, which bounds the
+truncation once b_M >= pi x (log|cos t| >= -t^2 for |t| <= 1), is below
+eps; the tail sum is bounded by 1/M, or 1/(M log^2 M) for the primes. Its
+tail_bound adds |rho_M| sqrt(M) 1e-15, an RMS estimate of the rounding,
+not a bound.
 
-    |rho - rho_M| <= |rho_M| * (pi x)^2 * sum_{n>M} 1/b_n^2
-
-once b_M >= pi x, and the tail sum is bounded by 1/M in general (terms are
-strictly increasing integers, so b_n >= n) and by 1/(M log^2 M) for the
-prime sequence. The reported tail_bound adds a float-rounding allowance
-of |rho_M| * sqrt(M) * 1e-15: an RMS estimate of M roundings with random
-signs, not a bound. So tail_bound certifies the truncation and estimates
-the rounding.
-
-The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du is computed
-by adaptive Simpson quadrature on [0, U], where U doubles until a sampled
-envelope of |rho(2u)| on [U, 2U] drops below the working tolerance. The
-envelope does not depend on x, so `densities` chooses U once per request,
-and it keeps one request-local table of kernel nodes u -> rho(2u) that
-every x of the request shares: a node is computed once however many
-quadratures touch it. Every rho(2u) evaluation carries its own truncation
-certificate; each sample records the worst truncation parameters and an
-error estimate.
+The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du and the
+interval probability, a sine transform of rho(2u), multiply M >= 1024
+factors by exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M}
+b_n^-j in closed form for every family; the rest of the -log cos series
+and a worst-case rounding term bound every node. The transforms are
+trapezoid sums over one grid u = ih on [0, U], U from a sampled envelope
+of |rho(2u)| and h from a dyadic ladder. Their error estimate adds the
+node bound to two estimates: |T_h - T_2h| and the envelope tail.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergedTruncation, TruncationFailure
-from .sequences import KIND_PK, KIND_PRIMES, SequenceSpec, SequenceTerms, terms_array
+from .errors import CertificateError, DivergedTruncation, TruncationFailure
+from .sequences import (
+    KIND_AP, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec, SequenceTerms,
+    terms_array,
+)
 from .exact import ENUM_CAP, MEMORY_GIB, _as_terms, _check_cap, _scaled_sums
 
 RHO_TERM_CAP = 10**8
-DENSITY_POINT_EPS = 1e-7   # per-point floor for rho tolerances inside density
+KERNEL_M = 1024            # fewest terms the tail-corrected kernel multiplies
+DENSITY_U = 8.0            # first cut tried for the transforms
 DENSITY_U_CAP = 4096.0
+DENSITY_TOL = 1e-12        # the transforms never work to a looser tolerance
 FLOAT_SLACK = 1e-9
+
+_BLOCK = 1024              # factors and xs per block of _rho_batch: 8 MiB
+# sum_{k>=3} a_k over the series -log cos t = sum_k a_k t^(2k): every a_k is
+# positive, so the remainder after t^4/12 is at most _C6 t^6 for |t| <= 1
+_C6 = -math.log(math.cos(1.0)) - 0.5 - 1.0 / 12.0
 
 # placeholder constant for the decay-range endpoint exp(c' log^2 n); the
 # magnitude of the true admissible constant is not pinned anywhere, so the
@@ -124,11 +131,14 @@ def cosine_product(seq, x: float) -> RhoValue:
 
 
 def _rho_batch(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """|terms|-factor kernel at many x at once."""
-    out = np.ones(len(xs))
-    block = max(1, 2**22 // max(len(xs), 1))
-    for i in range(0, len(terms), block):
-        out *= np.cos(np.pi * np.outer(xs, 1.0 / terms[i : i + block])).prod(axis=1)
+    """prod over the terms of cos(pi x / b) at every x of xs, multiplied in
+    term order for each x, so an x's bits never depend on the other xs."""
+    px = np.pi * np.asarray(xs, dtype=np.float64)
+    out = np.ones(len(px))
+    for c in range(0, len(px), _BLOCK):
+        for i in range(0, len(terms), _BLOCK):
+            for row in np.cos(px[c : c + _BLOCK] / terms[i : i + _BLOCK, None]):
+                out[c : c + _BLOCK] *= row
     return out
 
 
@@ -238,25 +248,25 @@ def check_exponential_bound(seq, delta: float, x: float) -> bool:
     return lhs <= rhs
 
 
+def _scan(pairs: int, seed: int, x_max: float, holds) -> BoundCheckReport:
+    """The x of random (x, delta) pairs, x in [0, x_max), delta in
+    [0, 1/2), for which holds(x, delta) fails."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, x_max, pairs)
+    deltas = rng.uniform(0.0, 0.5, pairs)
+    violations = tuple(float(x) for x, d in zip(xs, deltas) if not holds(x, d))
+    return BoundCheckReport(
+        a=None, x_lo=0.0, x_hi=x_max, samples=pairs, violations=violations,
+        passed=not violations,
+    )
+
+
 def exponential_bound_suite(
     seq, pairs: int = 1000, seed: int = 0, x_max: float = 1000.0
 ) -> BoundCheckReport:
     """Random (x, delta) scan of check_exponential_bound."""
     terms = _terms_as_array(seq)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, x_max, pairs)
-    deltas = rng.uniform(0.0, 0.5, pairs)
-    violations = tuple(
-        float(x) for x, d in zip(xs, deltas) if not check_exponential_bound(terms, d, x)
-    )
-    return BoundCheckReport(
-        a=None,
-        x_lo=0.0,
-        x_hi=x_max,
-        samples=pairs,
-        violations=violations,
-        passed=not violations,
-    )
+    return _scan(pairs, seed, x_max, lambda x, d: check_exponential_bound(terms, d, x))
 
 
 def sandwich_suite(
@@ -266,23 +276,12 @@ def sandwich_suite(
     far_count >= N/2 - near_multiple_count(y) - 1 and far_count <= N."""
     terms = _as_terms(seq)
     n = len(terms)
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.0, x_max, pairs)
-    deltas = rng.uniform(0.0, 0.5, pairs)
-    violations = []
-    for x, d in zip(xs, deltas):
+
+    def holds(x, d):
         s = count_far_from_integer(terms, d, x)
-        dcnt = count_near_multiples(terms, d * terms[-1], x)
-        if not (s >= n / 2 - dcnt - 1 and s <= n):
-            violations.append(float(x))
-    return BoundCheckReport(
-        a=None,
-        x_lo=0.0,
-        x_hi=x_max,
-        samples=pairs,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+        return n / 2 - count_near_multiples(terms, d * terms[-1], x) - 1 <= s <= n
+
+    return _scan(pairs, seed, x_max, holds)
 
 
 def check_decay(
@@ -306,18 +305,11 @@ def check_decay(
     cp = C_PRIME_DEFAULT if defaulted else float(c_prime)
     x_lo = float(n)
     x_hi = min(x_cap, math.exp(cp * math.log(n) ** 2))
-    if x_hi < x_lo:
-        return BoundCheckReport(
-            a=a, x_lo=x_lo, x_hi=x_hi, samples=0, violations=(),
-            passed=True, c_prime=cp, c_prime_defaulted=defaulted,
-        )
-    terms = terms_array(spec, n).astype(np.float64)
-    xs = np.geomspace(x_lo, x_hi, grid)
-    rho = np.abs(_rho_batch(terms, xs))
-    bad = rho >= xs ** (-a)
-    violations = tuple(float(v) for v in xs[bad])
+    xs = np.geomspace(x_lo, x_hi, grid) if x_lo <= x_hi else np.empty(0)
+    rho = np.abs(_rho_batch(terms_array(spec, n).astype(np.float64), xs))
+    violations = tuple(float(v) for v in xs[rho >= xs ** (-a)])
     return BoundCheckReport(
-        a=a, x_lo=x_lo, x_hi=x_hi, samples=grid, violations=violations,
+        a=a, x_lo=x_lo, x_hi=x_hi, samples=len(xs), violations=violations,
         passed=not violations, c_prime=cp, c_prime_defaulted=defaulted,
     )
 
@@ -374,129 +366,260 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
         npts += 1  # composite Simpson needs an even panel count
     xs = np.linspace(0.0, x_max, npts + 1)
     integrand = smooth_bump_transform(xs) * _rho_batch(np.array(terms, float), 2.0 * xs)
-    return exact, 2.0 * _simpson(integrand, x_max / npts)
-
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    """Composite Simpson over an odd number of values spaced h apart."""
-    weights = np.ones(len(values))
+    weights = np.ones(npts + 1)  # composite Simpson
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, values))
+    return exact, 2.0 * float(x_max / npts / 3.0 * np.dot(weights, integrand))
 
 
-# -- density -----------------------------------------------------------------
+# -- tail sums ---------------------------------------------------------------
+#
+# T_j(m) = sum_{n>m} b_n^-j is the full series S_j = sum_n b_n^-j minus its
+# first m terms, both in 40-digit decimal arithmetic, so the difference keeps
+# full float precision however small the tail. Nothing here runs at import.
+
+_DEC = decimal.Context(prec=40)
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = (left + right - whole) / 15.0
-    if abs(err) <= tol or depth <= 0:
-        return left + right + err, abs(err)
-    sl, el = _adaptive_simpson(f, a, m, fa, flm, fm, tol / 2.0, depth - 1)
-    sr, er = _adaptive_simpson(f, m, b, fm, frm, fb, tol / 2.0, depth - 1)
-    return sl + sr, el + er
+@lru_cache(maxsize=None)
+def _bernoulli(count: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_{2 count}."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b[2::2])
 
 
-def _density_at(node, ax: float, U: float, eps_pt: float) -> tuple[float, float, int]:
-    """(g, error estimate, worst M over the kernel nodes touched) at |x| = ax,
-    by adaptive Simpson on panels of half a cosine period over [0, U]."""
-    worst_m = 0
+def _hurwitz(s: int, z: Decimal) -> Decimal:
+    """zeta(s, z) = sum_{i>=0} (z + i)^-s for integer s >= 2 and z > 0:
+    32 terms directly, the rest by the Euler-Maclaurin (polygamma) asymptotic
+    series at w = z + 32, whose 16th omitted term is below 1e-40."""
+    with decimal.localcontext(_DEC):
+        head = sum((z + i) ** -s for i in range(32))
+        w = z + 32
+        tail = w ** (1 - s) / (s - 1) + w ** -s / 2
+        rising = Decimal(s)  # s (s+1) ... (s+2k-2)
+        for k, b in enumerate(_bernoulli(15), 1):
+            coef = Decimal(b.numerator) / (b.denominator * math.factorial(2 * k))
+            tail += coef * rising * w ** (1 - s - 2 * k)
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+        return head + tail
 
-    def f(u: float) -> float:
-        nonlocal worst_m
-        v, m = node(u)
-        if m > worst_m:
-            worst_m = m
-        return math.cos(2.0 * math.pi * u * ax) * v
 
-    width = 0.5 if ax <= 1.0 else 0.5 / ax  # half-period of the cosine factor
-    total = 0.0
-    err_total = 0.0
-    a = 0.0
-    while a < U - 1e-12:
-        b = min(a + width, U)
-        tol = eps_pt * (b - a) / U
-        fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-        s, e = _adaptive_simpson(f, a, b, fa, fm, fb, tol, 24)
-        total += s
-        err_total += e
-        a = b
-    return 2.0 * total, 2.0 * err_total + 2.0 * U * eps_pt, worst_m
+def _mobius(k: int) -> int:
+    result, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if k > 1 else result
+
+
+@lru_cache(maxsize=None)
+def _prime_zeta(s: int) -> Decimal:
+    """P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks) (Froberg,
+    BIT 8, 1968); log zeta(ks) < 2^(1-ks), so terms past ks = 140 are
+    below 1e-42."""
+    with decimal.localcontext(_DEC):
+        total = Decimal(0)
+        k = 1
+        while k == 1 or k * s < 140:
+            mu = _mobius(k)
+            if mu:
+                total += mu * (1 + _hurwitz(k * s, Decimal(2))).ln() / k
+            k += 1
+        return total
+
+
+def _elementary(k: int, power_sums: list[Decimal]) -> Decimal:
+    """e_k from the power sums p_1..p_k by Newton's identities."""
+    e = [Decimal(1)]
+    for n in range(1, k + 1):
+        e.append(sum((-1) ** (i - 1) * e[n - i] * power_sums[i - 1] for i in range(1, n + 1)) / n)
+    return e[k]
+
+
+@lru_cache(maxsize=None)
+def _series(spec: SequenceSpec, j: int) -> Decimal:
+    """S_j = sum over every term of b^-j, for j >= 2."""
+    with decimal.localcontext(_DEC):
+        if spec.kind == KIND_PRIMES:
+            return _prime_zeta(j)
+        if spec.kind == KIND_PK:  # e_k of {p^-j}
+            return _elementary(spec.k, [_prime_zeta(j * m) for m in range(1, spec.k + 1)])
+        if spec.kind == KIND_OMEGA:
+            # e_k of {x_p = 1/(p^j - 1)}, the prime-power sums; the m-th power
+            # sum of x_p is sum_{i>=0} C(m+i-1, i) P(j(m+i))
+            sums = []
+            for m in range(1, spec.k + 1):
+                total, i = Decimal(0), 0
+                while math.comb(m + i - 1, i) * 2.0 ** (-j * (m + i)) > 1e-45:
+                    total += math.comb(m + i - 1, i) * _prime_zeta(j * (m + i))
+                    i += 1
+                sums.append(total)
+            return _elementary(spec.k, sums)
+        if spec.kind == KIND_NONPRIMES:  # 1 and the composites: zeta(j) - P(j)
+            return 1 + _hurwitz(j, Decimal(2)) - _prime_zeta(j)
+        if spec.kind == KIND_AP:  # q^-j zeta(j, a/q)
+            return _hurwitz(j, Decimal(spec.a) / spec.q) / Decimal(spec.q) ** j
+        return _power_sum(spec.values, j)
+
+
+def _power_sum(terms, j: int) -> Decimal:
+    with decimal.localcontext(_DEC):
+        return sum(Decimal(int(b)) ** -j for b in terms)
+
+
+@lru_cache(maxsize=64)
+def _tail_sums(spec: SequenceSpec, m: int) -> tuple[float, float]:
+    """(T_2(m), T_4(m)), each checked against the certified range
+    0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any strictly
+    increasing integer sequence."""
+    head = terms_array(spec, m).tolist()
+    out = []
+    for j in (2, 4):
+        with decimal.localcontext(_DEC):
+            t = float(_series(spec, j) - _power_sum(head, j))
+        if not 0.0 <= t <= 1.0 / ((j - 1) * float(head[-1]) ** (j - 1)):
+            raise CertificateError(f"T_{j}({m}) = {t!r} for {spec.label()} is outside its bounds")
+        out.append(t)
+    return out[0], out[1]
+
+
+# -- tail-corrected kernel, density and interval probability ----------------
+
+
+def _kernel(spec: SequenceSpec, x_max: float):
+    """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i with
+    pi x_max <= b_{M+1} (or every term of a finite sequence): kernel(xs) is
+    (values, bounds), a value being the product of the first M factors
+    times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12)."""
+    cache = _term_cache(spec)
+    m = KERNEL_M
+    while len(ahead := cache.upto(m + 1)) > m and ahead[m] < math.pi * x_max:
+        m *= 2
+    terms = cache.upto(m)
+    m = len(terms)
+    t2, t4 = _tail_sums(spec, m)
+    # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
+    t6 = 0.0 if m == cache.finite_len else 1.0 / (5.0 * float(terms[-1]) ** 5)
+    inv_sum = math.fsum(1.0 / terms)
+
+    def kernel(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        px = np.pi * np.abs(xs)
+        expo = px**2 * (t2 / 2.0) + px**4 * (t4 / 12.0)
+        values = _rho_batch(terms, xs) * np.exp(-expo)
+        # truncation: rho = value * exp(-r), 0 <= r <= _C6 (pi x)^6 T_6, as each
+        # t = pi x / b_n past M is at most 1. Rounding, worst case (u = 2^-53):
+        # per factor 3u|t| from its argument, 8u from cos (4 ulp assumed) and u
+        # from the product; 11u relative in the exponent, 3u in exp and product
+        trunc = _C6 * px**6 * t6
+        rounding = (9 * m + 3.0 * px * inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
+        return values, np.abs(values) * trunc + rounding * (1.0 + trunc)
+
+    return m, kernel
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """rho(2u) and its bound at u = 0, h, ..., cut; max |rho(2u)| sampled on [cut/2, cut]."""
+
+    cut: float
+    h: float
+    m: int
+    values: np.ndarray
+    bounds: np.ndarray
+    envelope: float
+
+
+def _step(spec: SequenceSpec, ax: float) -> float:
+    """Trapezoid step for frequency ax: the largest 2^-k, k >= 4, with
+    1/(2h) >= ax + w. The rule at step 2h aliases mass from distance
+    1/(2h) - ax; w = sqrt(80 S_2) puts that beyond Hoeffding's 2 exp(-40)."""
+    if not math.isfinite(ax):
+        raise ValueError("x, lo and hi must be finite")
+    w = math.sqrt(80.0 * float(_series(spec, 2)))
+    return 2.0 ** -max(4, math.ceil(math.log2(2.0 * (ax + w))))
+
+
+def _grid(spec: SequenceSpec, eps: float, h: float) -> _Grid:
+    """Kernel nodes at step h (a power of two, at most 1/16) out to a cut
+    that doubles from DENSITY_U until the envelope, at the 65 nodes cut/128
+    apart on [cut/2, cut], is below min(eps, DENSITY_TOL). Those nodes do
+    not depend on h, so the cut, M (from the largest node, 2 cut) and each
+    node's value are the same for every request. A doubling evaluates only
+    the new nodes, unless M grows with it."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    tol = min(eps, DENSITY_TOL)
+    cut, m, values, bounds = DENSITY_U, 0, np.empty(0), np.empty(0)
+    while cut <= DENSITY_U_CAP:
+        wider, kernel = _kernel(spec, 2.0 * cut)
+        keep = len(values) if wider == m else 0
+        m = wider
+        more, more_bounds = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))
+        values = np.concatenate([values[:keep], more])
+        bounds = np.concatenate([bounds[:keep], more_bounds])
+        envelope = float(np.abs(values[len(values) // 2 :: round(cut / 128 / h)]).max())
+        if envelope < tol:
+            return _Grid(cut, h, m, values, bounds, envelope)
+        cut *= 2.0
+    raise TruncationFailure(
+        f"kernel envelope {envelope:.2e} not below {tol:.1e} by U={DENSITY_U_CAP}"
+    )
+
+
+def _transform(grid: _Grid, h: float, factor, scale: float) -> tuple[float, float]:
+    """2 * integral_0^cut factor(u) rho(2u) du by the trapezoid rule at step
+    h, a multiple of the grid's, and its error estimate: |T_h - T_2h| plus
+    2 cut scale (largest node bound + envelope), where |factor| <= scale."""
+    stride = round(h / grid.h)
+    v = grid.values[::stride]
+    f = factor(h * np.arange(len(v))) * v
+    f[[0, -1]] /= 2.0
+    fine = 2.0 * h * math.fsum(f)
+    coarse = 4.0 * h * math.fsum(f[::2])
+    reach = 2.0 * grid.cut * scale * (float(grid.bounds[::stride].max()) + grid.envelope)
+    return fine, abs(fine - coarse) + reach
 
 
 def densities(spec: SequenceSpec, xs, eps: float) -> list[DensitySample]:
-    """g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du at every x in xs,
-    truncated at U.
-
-    U doubles from 8 until a 65-point envelope of |rho(2u)| on [U, 2U]
-    falls below the working tolerance (the requested eps floored at
-    1e-7, which keeps truncation points desk-scale; the error estimate
-    accounts for it). The envelope does not depend on x, so U is found
-    once, and every kernel node rho(2u) is computed once for the whole
-    request and shared by all x. Each distinct |x| is integrated once;
-    g is even in x by construction. A sample's truncation_m is the worst
-    M over the envelope nodes and the nodes its own quadrature touched.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    eps_pt = max(eps, DENSITY_POINT_EPS)
-    table: dict[float, tuple[float, int]] = {}  # u -> (rho(2u), terms_used)
-
-    def node(u: float) -> tuple[float, int]:
-        hit = table.get(u)
-        if hit is None:
-            rv = cosine_product_limit(spec, 2.0 * u, eps_pt)
-            hit = table[u] = (rv.value, rv.terms_used)
-        return hit
-
-    U = 8.0
-    while True:
-        samples = np.linspace(U, 2.0 * U, 65)
-        envelope = max(abs(node(float(u))[0]) for u in samples)
-        if envelope < eps_pt:
-            break
-        U *= 2.0
-        if U > DENSITY_U_CAP:
-            raise TruncationFailure(
-                f"kernel envelope {envelope:.2e} not below {eps_pt:.1e} by U={DENSITY_U_CAP}"
-            )
-    envelope_m = max(m for _, m in table.values())
-
-    by_ax: dict[float, tuple[float, float, int]] = {}
-    out = []
-    for x in xs:
-        x = float(x)
-        ax = abs(x)
-        if ax not in by_ax:
-            by_ax[ax] = _density_at(node, ax, U, eps_pt)
-        g, est, m = by_ax[ax]
-        out.append(DensitySample(
-            x=x, g=g, quadrature_error_estimate=est,
-            truncation_m=max(envelope_m, m), truncation_u=U,
-        ))
-    return out
+    """g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du at every x in xs.
+    One grid (`_grid`) serves the request; each distinct |x| is integrated
+    once at its own step (`_step`), so `densities(xs) == [density(x) for x
+    in xs]` and g is even in x exactly."""
+    xs = [float(x) for x in xs]
+    steps = {abs(x): _step(spec, abs(x)) for x in xs}
+    grid = _grid(spec, eps, min(steps.values(), default=_step(spec, 0.0)))
+    by_ax = {
+        ax: _transform(grid, h, lambda u, ax=ax: np.cos(2.0 * np.pi * ax * u), 1.0)
+        for ax, h in steps.items()
+    }
+    return [DensitySample(x, *by_ax[abs(x)], grid.m, grid.cut) for x in xs]
 
 
 def density(spec: SequenceSpec, x: float, eps: float) -> DensitySample:
-    """g(x) at one point; see `densities`, which serves many x at the
-    cost of one."""
+    """g(x) at one point; see `densities`."""
     return densities(spec, [x], eps)[0]
 
 
-def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -> float:
-    """integral over [lo, hi] of the density, by composite Simpson over
-    density samples (an odd grid, at least 33 points, ~8 per unit length)."""
+def _interval(spec: SequenceSpec, lo: float, hi: float, eps: float) -> tuple[float, float]:
+    """(P(lo < X < hi), its error estimate) by the sine transform
+    2 * integral_0^inf rho(2u) (sin 2 pi u hi - sin 2 pi u lo) / (2 pi u) du,
+    its integrand written (hi - lo) cos(pi u (hi + lo)) sinc(u (hi - lo))."""
     if not lo < hi:
         raise ValueError("need lo < hi")
-    npts = max(33, 1 + 2 * math.ceil(4.0 * (hi - lo)))
-    xs = np.linspace(lo, hi, npts)
-    values = np.array([d.g for d in densities(spec, xs, eps)])
-    return _simpson(values, (hi - lo) / (npts - 1))
+    h = _step(spec, max(abs(lo), abs(hi)))
+    width, mid = hi - lo, hi + lo
+    def factor(u):
+        return width * np.cos(np.pi * mid * u) * np.sinc(width * u)
+
+    return _transform(_grid(spec, eps, h), h, factor, width)
+
+
+def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -> float:
+    """The integral of the density over [lo, hi], a float; see `_interval`."""
+    return _interval(spec, lo, hi, eps)[0]

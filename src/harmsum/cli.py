@@ -334,11 +334,11 @@ def cmd_mc(args) -> int:
     if args.bins:
         rows = [
             (_jnum(r.center), _jnum(r.empirical), _jnum(r.expected))
-            for r in histogram(config, args.bins, eps=args.eps)
+            for r in histogram(config, args.bins, eps=args.eps, memory_gib=args.memory_gib)
         ]
         _emit_table(args.emit, ("center", "empirical", "expected"), rows, "bins")
     else:
-        rep = simulate(config, eps=args.eps)
+        rep = simulate(config, eps=args.eps, memory_gib=args.memory_gib)
         pairs = [
             ("empirical_prob", _jnum(rep.empirical_prob)),
             ("predicted", _jnum(rep.predicted)),
@@ -366,9 +366,19 @@ def _add_seq_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", choices=EMITS, default="tsv", help="output format")
-    p.add_argument("--force", action="store_true", help="lift the default size caps")
-    p.add_argument("--minsum-cap", type=_positive_int, help="override the minimum-search cap")
-    p.add_argument("--gap-cap", type=_positive_int, help="override the gap-search cap")
+    p.add_argument(
+        "--force", action="store_true",
+        help="lift the default size caps "
+        "(read by minsum, gap, table1, table3, decay and two-stage)",
+    )
+    p.add_argument(
+        "--minsum-cap", type=_positive_int,
+        help="override the minimum-search cap (read by minsum, table1, decay and two-stage)",
+    )
+    p.add_argument(
+        "--gap-cap", type=_positive_int,
+        help="override the gap-search cap (read by gap and table3)",
+    )
     p.add_argument(
         "--memory-gib", type=float, default=MEMORY_GIB,
         help="memory budget in GiB (default: half of physical memory)",

@@ -117,7 +117,7 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
     return total
 
 
-def _iter_chunks(config: SimulationConfig):
+def _iter_chunks(config: SimulationConfig, memory_gib: float | None):
     nbytes = -(-config.n // 8)
     blocks = _blocks_per_sample(config.n)
     # 2^28 random bits a chunk: its raw Philox words, 32 bytes per counter
@@ -129,7 +129,10 @@ def _iter_chunks(config: SimulationConfig):
     # words, its sign bytes and eight float64-sized vectors (five in
     # _chunk_sums, the index copy made by take, the consumer's temporaries).
     largest = min(CHUNK, cap, config.samples)
-    _check_memory(2048 * nbytes + 128 * nbytes + largest * (32 * blocks + nbytes + 64), MEMORY_GIB)
+    _check_memory(
+        2048 * nbytes + 128 * nbytes + largest * (32 * blocks + nbytes + 64),
+        MEMORY_GIB if memory_gib is None else memory_gib,
+    )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
     done = 0
     while done < config.samples:
@@ -138,14 +141,18 @@ def _iter_chunks(config: SimulationConfig):
         done += c
 
 
-def simulate(config: SimulationConfig, *, eps: float = DENSITY_EPS) -> SimulationReport:
+def simulate(
+    config: SimulationConfig, *, eps: float = DENSITY_EPS, memory_gib: float | None = None
+) -> SimulationReport:
     """Sample X_N and compare the interval frequency against the integral
-    of the limiting density over the same half-open interval [lo, hi)."""
+    of the limiting density over the same half-open interval [lo, hi).
+    memory_gib is the budget the sampler is priced against (default
+    MEMORY_GIB)."""
     lo, hi = config.interval
     hits = 0
     sum_parts: list[float] = []
     sq_parts: list[float] = []
-    for vals in _iter_chunks(config):
+    for vals in _iter_chunks(config, memory_gib):
         hits += int(np.count_nonzero((vals >= lo) & (vals < hi)))
         sum_parts.append(math.fsum(vals))
         sq_parts.append(math.fsum(vals * vals))
@@ -170,12 +177,15 @@ def simulate(config: SimulationConfig, *, eps: float = DENSITY_EPS) -> Simulatio
     )
 
 
-def exhaustive_probability(config: SimulationConfig) -> Fraction:
+def exhaustive_probability(
+    config: SimulationConfig, *, memory_gib: float | None = None
+) -> Fraction:
     """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors;
-    n is capped at ENUM_CAP."""
+    n is capped at ENUM_CAP and the enumeration priced against memory_gib
+    (default MEMORY_GIB)."""
     _check_cap(config.n, None, ENUM_CAP, ENUM_CAP, False)
     terms = [int(t) for t in terms_array(config.spec, config.n)]
-    den, sums = _scaled_sums(terms, MEMORY_GIB)
+    den, sums = _scaled_sums(terms, MEMORY_GIB if memory_gib is None else memory_gib)
     lo, hi = config.interval
     lo_s = Fraction(lo) * den
     hi_s = Fraction(hi) * den
@@ -184,7 +194,8 @@ def exhaustive_probability(config: SimulationConfig) -> Fraction:
 
 
 def histogram(
-    config: SimulationConfig, bins: int, *, eps: float = DENSITY_EPS
+    config: SimulationConfig, bins: int, *, eps: float = DENSITY_EPS,
+    memory_gib: float | None = None,
 ) -> list[HistogramRow]:
     """Normalized histogram of X_N over the config interval next to the
     density at each bin center. Bins partition [lo, hi) half-open, and the
@@ -195,7 +206,7 @@ def histogram(
     lo, hi = config.interval
     width = (hi - lo) / bins
     counts = np.zeros(bins, dtype=np.int64)
-    for vals in _iter_chunks(config):
+    for vals in _iter_chunks(config, memory_gib):
         idx = np.floor((vals - lo) / width).astype(np.int64)
         ok = (idx >= 0) & (idx < bins) & (vals >= lo) & (vals < hi)
         counts += np.bincount(idx[ok], minlength=bins)

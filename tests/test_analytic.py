@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -33,6 +34,10 @@ AP = SequenceSpec.arithmetic(1, 1)
 # reference values from a direct 10^7 term product, recorded once
 LONG_PRODUCT_PRIMES_HALF = 0.546640331661797
 LONG_PRODUCT_AP_QUARTER = 0.5779936214819
+
+# converged densities of the primes, checked in test_density_pins_converge
+G0_PRIMES = 0.5466403314761479
+G_HALF_PRIMES = 0.41457410367297187
 
 
 def test_kernel_basics():
@@ -306,13 +311,13 @@ def test_density_even_exact():
 
 def test_density_reference_values():
     d0 = density(PRIMES, 0.0, 1e-6)
-    assert d0.g == pytest.approx(0.54665151454861338, abs=1e-9)
-    assert d0.truncation_u == 8.0
+    assert d0.g == pytest.approx(G0_PRIMES, abs=1e-9)
+    assert d0.truncation_u == 32.0
     assert d0.truncation_m >= 1024
     assert d0.quadrature_error_estimate > 0.0
     assert d0.g >= -d0.quadrature_error_estimate
     d5 = density(PRIMES, 0.5, 1e-6)
-    assert d5.g == pytest.approx(0.41457419113452909, abs=1e-9)
+    assert d5.g == pytest.approx(G_HALF_PRIMES, abs=1e-9)
     with pytest.raises(ValueError):
         density(PRIMES, 0.0, 0.0)
 
@@ -348,13 +353,141 @@ def test_densities_match_pointwise_density(spec, xs):
 
 def test_interval_probability_evaluates_each_node_once(monkeypatch):
     calls = []
-    kernel = analytic.cosine_product_limit
+    batch = analytic._rho_batch
 
-    def recording(spec, x, eps, **kwargs):
-        calls.append(x)
-        return kernel(spec, x, eps, **kwargs)
+    def recording(terms, xs):
+        calls.append(np.array(xs))
+        return batch(terms, xs)
 
-    monkeypatch.setattr(analytic, "cosine_product_limit", recording)
+    monkeypatch.setattr(analytic, "_rho_batch", recording)
     interval_probability(PRIMES, -0.1, 0.1, 1e-6)
-    assert calls
-    assert len(calls) == len(set(calls))
+    # one batch per cut tried (8, 16, 32), each holding only new nodes,
+    # which together are exactly the grid 2u, u = 0, h, ..., 32
+    assert len(calls) == 3
+    nodes = np.concatenate(calls)
+    h = analytic._step(PRIMES, 0.1)
+    assert np.array_equal(nodes, 2.0 * h * np.arange(round(32.0 / h) + 1))
+
+
+def test_rho_batch_bits_do_not_depend_on_the_batch():
+    terms = terms_array(AP, 3000).astype(np.float64)  # three blocks of factors
+    xs = np.linspace(0.0, 40.0, 5001)
+    together = analytic._rho_batch(terms, xs)
+    alone = [analytic._rho_batch(terms, xs[i : i + 1])[0] for i in (0, 1, 2500, 5000)]
+    assert [together[i] for i in (0, 1, 2500, 5000)] == alone
+    direct = [math.prod(math.cos(math.pi * x / b) for b in terms) for x in xs[::500]]
+    assert np.allclose(together[::500], direct, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec", [PRIMES, AP, SequenceSpec.nonprimes(), SequenceSpec.k_squarefree(2)],
+    ids=lambda s: s.label(),
+)
+def test_tail_corrected_kernel_within_its_bounds(spec, monkeypatch):
+    # M = 64 and M = 2^16 must agree within the sum of their bounds; at
+    # M = 64 the T_4 correction alone moves these values by 1e-8 to 1e-6
+    # relative, far above the bound
+    xs = np.array([0.3, 0.7, 1.3, 2.6, 3.3, 4.4])
+    kernels = []
+    for m in (64, 2**16):
+        monkeypatch.setattr(analytic, "KERNEL_M", m)
+        kernels.append(analytic._kernel(spec, 8.0))
+    assert [m for m, _ in kernels] == [64, 2**16]
+    (near, near_bounds), (far, far_bounds) = (kernel(xs) for _, kernel in kernels)
+    assert np.all(np.abs(near - far) <= near_bounds + far_bounds)
+    assert np.all(near_bounds < 1e-8)
+
+
+# -- tail sums ---------------------------------------------------------------
+
+INFINITE = [
+    PRIMES,
+    SequenceSpec.k_squarefree(2),
+    SequenceSpec.k_squarefree(3),
+    SequenceSpec.k_distinct(1),
+    SequenceSpec.k_distinct(2),
+    SequenceSpec.nonprimes(),
+    AP,
+    SequenceSpec.arithmetic(3, 4),
+]
+
+
+def test_prime_zeta_published_values():
+    # OEIS A085548 and A085964
+    for s, published in ((2, 0.45224742004106549850), (4, 0.07699313976424684494)):
+        value = float(analytic._prime_zeta(s))
+        assert abs(value - published) <= 2 * math.ulp(published)
+
+
+@pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
+def test_tail_sums_bracketed_by_partial_sums(spec):
+    # sum_{m<n<=m'} b_n^-j <= T_j(m) <= that + 1/((j-1) b_m'^(j-1))
+    m, m_far = 1024, 2**16
+    far = terms_array(spec, m_far)[m:].astype(np.float64)
+    t2, t4 = analytic._tail_sums(spec, m)
+    for j, t in ((2, t2), (4, t4)):
+        part = math.fsum(far ** -float(j))
+        assert part <= t <= part + 1.0 / ((j - 1) * far[-1] ** (j - 1))
+
+
+def test_tail_sums_finite_sequence_is_exact():
+    spec = SequenceSpec.custom((3, 7, 9, 20))
+    assert analytic._tail_sums(spec, 4) == (0.0, 0.0)
+    t2, _ = analytic._tail_sums(spec, 2)
+    assert t2 == pytest.approx(1 / 81 + 1 / 400, rel=1e-15)
+
+
+def test_tail_sums_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    p2, p4, p8 = (mpmath.primezeta(s) for s in (2, 4, 8))
+    want = {
+        (PRIMES, 2): p2,
+        (PRIMES, 4): p4,
+        (SequenceSpec.k_squarefree(2), 2): (p2 * p2 - p4) / 2,
+        (SequenceSpec.k_squarefree(2), 4): (p4 * p4 - p8) / 2,
+        (SequenceSpec.nonprimes(), 2): mpmath.zeta(2) - p2,
+        (SequenceSpec.arithmetic(3, 4), 2): mpmath.zeta(2, mpmath.mpf(3) / 4) / 16,
+        (SequenceSpec.arithmetic(3, 4), 4): mpmath.zeta(4, mpmath.mpf(3) / 4) / 256,
+    }
+    for (spec, j), value in want.items():
+        assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
+
+
+# -- convergence of the pinned values ------------------------------------------
+
+
+def test_density_pins_converge(refine):
+    # the pinned values move by less than 1e-10 when M doubles, the
+    # trapezoid step halves or the cut doubles
+    pins = {0.0: G0_PRIMES, 0.5: G_HALF_PRIMES}
+    before = {x: density(PRIMES, x, 1e-6) for x in pins}
+    refine(before[0.0].truncation_u)
+    for x, pin in pins.items():
+        after = density(PRIMES, x, 1e-6)
+        assert abs(after.g - pin) < 1e-10
+        assert abs(after.g - before[x].g) < 1e-10
+        if refine.knob == "m":
+            assert after.truncation_m == 2 * before[x].truncation_m
+        if refine.knob == "u":
+            assert after.truncation_u == 2 * before[x].truncation_u
+
+
+# -- anchors for the returned error terms ------------------------------------
+
+
+@pytest.mark.parametrize("spec", [PRIMES, AP], ids=lambda s: s.label())
+def test_mass_over_window_is_one(spec):
+    # Hoeffding: P(|X| >= 8) <= 2 exp(-8^2 / (2 sum b_n^-2))
+    p, err = analytic._interval(spec, -8.0, 8.0, 1e-6)
+    hoeffding = 2.0 * math.exp(-32.0 / float(analytic._series(spec, 2)))
+    assert abs(p - 1.0) <= err + hoeffding
+    assert err < 1e-8
+
+
+def test_harmonic_density_at_zero_anchor():
+    # g(0) = 0.2499943958... for b_n = n (Schmuland, Amer. Math. Monthly
+    # 110, 2003)
+    sample = density(AP, 0.0, 1e-6)
+    assert 0.0 <= sample.g - 0.2499943958 < 1e-10
+    assert sample.quadrature_error_estimate < 1e-10

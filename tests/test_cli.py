@@ -211,3 +211,24 @@ def test_help_exits_zero(capsys):
 def test_memory_budget_default_is_shared():
     args = build_parser().parse_args(["minsum", "--n", "3"])
     assert args.memory_gib == exact.MEMORY_GIB == montecarlo.MEMORY_GIB > 0
+
+
+def test_mc_reads_memory_budget(capsys):
+    argv = ["mc", "--n", "10000", "--samples", "1000", "--lo", "-0.1", "--hi", "0.1",
+            "--eps", "1e-6"]
+    code, out, err = run(capsys, argv + ["--memory-gib", "0.001"])
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
+    code, _, _ = run(capsys, argv + ["--bins", "5", "--memory-gib", "0.001"])
+    assert code == 3
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_density_refuses_non_finite_x(capsys, x):
+    code, out, err = run(capsys, ["density", "--x", x, "--eps", "1e-6"])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err

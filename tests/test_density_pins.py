@@ -26,10 +26,24 @@ MC_AP_WINDOW = 0.02503340        # P(|S| < 0.05)
 MC_AP_WINDOW_SE = 3.49e-5
 
 
+# P(|S| < 0.1) for the primes, converged: see test_primes_window_converges
+PRIMES_WINDOW = 0.10887902916411993
+
+
 def test_primes_window_probability_matches_simulation():
     p = interval_probability(PRIMES, -0.1, 0.1, 1e-8)
-    assert abs(p - 0.10887903607468553) <= 1e-9  # regression
+    assert abs(p - PRIMES_WINDOW) <= 1e-9  # regression
     assert abs(p - MC_PRIMES_WIDE) <= 4.0 * MC_PRIMES_WIDE_SE
+
+
+def test_primes_window_converges(refine):
+    # the pin moves by less than 1e-10 when M doubles, the trapezoid step
+    # halves or the cut doubles
+    before = interval_probability(PRIMES, -0.1, 0.1, 1e-8)
+    refine(density(PRIMES, 0.0, 1e-8).truncation_u)
+    after = interval_probability(PRIMES, -0.1, 0.1, 1e-8)
+    assert abs(after - before) < 1e-10
+    assert abs(after - PRIMES_WINDOW) < 1e-10
 
 
 def test_primes_density_at_zero_matches_simulation():

@@ -121,6 +121,20 @@ def test_memory_guard_refuses_before_allocating(monkeypatch):
     assert peak < 2**20
 
 
+def test_memory_budget_is_a_parameter():
+    # the module default stays, the keyword overrides it for this call only
+    cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=1000, seed=0, interval=(-0.1, 0.1))
+    with pytest.raises(ResourceLimit):
+        simulate(cfg, eps=1e-6, memory_gib=0.001)
+    with pytest.raises(ResourceLimit):
+        histogram(cfg, 11, eps=1e-6, memory_gib=0.001)
+    small = SimulationConfig(spec=PRIMES, n=16, samples=10, seed=0, interval=(-0.1, 0.1))
+    with pytest.raises(ResourceLimit):
+        exhaustive_probability(small, memory_gib=1e-6)
+    assert exhaustive_probability(small) == exhaustive_probability(small, memory_gib=1.0)
+    assert simulate(cfg, eps=1e-6).empirical_prob >= 0.0
+
+
 def test_chunk_invariance():
     cfg = SimulationConfig(spec=PRIMES, n=100, samples=20_000, seed=11, interval=(-0.2, 0.2))
     r1 = simulate(cfg, eps=1e-6)
