@@ -12,14 +12,19 @@ on the (i+1)-th term. Ties between equally good choices are broken toward
 the smallest encoding, which makes every result reproducible.
 
 `min_signed_sum` and `min_gap` share one meet-in-the-middle engine: the
-first ceil(n/2) terms and the rest are expanded into float64 half sums,
-2^(n/2) per side for signs and 3^(n/2) per side for trits, and matched by
-sorting one side and binary-searching the other. The floats only filter:
-every pair within a proven rounding bound of the float optimum is
-re-scored in exact integers, and the optimum is picked from those. Every
-result is then checked once more against `evaluate_signs`. `enumerate_sums`
-walks all 2^n sums in exact integers. Caps on n and a memory estimate
-guard against runaway inputs.
+first ceil(n/2) terms and the rest each give a list of float64 half sums,
+2^(n/2) per side for signs and 3^(n/2) per side for trits. Each list is
+built already sorted, one term at a time, by merging sorted runs
+(Horowitz-Sahni); the queries target - (right half sum) then come in
+ascending order and are binary-searched in the left list. For a target of
+0, c and -c have the same |sum|, so the left list keeps only the vectors
+whose first nonzero entry is + (and the zero vector), and the optima found
+are completed by their negations. The floats only filter: every pair
+within a proven rounding bound of the float optimum is re-scored in exact
+integers, and the optimum is picked from those. Every result is then
+checked once more against `evaluate_signs`. `enumerate_sums` walks all 2^n
+sums in exact integers. Caps on n and a memory estimate guard against
+runaway inputs.
 """
 
 from __future__ import annotations
@@ -57,13 +62,20 @@ MEMORY_GIB = _half_physical_memory_gib()  # default budget of every memory check
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
-# Peak bytes per half-sum entry in `_meet`. The sorted side holds at once its
-# float64 sums, the int64 argsort index, the sorted copy and argsort's merge
-# buffer (half an index): 28. The searched side holds its float64 queries,
-# their int64 searchsorted positions, an int64 neighbour index and two
-# float64 neighbour distances: 40. Summing both is an upper bound on the peak.
-_SORTED_BYTES = 28
-_QUERY_BYTES = 40
+# Bytes per entry in `_meet`, where e is the size of one encoding: 4 while
+# they fit int32, else 8. A finished half keeps its float64 sums and their
+# encodings: 8 + e. Building a half peaks at its last merge, which holds the
+# merged runs with their encodings (8 + e), the int64 argsort order (8) and
+# the sums gathered through it (8): 24 + e; timsort's merge buffer, at most
+# half an order, is freed by then. The query side holds its float64 queries
+# and their encodings, the int64 searchsorted positions and two float64
+# neighbour distances: 32 + e. The left half is kept while the right one is
+# built and searched, and the right build peaks below its query side, so
+# the peak is the larger of the left build and the kept left plus the
+# query side.
+_MERGE_BYTES = 24
+_KEPT_BYTES = 8
+_QUERY_BYTES = 32
 _GROUP = 5  # terms per exact lookup table in `_exact_sums`, at most 3^5 rows
 
 
@@ -222,8 +234,13 @@ def _check_cap(n: int, cap: int | None, default: int, forced: int, force: bool) 
 def _check_memory(est: int, memory_gib: float) -> None:
     """Refuse an estimated allocation of `est` bytes above the budget."""
     if est > memory_gib * 2**30:
+        gib = est / 2**30
+        # the fewest significant digits that still show gib above the budget
+        p = next(
+            (p for p in range(2, 17) if float(f"{gib:.{p}g}") > float(f"{memory_gib:.{p}g}")), 17
+        )
         raise ResourceLimit(
-            f"estimated {est / 2**30:.1f} GiB exceeds the {memory_gib} GiB budget"
+            f"estimated {gib:.{p}g} GiB exceeds the {memory_gib:.{p}g} GiB budget"
         )
 
 
@@ -263,19 +280,83 @@ def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _sorted_half(x, digits, symmetric: bool, dtype):
+    """The float half sums of `_expand(x, digits)` in ascending order, with
+    the encodings of their vectors: (sums, encodings).
+
+    Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
+    sorted list gives one sorted run per digit, and numpy's stable argsort
+    (timsort) merges those runs in linear time. Every sum takes the same
+    rounded additions, in the same order, as in `_expand`, so the values are
+    bit-identical to its. When `symmetric`, only the vectors whose first
+    nonzero entry is + are kept, and the zero vector: a negative digit then
+    skips the zero vector so far, which is the one of encoding 0.
+    """
+    base = len(digits)
+    sums = np.zeros(1)
+    encs = np.zeros(1, dtype)
+    for i, w in enumerate(x):
+        runs = []
+        for k, c in enumerate(digits):
+            v, e = sums, encs
+            if symmetric and c < 0:
+                z = int(e.argmin())
+                if e[z] == 0:
+                    v, e = np.delete(v, z), np.delete(e, z)
+            runs.append((v, c * w, e, k * base**i))
+        size = sum(len(v) for v, *_ in runs)
+        merged, codes = np.empty(size), np.empty(size, dtype)
+        lo = 0
+        for v, cw, e, code in runs:
+            np.add(v, cw, out=merged[lo:lo + len(v)])
+            np.add(e, code, out=codes[lo:lo + len(v)])
+            lo += len(v)
+        del runs, sums, encs, v, e
+        order = np.argsort(merged, kind="stable")
+        sums = merged[order]
+        del merged
+        encs = codes[order]
+        del codes, order
+    return sums, encs
+
+
+def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
+    """The encodings of -c for the given encodings of c, over n entries."""
+    base = len(digits)
+    flip = np.array([digits.index(-c) for c in digits])
+    out = np.zeros_like(encs)
+    for i in range(n):
+        out += flip[encs // base**i % base] * base**i
+    return out
+
+
 def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=False):
     """Every exact optimum of |sum_i c_i * (den // b_i) - target| over the
     coefficient vectors c with entries in `digits`, leaving out c = 0 when
-    `nonzero` (0 must then be digit 0, so c = 0 is encoding 0).
+    `nonzero` (which needs target 0, and 0 as digit 0 so that c = 0 is
+    encoding 0).
 
     Returns (residuals, encodings): an object array of the exact signed
     residuals sum_i c_i * (den // b_i) - target, all of the optimal size,
-    and an int64 array of the matching full encodings, in no set order.
+    and an int64 array of the matching full encodings, in no set order and
+    possibly repeated.
     """
     n = len(terms)
     half = (n + 1) // 2
     base = len(digits)
-    _check_memory(_SORTED_BYTES * base**half + _QUERY_BYTES * base ** (n - half), memory_gib)
+    # For target 0, c and -c have the same |sum|. So the left half keeps
+    # only the vectors that are 0 or whose first nonzero entry is +; every
+    # other c has such a -c, so the optima S found on that side give every
+    # optimum as S and -S.
+    symmetric = target == 0
+    dtype = np.int32 if base**half <= 2**31 else np.int64
+    e = np.dtype(dtype).itemsize
+    left = (base**half + 1) // 2 if symmetric else base**half
+    right = base ** (n - half)
+    _check_memory(
+        max((_MERGE_BYTES + e) * left, (_KEPT_BYTES + e) * left + (_QUERY_BYTES + e) * right),
+        memory_gib,
+    )
     weights = [den // b for b in terms]
 
     # The float filter. x_i = fl(1/b_i) and t = fl(tau') are correctly
@@ -283,49 +364,56 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     # the reachable range [-r, r], r = sum_i 1/b_i: past it every distance
     # shifts by one constant, so the optima stay, and float() cannot overflow.
     # A pair (k, j) is scored as |fl(a_k - q_j)|, with a_k and b_j the half
-    # sums from `_expand` and q_j = fl(t - b_j). Let R = r + |tau'| and
-    # u = 2^-53. The exact value of every intermediate (a partial half sum,
-    # q_j, a_k - q_j) is at most R in size, so while the error built up stays
-    # below R each rounded add errs by at most u * 2R. One pair meets at most
-    # n + 2 rounded adds (n expanding, one for q_j, one for the distance),
-    # and its inputs carry at most sum_i u/b_i + u|tau'| = u R, plus
-    # (n + 1) * 2^-1075 should a 1/b_i underflow. So a scored distance is
-    # within E = (2n + 5) u R + (n + 1) 2^-1075 of the exact one. Let d be the
-    # least scored distance, reached by a pair p. An exact optimum o has
-    # exact distance D_o <= D_p <= d + E, so it scores at most D_o + E <= d + 2E:
-    # every exact optimum lies in the window d + 2E. `err` doubles E, which
-    # covers the rounding in computing R from floats and in forming the
-    # window edge d + 2 * err.
+    # sums of `_expand` (`_sorted_half` computes them identically) and
+    # q_j = fl(t - b_j). Let R = r + |tau'| and u = 2^-53. The exact value of
+    # every intermediate (a partial half sum, q_j, a_k - q_j) is at most R in
+    # size, so while the error built up stays below R each rounded add errs
+    # by at most u * 2R. One pair meets at most n + 2 rounded adds (n
+    # expanding, one for q_j, one for the distance), and its inputs carry at
+    # most sum_i u/b_i + u|tau'| = u R, plus (n + 1) * 2^-1075 should a 1/b_i
+    # underflow. So a scored distance is within
+    # E = (2n + 5) u R + (n + 1) 2^-1075 of the exact one. Let d be the least
+    # scored distance over the searched pairs, reached by a pair p. The
+    # searched pairs hold an exact optimum o (with target 0, o or -o), with
+    # exact distance D_o <= D_p <= d + E, so it scores at most
+    # D_o + E <= d + 2E: every exact optimum among the searched pairs lies in
+    # the window d + 2E. `err` doubles E, which covers the rounding in
+    # computing R from floats and in forming the window edge d + 2 * err.
     reach = sum(weights)
     t = max(-reach, min(target, reach)) / den
     x = [1 / b for b in terms]
     err = 2 * ((2 * n + 5) * 2.0**-53 * (math.fsum(x) + abs(t)) + (n + 1) * 2.0**-1074)
 
-    a = _expand(x[:half], digits)
-    order = np.argsort(a, kind="stable")
-    a = a[order]
-    q = _expand(x[half:], digits)
-    np.subtract(t, q, out=q)
+    a, ea = _sorted_half(x[:half], digits, symmetric, dtype)
+    # -inf and +inf stand in for the neighbours past either end of a
+    pad = np.concatenate(([-np.inf], a, [np.inf]))
+    a = pad[1:-1]
+    b, eb = _sorted_half(x[half:], digits, False, dtype)
+    # fl(t - b_j) falls as b_j rises, so reversed the queries ascend and
+    # searchsorted walks a forward
+    q = np.subtract(t, b[::-1])
+    eb = eb[::-1]
+    del b
 
     # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on one
-    # side or the other of q_j's insertion point
+    # side or the other of q_j's insertion point pos: at a[pos - 1] = pad[pos]
+    # or at a[pos] = pad[pos + 1]
     pos = np.searchsorted(a, q)
-    idx = pos - 1
-    np.maximum(idx, 0, out=idx)
-    near = a[idx]
+    near = pad[pos]
     near -= q
     np.abs(near, out=near)
-    np.minimum(pos, len(a) - 1, out=idx)
+    far = pad[1:][pos]
+    del pos
+    far -= q
+    np.abs(far, out=far)
+    np.minimum(near, far, out=near)
+    del far
     if nonzero:
-        # q_0 = 0 must skip a's encoding 0, which the stable sort puts first
-        # among a's zeros, at pos[0]; the half sums are symmetric about 0, so
-        # pos[0] + 1 is in range
-        idx[0] = pos[0] + 1
-    right = a[idx]
-    right -= q
-    np.abs(right, out=right)
-    np.minimum(near, right, out=near)
-    del pos, idx, right
+        # the zero vector, the left's zero with the right's zero, is left
+        # out: that query is q = t = 0 and the left zero sums to 0, so its
+        # best other partner is a neighbour of the left zero in a
+        k0, j0 = int(ea.argmin()), int(eb.argmin())
+        near[j0] = min(abs(pad[k0]), abs(pad[k0 + 2]))
 
     limit = near.min() + 2 * err
     js = np.flatnonzero(near <= limit)
@@ -338,19 +426,24 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     counts = hi - lo
     total = int(counts.sum())
     _check_memory(total * (48 + 4 * _int_bytes(den)), memory_gib)
-    jb = np.repeat(js, counts)
+    jj = np.repeat(js, counts)
     kk = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    keep = np.abs(a[kk] - q[jb]) <= limit
-    ka, jb = order[kk[keep]], jb[keep]
+    keep = np.abs(a[kk] - q[jj]) <= limit
+    ka = ea[kk[keep]].astype(np.int64)
+    kb = eb[jj[keep]].astype(np.int64)
     if nonzero:
-        keep = (ka != 0) | (jb != 0)
-        ka, jb = ka[keep], jb[keep]
+        keep = (ka != 0) | (kb != 0)
+        ka, kb = ka[keep], kb[keep]
 
-    res = _exact_sums(weights[:half], digits, ka) + _exact_sums(weights[half:], digits, jb)
+    res = _exact_sums(weights[:half], digits, ka) + _exact_sums(weights[half:], digits, kb)
     res -= target
     size = np.abs(res)
     opt = size == size.min()
-    return res[opt], ka[opt] + jb[opt] * base**half
+    res, encs = res[opt], ka[opt] + kb[opt] * base**half
+    if symmetric:
+        res = np.concatenate((res, -res))
+        encs = np.concatenate((encs, _negated(encs, digits, n)))
+    return res, encs
 
 
 def min_signed_sum(
@@ -416,7 +509,7 @@ def min_gap(
     """Smallest |sum_i e_i/b_i| over nonzero e in {-1,0,+1}^n.
 
     Meets in the middle over trit vectors, 3^ceil(n/2) half sums on each
-    side. The witness: orient every optimal e so that its sum is >= 0 (a
+    side, of which the left keeps one of each pair e, -e. The witness: orient every optimal e so that its sum is >= 0 (a
     zero sum keeps both e and -e), then take the smallest base-3 encoding.
     """
     terms = _as_terms(seq)

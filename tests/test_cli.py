@@ -226,6 +226,15 @@ def test_mc_reads_memory_budget(capsys):
     assert code == 0
 
 
+def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):
+    code, out, err = run(capsys, ["mc", "--n", "10000", "--samples", "1000", "--lo", "-0.1",
+                                  "--hi", "0.1", "--eps", "1e-6", "--memory-gib", "0.001"])
+    assert code == 3 and out == ""
+    shown = re.search(r"estimated (\S+) GiB exceeds the (\S+) GiB budget", err)
+    estimate, budget = float(shown[1]), float(shown[2])
+    assert estimate > budget == 0.001
+
+
 @pytest.mark.parametrize("x", ["inf", "nan"])
 def test_density_refuses_non_finite_x(capsys, x):
     code, out, err = run(capsys, ["density", "--x", x, "--eps", "1e-6"])

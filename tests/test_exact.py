@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -7,12 +8,18 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import harmsum
 from harmsum.errors import CapExceeded, RangeUnreachable, ResourceLimit
 from harmsum.exact import (
+    SIGNS,
+    TRITS,
     SignVector,
+    _check_memory,
+    _expand,
+    _sorted_half,
     decay_profile,
     enumerate_sums,
     evaluate_signs,
@@ -334,6 +341,86 @@ def test_engine_edge_cases_one_and_two_terms():
             assert (got.value, got.witness.encoding) == brute_minsum_witness(terms, tau)
         gap = min_gap(terms)
         assert (gap.gap, gap.witness.trits) == brute_gap_witness(terms)
+
+
+def brute_gap_witness_scaled(terms):
+    """brute_gap_witness in scaled integers, fast enough for n = 12: the sums
+    are listed by base-3 encoding, and each optimum is oriented as there."""
+    den = math.lcm(*terms)
+    sums = [0]
+    for b in terms:
+        sums = sums + [s + den // b for s in sums] + [s - den // b for s in sums]
+    best = min(abs(s) for s in sums[1:])
+    n = len(terms)
+
+    def negated(code):
+        return sum((0, 2, 1)[code // 3**i % 3] * 3**i for i in range(n))
+
+    oriented = []
+    for code, s in enumerate(sums):
+        if code and abs(s) == best:
+            oriented += [code] if s > 0 else [negated(code)] if s < 0 else [code, negated(code)]
+    code = min(oriented)
+    return Fraction(best, den), tuple(TRITS[code // 3**i % 3] for i in range(n))
+
+
+def random_colliding(rng):
+    """A prefix of at most 12 terms of a family with many equal sums."""
+    spec = rng.choice(
+        (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1),
+         SequenceSpec.arithmetic(rng.randint(1, 5), rng.randint(1, 6)))
+    )
+    return generate(spec, rng.randint(1, 12)).terms
+
+
+def test_minsum_witness_on_random_colliding_families_at_zero_and_nonzero_targets():
+    # at tau = 0 the engine searches only the left vectors whose first sign
+    # is + and rebuilds the optima by negation; at tau != 0 it searches all
+    rng = random.Random(1207)
+    for k in range(40):
+        terms = random_colliding(rng)
+        num = 0 if k % 2 == 0 else rng.choice((-1, 1)) * rng.randint(1, 9)
+        tau = Fraction(num, rng.randint(1, 9))
+        got = min_signed_sum(terms, tau)
+        assert (got.value, got.witness.encoding) == brute_minsum_witness(terms, tau)
+
+
+def test_gap_witness_on_random_colliding_families():
+    rng = random.Random(2203)
+    zero_gaps = 0
+    for _ in range(16):
+        terms = random_colliding(rng)
+        got = min_gap(terms)
+        assert (got.gap, got.witness.trits) == brute_gap_witness_scaled(terms)
+        zero_gaps += got.gap == 0
+    assert zero_gaps >= 3  # optima of sum 0 keep both orientations
+
+
+def test_sorted_half_is_the_expanded_sums_in_order():
+    x = [1 / b for b in generate(SequenceSpec.nonprimes(), 8).terms]
+    for digits in (SIGNS, TRITS):
+        base = len(digits)
+        full = _expand(x, digits)
+        coefficients = [
+            [digits[c // base**i % base] for i in range(len(x))] for c in range(len(full))
+        ]
+        for symmetric in (False, True):
+            sums, encs = _sorted_half(x, digits, symmetric, np.int32)
+            assert np.all(sums[:-1] <= sums[1:])
+            # bit for bit the sums of `_expand`, the float filter's reference
+            assert np.array_equal(sums.view(np.int64), full[encs].view(np.int64))
+            want = [
+                c for c, cs in enumerate(coefficients)
+                if not symmetric or next((v for v in cs if v), 0) >= 0
+            ]
+            assert sorted(encs.tolist()) == want
+
+
+def test_memory_refusal_shows_the_estimate_above_the_budget():
+    with pytest.raises(ResourceLimit, match=r"estimated 1\.000000001 GiB exceeds the 1 GiB budget"):
+        _check_memory(2**30 + 1, 1.0)
+    with pytest.raises(ResourceLimit, match=r"estimated 4\.2 GiB exceeds the 3\.9 GiB budget"):
+        _check_memory(int(4.2 * 2**30), 3.9)
 
 
 CERTIFICATE_SCRIPT = """
