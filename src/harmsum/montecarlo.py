@@ -4,12 +4,16 @@ comparison with the limiting density.
 Sign vectors come from a counter-based generator (Philox) addressed by
 sample index: each sample owns a fixed number of 256-bit counter blocks,
 so any chunking of the sample range reproduces identical draws. Bit i of
-byte k of a sample's raw words is the sign of term 8k + i (1 is +). Each
-byte position has a 256-entry table of the signed sums of its 8 terms, so
-a sample's sum is one table lookup per byte: lookups are added plainly in
-groups of 8 bytes (64 terms), and the group partials are added into the
-total with Kahan compensation. Every sample is summed in the same order
-whatever the chunk, so reports are bit-reproducible for a fixed seed.
+byte k of a sample's raw words is the sign of term 8k + i (1 is +), so
+word w holds the signs of terms 64w to 64w + 63. A chunk's words are
+transposed to one row per word position, and byte i of that row is read
+through a strided view. Each byte position has a 256-entry table of the
+signed sums of its 8 terms, so a sample's sum is one table lookup per
+byte: the 8 lookups of a word (64 terms) are added plainly, and the word
+partials are added into the total with Kahan compensation. Every sample
+is summed in the same order whatever the chunk, so reports are
+bit-reproducible for a fixed seed. The moments are numpy pairwise sums
+per chunk, joined by math.fsum, within a stated bound of exact.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
 CHUNK = 1 << 16  # samples per internal chunk; counter addressing makes draws chunk-invariant
-_TILE = 1 << 16  # sign bytes per transpose tile, small enough to stay in cache
+_TILE = 1 << 13  # words per transpose tile, small enough to stay in cache
 
 
 @dataclass(frozen=True)
@@ -87,27 +91,32 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
     """X values for samples [start, start+count), independent of chunking."""
     n = len(inv_terms)
     nbytes = -(-n // 8)
+    nwords = -(-n // 64)
     blocks = _blocks_per_sample(n)
     bg = np.random.Philox(key=seed)
     bg.advance(start * blocks)
-    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks).view(np.uint8)
-    # one row per byte position; copied in tiles of samples, since a plain
-    # transpose reads one byte per cache line
-    signs = np.empty((nbytes, count), dtype=np.uint8)
-    rows = max(256, _TILE // nbytes)
+    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
+    # one row per word position; copied in tiles of samples, since a plain
+    # transpose reads one word per cache line
+    words = np.empty((nwords, count), dtype=np.uint64)
+    rows = max(256, _TILE // nwords)
     for r in range(0, count, rows):
-        signs[:, r : r + rows] = raw[r : r + rows, :nbytes].T
+        words[:, r : r + rows] = raw[r : r + rows, :nwords].T
     del raw
+    # byte i of word w of sample j is signs[w, 8j + i], in the words' native
+    # order as in raw.view(np.uint8)[j, 8w + i]: byte 8w + i of the sample
+    signs = words.view(np.uint8)
     tables = _byte_tables(inv_terms)
     total = np.zeros(count)
     comp = np.zeros(count)
     part = np.empty(count)
     buf = np.empty(count)
     t = np.empty(count)
-    for g in range(0, nbytes, 8):
-        tables[g].take(signs[g], out=part)
-        for k in range(g + 1, min(g + 8, nbytes)):
-            part += tables[k].take(signs[k], out=buf)
+    for w in range(nwords):
+        g = 8 * w
+        tables[g].take(signs[w, 0::8], out=part)
+        for i in range(1, min(8, nbytes - g)):
+            part += tables[g + i].take(signs[w, i::8], out=buf)
         # Kahan step total += part, in place
         part -= comp
         np.add(total, part, out=t)
@@ -119,18 +128,23 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
 
 def _iter_chunks(config: SimulationConfig, memory_gib: float | None):
     nbytes = -(-config.n // 8)
+    nwords = -(-config.n // 64)
     blocks = _blocks_per_sample(config.n)
     # 2^28 random bits a chunk: its raw Philox words, 32 bytes per counter
-    # block, stay at most 32 MiB regardless of n, and its sign bytes are no
-    # larger; the 1024-sample floor only binds past 2^18 terms
+    # block, stay at most 32 MiB regardless of n, and its transposed words
+    # are no larger; the 1024-sample floor only binds past 2^18 terms
     cap = max(1024, (1 << 28) // (256 * blocks))
     # Price the run before allocating: 2 KiB of tables per byte position,
-    # 1/b and its padded copy, and per sample of the largest chunk its raw
-    # words, its sign bytes and eight float64-sized vectors (five in
-    # _chunk_sums, the index copy made by take, the consumer's temporaries).
+    # 1/b and its padded copy, and per sample of the largest chunk its
+    # transposed words plus the larger of two phases. While the words are
+    # transposed, the raw words and what the consumer holds from the last
+    # chunk, at most three float64-sized vectors (histogram's values, mask
+    # and bin indices; simulate squares the values in place); after the raw
+    # words are freed, those three and seven more: five in _chunk_sums, and
+    # the index copy and the output copy each take makes.
     largest = min(CHUNK, cap, config.samples)
     _check_memory(
-        2048 * nbytes + 128 * nbytes + largest * (32 * blocks + nbytes + 64),
+        2048 * nbytes + 128 * nbytes + largest * (8 * nwords + max(32 * blocks + 24, 80)),
         MEMORY_GIB if memory_gib is None else memory_gib,
     )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
@@ -147,15 +161,20 @@ def simulate(
     """Sample X_N and compare the interval frequency against the integral
     of the limiting density over the same half-open interval [lo, hi).
     memory_gib is the budget the sampler is priced against (default
-    MEMORY_GIB)."""
+    MEMORY_GIB).
+
+    Over the m sampled values x_j, with u = 2^-53 and g(k) = ku / (1 - ku),
+    sample_mean is within g(35) * sum |x_j| / m of their exact mean, and
+    sample_variance within 4 g(35) * sum x_j^2 / (m - 1) of their exact
+    sample variance."""
     lo, hi = config.interval
     hits = 0
     sum_parts: list[float] = []
     sq_parts: list[float] = []
     for vals in _iter_chunks(config, memory_gib):
         hits += int(np.count_nonzero((vals >= lo) & (vals < hi)))
-        sum_parts.append(math.fsum(vals))
-        sq_parts.append(math.fsum(vals * vals))
+        sum_parts.append(float(np.add.reduce(vals)))
+        sq_parts.append(float(np.add.reduce(np.square(vals, out=vals))))
     m = config.samples
     p = hits / m
     se = math.sqrt(p * (1.0 - p) / m)
@@ -165,6 +184,24 @@ def simulate(
         z = diff / se
     else:
         z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    # The error bound of the docstring. numpy's add.reduce over a contiguous
+    # float64 vector is pairwise (Higham, SIAM J. Sci. Comput. 14, 1993):
+    # blocks of at most 128 values are summed by 8 interleaved accumulators
+    # (at most 24 rounded additions on any value's path, reached at 127
+    # values) and the blocks are joined by halving, one addition per level,
+    # so a value of a chunk of c <= CHUNK = 2^16 samples meets at most
+    # h = ceil(log2 c) + 17 <= 33 roundings and a chunk's partial errs by at
+    # most g(h) times the chunk's sum of |x|. math.fsum rounds the sum of
+    # the partials once and the division once more: with A = sum |x_j| the
+    # mean errs by at most g(h + 2) A / m = g(35) A / m. Each square is
+    # rounded once before its h additions and the fsum, so
+    # Q = sum x_j^2 is within g(35) Q. With M the exact mean and e the
+    # mean's error, m M^2 <= Q and m |M| |e| <= g(35) A^2 / m <= g(35) Q
+    # (Cauchy-Schwarz: A^2 <= m Q), so m * mean * mean, two roundings,
+    # is within (g(2) + 2 g(35)) Q + O(u^2) Q of m M^2; the subtraction and
+    # the division add g(2) relative to the difference, which is at most Q.
+    # In total the variance errs by at most (3 g(35) + 2 g(2) + O(u^2)) Q,
+    # less than 4 g(35) Q, over m - 1.
     mean = math.fsum(sum_parts) / m
     var = (math.fsum(sq_parts) - m * mean * mean) / (m - 1) if m > 1 else 0.0
     return SimulationReport(
@@ -207,9 +244,11 @@ def histogram(
     width = (hi - lo) / bins
     counts = np.zeros(bins, dtype=np.int64)
     for vals in _iter_chunks(config, memory_gib):
-        idx = np.floor((vals - lo) / width).astype(np.int64)
-        ok = (idx >= 0) & (idx < bins) & (vals >= lo) & (vals < hi)
-        counts += np.bincount(idx[ok], minlength=bins)
+        ok = (vals >= lo) & (vals < hi)
+        # (x - lo) / width lies in [0, bins] for x in [lo, hi), and rounds up
+        # to bins for some x just below hi, which belongs to the top bin
+        idx = np.floor((vals[ok] - lo) / width).astype(np.int64)
+        counts += np.bincount(np.minimum(idx, bins - 1, out=idx), minlength=bins)
     in_range = int(counts.sum())
     centers = lo + width * (np.arange(bins) + 0.5)
     rows = []

@@ -62,7 +62,7 @@ def test_counter_addressing():
     assert np.array_equal(whole2[3:], mc._chunk_sums(inv2, 9, 3, 7))
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100, 257])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 100, 257, 513, 10_000])
 def test_chunk_sums_match_decoded_signs(n):
     # Decode the signs from the same Philox words, term i from bit i of the
     # little-endian bit stream, and sum x_i = +-fl(1/b_i) with fsum, which
@@ -73,10 +73,11 @@ def test_chunk_sums_match_decoded_signs(n):
     # g7 (1+g7) A_g over the group's share), and Kahan-adds the group
     # partials (error <= (2u + O(G u^2)) times the sum of their sizes,
     # Higham, "Accuracy and Stability of Numerical Algorithms", Thm 4.8).
-    # With G <= 5 groups here that totals below 16.1 u A; with fsum's u A,
-    # 18 u A bounds the distance to the fsum value.
+    # With G <= 157 groups here that totals below 16.1 u A; with fsum's u A,
+    # 18 u A bounds the distance to the fsum value. n = 513 ends on a word
+    # of one term; n = 10^4 decodes few samples, as each costs 10^4 terms.
     inv = 1.0 / terms_array(PRIMES, n).astype(np.float64)
-    seed, start, count = 77, 5, 300
+    seed, start, count = 77, 5, (20 if n > 1000 else 300)
     vals = mc._chunk_sums(inv, seed, start, count)
     blocks = mc._blocks_per_sample(n)
     bg = np.random.Philox(key=seed)
@@ -88,6 +89,64 @@ def test_chunk_sums_match_decoded_signs(n):
     for row, val in zip(bits, vals):
         expected = math.fsum(x if b else -x for b, x in zip(row, inv))
         assert abs(val - expected) <= bound
+
+
+@pytest.mark.parametrize("chunk", [mc.CHUNK, 1111])
+def test_moments_within_stated_bound(monkeypatch, chunk):
+    # simulate's docstring: with u = 2^-53 and g(k) = ku / (1 - ku), the mean
+    # is within g(35) A / m and the variance within 4 g(35) Q / (m - 1) of
+    # the exact moments of the m sampled values, A = sum |x|, Q = sum x^2.
+    # The reference sums the same _chunk_sums values as Fractions, exactly,
+    # where math.fsum would still round each sum once.
+    monkeypatch.setattr(mc, "CHUNK", chunk)
+    cfg = SimulationConfig(spec=PRIMES, n=37, samples=20_000, seed=29, interval=(-0.3, 0.45))
+    rep = simulate(cfg, eps=1e-6)
+    inv = 1.0 / terms_array(PRIMES, cfg.n).astype(np.float64)
+    vals = mc._chunk_sums(inv, cfg.seed, 0, cfg.samples)
+    m = cfg.samples
+    exact = [Fraction(x) for x in vals.tolist()]
+    s = sum(exact)
+    a = sum(map(abs, exact))
+    q = sum(x * x for x in exact)
+    var = (q - s * s / m) / (m - 1)
+    u = Fraction(2) ** -53
+    g35 = 35 * u / (1 - 35 * u)
+    assert abs(Fraction(rep.sample_mean) - s / m) <= g35 * a / m
+    assert abs(Fraction(rep.sample_variance) - var) <= 4 * g35 * q / (m - 1)
+    assert 0 < g35 * a / m < 1e-14
+
+
+def test_memory_estimate_covers_the_peak(monkeypatch):
+    # the price _iter_chunks checks is at least what one simulate at
+    # n = 10^4 really allocates (a full chunk and a partial one), and not
+    # more than half again as much
+    priced = []
+    check = mc._check_memory
+    monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
+    cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=30_000, seed=0, interval=(-0.1, 0.1))
+    tracemalloc.start()
+    try:
+        simulate(cfg, eps=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert priced and peak <= priced[-1] <= 1.5 * peak
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4, 12])
+def test_histogram_keeps_the_top_edge(monkeypatch, bins):
+    # for these bin counts (x - lo) / width rounds up to bins at the largest
+    # x below hi, which still belongs to the top bin; x = hi is outside
+    lo, hi = -0.1, 0.1
+    top = math.nextafter(hi, -math.inf)
+    width = (hi - lo) / bins
+    assert math.floor((top - lo) / width) == bins
+    monkeypatch.setattr(mc, "_iter_chunks", lambda config, memory_gib: iter([np.array([lo, top, hi])]))
+    cfg = SimulationConfig(spec=PRIMES, n=10, samples=3, seed=0, interval=(lo, hi))
+    rows = histogram(cfg, bins, eps=1e-6)
+    counts = [round(r.empirical * 2 * width) for r in rows]
+    assert sum(counts) == 2
+    assert counts[0] == counts[-1] == 1
 
 
 def test_one_sampler_feeds_both_consumers():
