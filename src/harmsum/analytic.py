@@ -353,20 +353,30 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
     outcomes (every sign vector, summed in float); `quadrature` computes
     2 * integral_0^x_max bump_transform(x) * rho_N(2x) dx by composite
     Simpson with the given step. The transform decays like x^-4, so the
-    x_max tail is ~1e-10 at the default settings. N is capped at ENUM_CAP.
+    x_max tail is ~1e-10 at the default settings. N is capped at ENUM_CAP,
+    x_max and step must be finite and positive, and both phases are priced
+    against MEMORY_GIB before either allocates.
     """
     terms = _as_terms(seq)
     _check_cap(len(terms), None, ENUM_CAP, ENUM_CAP, False)
+    if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
+        raise ValueError(f"x_max and step must be finite and positive, got {x_max} and {step}")
     # Float outcomes, each within N u sum 1/b of exact (u = 2^-53: the
     # rounded 1/b and N - 1 rounded additions of partial sums below sum
     # 1/b), so the bump's mean, whose slope is below 1.6, moves by less than
-    # 1.6 N u sum 1/b. Priced at 25 B per outcome: 8 for the outcomes, 17
-    # for the mask and the two temporaries of smooth_bump.
-    _check_memory(25 * 2 ** len(terms), MEMORY_GIB)
-    outcomes = _expand([1.0 / b for b in terms], SIGNS)
-    exact = float(np.mean(smooth_bump(outcomes)))
+    # 1.6 N u sum 1/b. Both phases are priced first: the outcomes at 25 B
+    # each (8 for them, 17 for the mask and smooth_bump's two temporaries),
+    # then, once they are freed, 64 B per quadrature node (the nodes and the
+    # transform's temporaries; 57 measured) and _rho_batch's two float64
+    # blocks. The node count is still a float here, so a tiny step is
+    # refused before it becomes an int.
+    _check_memory(
+        max(25 * 2 ** len(terms), 64 * (x_max / step + 2) + 16 * _BLOCK * min(len(terms), _BLOCK)),
+        MEMORY_GIB,
+    )
+    exact = float(np.mean(smooth_bump(_expand([1.0 / b for b in terms], SIGNS))))
 
-    npts = int(round(x_max / step))
+    npts = max(2, int(round(x_max / step)))
     if npts % 2 == 1:
         npts += 1  # composite Simpson needs an even panel count
     xs = np.linspace(0.0, x_max, npts + 1)

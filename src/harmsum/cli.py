@@ -55,6 +55,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget_gib(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number of GiB, got {text}")
+    return value
+
+
 def _uint64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
@@ -380,7 +387,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         help="override the gap-search cap (read by gap and table3)",
     )
     p.add_argument(
-        "--memory-gib", type=float, default=MEMORY_GIB,
+        "--memory-gib", type=_budget_gib, default=MEMORY_GIB,
         help="memory budget in GiB (default: half of physical memory)",
     )
 

@@ -232,7 +232,10 @@ def _check_cap(n: int, cap: int | None, default: int, forced: int, force: bool) 
 
 
 def _check_memory(est: int, memory_gib: float) -> None:
-    """Refuse an estimated allocation of `est` bytes above the budget."""
+    """Refuse an estimated allocation of `est` bytes above the budget, and
+    a NaN budget, which no comparison would catch."""
+    if math.isnan(memory_gib):
+        raise ValueError("the memory budget is NaN GiB")
     if est > memory_gib * 2**30:
         gib = est / 2**30
         # the fewest significant digits that still show gib above the budget

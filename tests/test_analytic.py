@@ -24,7 +24,7 @@ from harmsum.analytic import (
     smooth_bump,
     smooth_bump_transform,
 )
-from harmsum.errors import CapExceeded, DivergedTruncation, TruncationFailure
+from harmsum.errors import CapExceeded, DivergedTruncation, ResourceLimit, TruncationFailure
 from harmsum.exact import ENUM_CAP
 from harmsum.sequences import SequenceSpec, terms_array
 
@@ -300,6 +300,35 @@ def test_expectation_identity_capped_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_expectation_identity_priced_before_allocating(monkeypatch):
+    # at N = 4 the outcomes are 400 B, but the default step puts 120,001
+    # quadrature nodes behind them, about 7 MB, over a 1 MiB budget, while
+    # step 0.05 (12,001 nodes) fits it; a step of 1e-300 is priced as a
+    # float and refused, not turned into an int
+    terms = terms_array(PRIMES, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit):
+            expectation_identity(terms, step=1e-300)
+        monkeypatch.setattr(analytic, "MEMORY_GIB", 2.0**-10)
+        with pytest.raises(ResourceLimit):
+            expectation_identity(terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+    exact, quad = expectation_identity(terms, step=0.05)
+    assert abs(exact - quad) <= 1e-6
+
+
+@pytest.mark.parametrize("kw", [{"step": 0.0}, {"step": -0.005}, {"step": math.nan},
+                                {"step": math.inf}, {"x_max": 0.0}, {"x_max": math.inf},
+                                {"x_max": math.nan}])
+def test_expectation_identity_refuses_bad_quadrature(kw):
+    with pytest.raises(ValueError):
+        expectation_identity(terms_array(PRIMES, 4), **kw)
 
 
 def test_density_even_exact():

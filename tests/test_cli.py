@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -224,6 +225,27 @@ def test_mc_reads_memory_budget(capsys):
     assert code == 3
     code, _, _ = run(capsys, argv)
     assert code == 0
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+def test_memory_budget_must_be_finite_and_positive(capsys, budget):
+    # a NaN or infinite budget would switch every memory guard off, and a
+    # non-positive one refuse every job as if it were too large
+    code, out, err = run(capsys, ["mc", "--n", "10000", "--samples", "1000", "--lo", "-0.1",
+                                  "--hi", "0.1", "--eps", "1e-6", "--memory-gib", budget])
+    assert code == 2 and out == ""
+    assert "finite positive" in err
+
+
+def test_readme_mc_example_is_reproduced(capsys):
+    # README promises these six lines for a fixed seed, byte for byte
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    command = "$ harmsum mc --kind primes --n 100 --samples 200000 --seed 7 --lo -0.1 --hi 0.1"
+    at = readme.index(command)
+    code, out, _ = run(capsys, command.split()[2:])
+    assert code == 0
+    assert out.splitlines() == readme[at + 1 : at + 7]
+    assert readme[at + 7] == "```"
 
 
 def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):

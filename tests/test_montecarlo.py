@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +92,19 @@ def test_chunk_sums_match_decoded_signs(n):
         assert abs(val - expected) <= bound
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 10_000])
+def test_chunk_sums_split_at_tile_edges(n):
+    # a sample's value depends on its index alone: cutting one call at 1,
+    # tile - 1, tile and tile + 1, from an odd start, changes no bit
+    inv = 1.0 / terms_array(PRIMES, n).astype(np.float64)
+    tile = mc._tile_samples(mc._blocks_per_sample(n), mc.CHUNK)
+    seed, start, count = 13, 7, 2 * tile + 3
+    cuts = [0, 1, tile - 1, tile, tile + 1, count]
+    parts = [mc._chunk_sums(inv, seed, start + a, b - a) for a, b in zip(cuts, cuts[1:])]
+    assert tile == mc._TILE
+    assert np.array_equal(np.concatenate(parts), mc._chunk_sums(inv, seed, start, count))
+
+
 @pytest.mark.parametrize("chunk", [mc.CHUNK, 1111])
 def test_moments_within_stated_bound(monkeypatch, chunk):
     # simulate's docstring: with u = 2^-53 and g(k) = ku / (1 - ku), the mean
@@ -130,6 +144,30 @@ def test_memory_estimate_covers_the_peak(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert priced and peak <= priced[-1] <= 1.5 * peak
+
+
+@pytest.mark.parametrize("n", [100, 64])
+def test_memory_estimate_covers_the_heaviest_consumer(monkeypatch, n):
+    # At small n the price is mostly per-sample vectors: the chunk's output
+    # and the three the consumer keeps from the last chunk. histogram keeps
+    # the most (values, mask, and a bin index for each sample in range, here
+    # every one), so its sampling loop must fit the price, and within half
+    # again, over two full chunks. Its densities, the analytic layer's own
+    # allocation, are stubbed out; numpy.random is imported before tracing.
+    priced = []
+    check = mc._check_memory
+    monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
+    monkeypatch.setattr(mc, "densities", lambda spec, xs, eps: [SimpleNamespace(x=x, g=0.0) for x in xs])
+    cfg = SimulationConfig(spec=PRIMES, n=n, samples=2 * mc.CHUNK, seed=0, interval=(-3.0, 3.0))
+    mc._chunk_sums(np.ones(1), 0, 0, 1)
+    tracemalloc.start()
+    try:
+        rows = histogram(cfg, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(r.empirical for r in rows) * 6.0 / 11 == pytest.approx(1.0)
     assert priced and peak <= priced[-1] <= 1.5 * peak
 
 
@@ -192,6 +230,15 @@ def test_memory_budget_is_a_parameter():
         exhaustive_probability(small, memory_gib=1e-6)
     assert exhaustive_probability(small) == exhaustive_probability(small, memory_gib=1.0)
     assert simulate(cfg, eps=1e-6).empirical_prob >= 0.0
+
+
+def test_nan_memory_budget_is_refused():
+    # NaN compares false with every estimate, so it would pass them all
+    cfg = SimulationConfig(spec=PRIMES, n=16, samples=10, seed=0, interval=(-0.1, 0.1))
+    with pytest.raises(ValueError):
+        simulate(cfg, eps=1e-6, memory_gib=math.nan)
+    with pytest.raises(ValueError):
+        exhaustive_probability(cfg, memory_gib=math.nan)
 
 
 def test_chunk_invariance():
