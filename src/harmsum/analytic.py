@@ -2,21 +2,18 @@
 density and interval probabilities, and finite-range inequality checks.
 
 The kernel rho_N(x) = prod_{n<=N} cos(pi x / b_n) is evaluated in double
-precision. `cosine_product_limit` (the `rho` subcommand) doubles the
-truncation M until |rho_M| (pi x)^2 sum_{n>M} 1/b_n^2, which bounds the
-truncation once b_M >= pi x (log|cos t| >= -t^2 for |t| <= 1), is below
-eps; the tail sum is bounded by 1/M, or 1/(M log^2 M) for the primes. Its
-tail_bound adds |rho_M| sqrt(M) 1e-15, an RMS estimate of the rounding,
-not a bound.
+precision. One tail-corrected kernel, `_kernel`, evaluates the limit
+rho(x): it multiplies M >= 1024 factors by exp(-(pi x)^2 T_2/2 -
+(pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j in closed form for every
+family, and bounds every node by the rest of the -log cos series plus a
+worst-case rounding term. `cosine_product_limit` (the `rho` subcommand)
+is that kernel at one node, with its bound.
 
 The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du and the
-interval probability, a sine transform of rho(2u), multiply M >= 1024
-factors by exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M}
-b_n^-j in closed form for every family; the rest of the -log cos series
-and a worst-case rounding term bound every node. The transforms are
-trapezoid sums over one grid u = ih on [0, U], U from a sampled envelope
-of |rho(2u)| and h from a dyadic ladder. Their error estimate adds the
-node bound to two estimates: |T_h - T_2h| and the envelope tail.
+interval probability, a sine transform of rho(2u), are trapezoid sums
+over one grid u = ih on [0, U], U from a sampled envelope of |rho(2u)|
+and h from a dyadic ladder. Their error estimate adds the node bound to
+two estimates: |T_h - T_2h| and the envelope tail.
 """
 
 from __future__ import annotations
@@ -32,12 +29,11 @@ import numpy as np
 
 from .errors import CertificateError, DivergedTruncation, TruncationFailure
 from .sequences import (
-    KIND_AP, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec, SequenceTerms,
-    terms_array,
+    KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
+    SequenceTerms, count_up_to, terms_array,
 )
 from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _as_terms, _check_cap, _check_memory, _expand
 
-RHO_TERM_CAP = 10**8
 KERNEL_M = 1024            # fewest terms the tail-corrected kernel multiplies
 DENSITY_U = 8.0            # first cut tried for the transforms
 DENSITY_U_CAP = 4096.0
@@ -59,8 +55,8 @@ C_PRIME_DEFAULT = (1.0 / (2.0 * 1.518 * math.e)) ** 2
 class RhoValue:
     """A kernel evaluation; n is the factor count, or None for the
     infinite-product limit, in which case terms_used records the truncation
-    and tail_bound its certified bound plus an estimated rounding
-    allowance."""
+    M and tail_bound the certified bound on |value - rho(x)|, truncation
+    and rounding both."""
 
     x: float
     n: int | None
@@ -93,28 +89,6 @@ class BoundCheckReport:
     c_prime_defaulted: bool = False
 
 
-class _TermCache:
-    """Grow-on-demand float64 view of a sequence's terms."""
-
-    def __init__(self, spec: SequenceSpec):
-        self.spec = spec
-        self.arr = np.empty(0, dtype=np.float64)
-        self.finite_len = len(spec.values) if spec.kind == "custom" else None
-
-    def upto(self, m: int) -> np.ndarray:
-        if self.finite_len is not None:
-            m = min(m, self.finite_len)
-        if m > len(self.arr):
-            size = m if self.finite_len is not None else max(64, 1 << (m - 1).bit_length())
-            self.arr = terms_array(self.spec, size).astype(np.float64)
-        return self.arr[:m]
-
-
-@lru_cache(maxsize=16)
-def _term_cache(spec: SequenceSpec) -> _TermCache:
-    return _TermCache(spec)
-
-
 def _terms_as_array(seq) -> np.ndarray:
     if isinstance(seq, SequenceTerms):
         return np.array(seq.terms, dtype=np.float64)
@@ -123,11 +97,18 @@ def _terms_as_array(seq) -> np.ndarray:
     return np.array(_as_terms(seq), dtype=np.float64)
 
 
+def _finite(x: float) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    return x
+
+
 def cosine_product(seq, x: float) -> RhoValue:
     """rho_N(x) = prod over the given terms of cos(pi x / b)."""
     terms = _terms_as_array(seq)
-    value = float(np.cos(np.pi * float(x) / terms).prod())
-    return RhoValue(x=float(x), n=len(terms), value=value)
+    x = _finite(x)
+    return RhoValue(x=x, n=len(terms), value=float(_rho_batch(terms, [x])[0]))
 
 
 def _rho_batch(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -142,60 +123,33 @@ def _rho_batch(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_square_sum_bound(spec: SequenceSpec, m: int) -> float:
-    # sum_{n>m} 1/b_n^2 <= 1/m since b_n >= n; the prime sequence also has
-    # b_n > n log n, sharpening this to 1/(m log^2 m)
-    bound = 1.0 / m
-    if spec.kind == KIND_PRIMES or (spec.kind == KIND_PK and spec.k == 1):
-        bound = min(bound, 1.0 / (m * math.log(m) ** 2))
-    return bound
+def cosine_product_limit(spec: SequenceSpec, x: float, eps: float) -> RhoValue:
+    """The infinite product lim_N rho_N(x): the tail-corrected kernel at the
+    one node |x|, with its certified bound as tail_bound.
 
-
-def cosine_product_limit(
-    spec: SequenceSpec, x: float, eps: float, *, term_cap: int = RHO_TERM_CAP
-) -> RhoValue:
-    """The infinite product lim_N rho_N(x), truncated with a certificate.
-
-    Doubles the truncation point M from max(64, 4|x|) until tail_bound
-    drops below eps; raises DivergedTruncation when M would pass term_cap
-    first. tail_bound is the certified truncation bound plus the rounding
-    allowance |rho_M| * sqrt(M) * 1e-15, which is an estimate, not a
-    bound. For a finite custom sequence the truncation term is zero once
-    every term is used.
+    M starts at the kernel's M for |x| and doubles while the bound is above
+    eps and its truncation part is what exceeds it. DivergedTruncation is
+    raised once the rounding part alone exceeds eps; that part is at least
+    9 M 2^-53, about 1e-12 at M = 1024, so the doubling ends. x = 0 gives
+    1 exactly, with bound 0 and no terms.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    ax = abs(float(x))
-    if ax == 0.0:
-        return RhoValue(x=float(x), n=None, value=1.0, tail_bound=0.0, terms_used=0)
-    cache = _term_cache(spec)
-    m = max(64, math.ceil(4 * ax))
-    if cache.finite_len is not None:
-        m = min(m, cache.finite_len)
-    done = 0
-    prod = 1.0
+    x = _finite(x)
+    if x == 0.0:
+        return RhoValue(x=x, n=None, value=1.0, tail_bound=0.0, terms_used=0)
+    m = 0
     while True:
-        terms = cache.upto(m)
-        m = len(terms)
-        prod *= float(np.cos(np.pi * ax / terms[done:m]).prod()) if m > done else 1.0
-        done = m
-        if cache.finite_len is not None and m == cache.finite_len:
-            tail_sq = 0.0
-        else:
-            tail_sq = _tail_square_sum_bound(spec, m)
-        # rounding allowance, an estimate rather than a bound: ~1 ulp per
-        # factor accumulating with random signs, so RMS sqrt(m) with a
-        # safety factor on the machine epsilon
-        bound = abs(prod) * ((math.pi * ax) ** 2 * tail_sq + math.sqrt(m) * 1e-15)
+        m, kernel = _kernel(spec, abs(x), 2 * m)
+        (value,), (bound,), (rounding,) = kernel(np.array([abs(x)]))
         if bound <= eps:
             return RhoValue(
-                x=float(x), n=None, value=prod, tail_bound=bound, terms_used=m
+                x=x, n=None, value=float(value), tail_bound=float(bound), terms_used=m
             )
-        if m >= term_cap or (cache.finite_len is not None and m == cache.finite_len):
+        if rounding > eps:
             raise DivergedTruncation(
-                f"tail bound {bound:.2e} still above eps={eps:.1e} at M={m}"
+                f"rounding bound {rounding:.2e} alone exceeds eps={eps:.1e} at M={m}"
             )
-        m = min(m * 2, term_cap)
 
 
 def count_far_from_integer(seq, delta: float, x: float) -> int:
@@ -251,6 +205,8 @@ def check_exponential_bound(seq, delta: float, x: float) -> bool:
 def _scan(pairs: int, seed: int, x_max: float, holds) -> BoundCheckReport:
     """The x of random (x, delta) pairs, x in [0, x_max), delta in
     [0, 1/2), for which holds(x, delta) fails."""
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, x_max, pairs)
     deltas = rng.uniform(0.0, 0.5, pairs)
@@ -507,23 +463,34 @@ def _tail_sums(spec: SequenceSpec, m: int) -> tuple[float, float]:
 # -- tail-corrected kernel, density and interval probability ----------------
 
 
-def _kernel(spec: SequenceSpec, x_max: float):
-    """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i with
-    pi x_max <= b_{M+1} (or every term of a finite sequence): kernel(xs) is
-    (values, bounds), a value being the product of the first M factors
-    times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12)."""
-    cache = _term_cache(spec)
-    m = KERNEL_M
-    while len(ahead := cache.upto(m + 1)) > m and ahead[m] < math.pi * x_max:
-        m *= 2
-    terms = cache.upto(m)
-    m = len(terms)
+def _kernel(spec: SequenceSpec, x_max: float, least: int = 0):
+    """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i, and at
+    least `least`, with pi x_max <= b_{M+1} (or every term of a finite
+    sequence): kernel(xs) is (values, bounds, rounding), a value being the
+    product of the first M factors times exp(-(pi x)^2 T_2/2 -
+    (pi x)^4 T_4/12) and rounding the rounding part of its bound."""
+    cap = len(spec.values) if spec.kind == KIND_CUSTOM else math.inf
+
+    def size(count: int) -> int:
+        """The smallest KERNEL_M * 2^i >= max(count, least), or cap if less."""
+        m = KERNEL_M
+        while m < max(count, least):
+            m *= 2
+        return min(m, cap)
+
+    # b_n >= n, so fewer than pi x_max terms lie below pi x_max: M is priced
+    # before any sieve runs, at 64 B per term (the float64 terms, the int64
+    # sieve output and the Python ints _tail_sums sums; 56 measured)
+    below = math.ceil(math.pi * x_max) - 1
+    _check_memory(64 * size(below), MEMORY_GIB)
+    m = size(count_up_to(spec, below))
+    terms = terms_array(spec, m).astype(np.float64)
     t2, t4 = _tail_sums(spec, m)
     # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
-    t6 = 0.0 if m == cache.finite_len else 1.0 / (5.0 * float(terms[-1]) ** 5)
+    t6 = 0.0 if m == cap else 1.0 / (5.0 * float(terms[-1]) ** 5)
     inv_sum = math.fsum(1.0 / terms)
 
-    def kernel(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def kernel(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         px = np.pi * np.abs(xs)
         expo = px**2 * (t2 / 2.0) + px**4 * (t4 / 12.0)
         values = _rho_batch(terms, xs) * np.exp(-expo)
@@ -533,7 +500,7 @@ def _kernel(spec: SequenceSpec, x_max: float):
         # from the product; 11u relative in the exponent, 3u in exp and product
         trunc = _C6 * px**6 * t6
         rounding = (9 * m + 3.0 * px * inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
-        return values, np.abs(values) * trunc + rounding * (1.0 + trunc)
+        return values, np.abs(values) * trunc + rounding * (1.0 + trunc), rounding
 
     return m, kernel
 
@@ -575,7 +542,7 @@ def _grid(spec: SequenceSpec, eps: float, h: float) -> _Grid:
         wider, kernel = _kernel(spec, 2.0 * cut)
         keep = len(values) if wider == m else 0
         m = wider
-        more, more_bounds = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))
+        more, more_bounds, _ = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))
         values = np.concatenate([values[:keep], more])
         bounds = np.concatenate([bounds[:keep], more_bounds])
         envelope = float(np.abs(values[len(values) // 2 :: round(cut / 128 / h)]).max())

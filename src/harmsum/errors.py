@@ -34,7 +34,7 @@ class RangeUnreachable(HarmsumError):
 
 
 class DivergedTruncation(HarmsumError):
-    """The certified cosine-product truncation would exceed the hard term cap."""
+    """The certified cosine-product bound cannot reach eps: its rounding part alone exceeds it."""
 
 
 class TruncationFailure(HarmsumError):

@@ -71,39 +71,39 @@ def test_limit_at_zero():
 
 def test_limit_vanishing_factor():
     # the first prime factor cos(pi/2) collapses the whole product
-    rv = cosine_product_limit(PRIMES, 1.0, 1e-12)
+    rv = cosine_product_limit(PRIMES, 1.0, 1e-11)
     assert abs(rv.value) <= 1e-12
-    assert rv.tail_bound <= 1e-12
+    assert rv.tail_bound <= 1e-11
     rv = cosine_product_limit(AP, 0.5, 1e-10)
     assert abs(rv.value) <= 1e-12
-    assert rv.terms_used == 64
+    assert rv.terms_used == 1024
 
 
 def test_limit_certified_against_long_products():
     rv = cosine_product_limit(PRIMES, 0.5, 1e-8)
     assert rv.tail_bound <= 1e-8
-    assert rv.value == pytest.approx(0.54664033382607902, abs=1e-12)
+    assert rv.value == pytest.approx(0.5466403314680236, abs=1e-12)
     assert abs(rv.value - LONG_PRODUCT_PRIMES_HALF) <= 1.5e-8
 
     rv = cosine_product_limit(PRIMES, 4.0, 1e-9)
-    assert rv.value == pytest.approx(-0.0053898123017036949, abs=1e-12)
+    assert rv.value == pytest.approx(-0.005389811988521717, abs=1e-12)
 
     rv = cosine_product_limit(AP, 0.25, 1e-7)
-    assert rv.value == pytest.approx(0.57799364614672077, abs=1e-10)
+    assert rv.value == pytest.approx(0.5779936036464467, abs=1e-10)
     # the long product itself truncates, allow both certificates
     assert abs(rv.value - LONG_PRODUCT_AP_QUARTER) <= rv.tail_bound + 5e-8
 
     rv = cosine_product_limit(AP, 3.7, 1e-7)
-    assert rv.value == pytest.approx(-1.2925223439751235e-07, abs=1e-12)
-    assert rv.terms_used == 256
+    assert rv.value == pytest.approx(-9.932072240765049e-08, abs=1e-12)
+    assert rv.terms_used == 1024
 
 
-def test_limit_truncation_grows_with_eps():
+def test_limit_bounds_hold_at_any_eps():
     loose = cosine_product_limit(PRIMES, 2.0, 1e-6)
     tight = cosine_product_limit(PRIMES, 2.0, 1e-9)
     assert loose.tail_bound <= 1e-6
     assert tight.tail_bound <= 1e-9
-    assert tight.terms_used > loose.terms_used
+    assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
 
 
 def test_limit_finite_custom_is_exact():
@@ -119,14 +119,21 @@ def test_limit_finite_custom_is_exact():
     assert rv.tail_bound <= 1e-12
 
 
-def test_limit_diverges_on_small_cap():
-    with pytest.raises(DivergedTruncation):
-        cosine_product_limit(PRIMES, 2.0, 1e-9, term_cap=1024)
-    # b_n = n has a slow 1/M tail, 1e-10 is unreachable off the nulls
-    with pytest.raises(DivergedTruncation):
-        cosine_product_limit(AP, 0.25, 1e-10, term_cap=10**6)
-    with pytest.raises(ValueError):
-        cosine_product_limit(PRIMES, 1.0, 0.0)
+def test_limit_diverges_below_rounding_floor():
+    # the rounding part of the bound is at least 9 M 2^-53, about 1e-12 at
+    # M = 1024, and M only grows, so no M reaches an eps below that
+    finished = SequenceSpec.custom((3, 7))  # every term used, no truncation left
+    for spec, x, eps in ((PRIMES, 2.0, 1e-13), (AP, 0.25, 1e-20), (finished, 0.8, 1e-17)):
+        with pytest.raises(DivergedTruncation):
+            cosine_product_limit(spec, x, eps)
+    for eps in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError):
+            cosine_product_limit(PRIMES, 1.0, eps)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            cosine_product_limit(PRIMES, x, 1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            cosine_product(terms_array(PRIMES, 3), x)
 
 
 def test_finite_kernel_tracks_limit():
@@ -422,7 +429,7 @@ def test_tail_corrected_kernel_within_its_bounds(spec, monkeypatch):
         monkeypatch.setattr(analytic, "KERNEL_M", m)
         kernels.append(analytic._kernel(spec, 8.0))
     assert [m for m, _ in kernels] == [64, 2**16]
-    (near, near_bounds), (far, far_bounds) = (kernel(xs) for _, kernel in kernels)
+    (near, near_bounds, _), (far, far_bounds, _) = (kernel(xs) for _, kernel in kernels)
     assert np.all(np.abs(near - far) <= near_bounds + far_bounds)
     assert np.all(near_bounds < 1e-8)
 
@@ -481,6 +488,30 @@ def test_tail_sums_against_mpmath():
     }
     for (spec, j), value in want.items():
         assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
+
+
+
+@pytest.mark.parametrize("spec", [PRIMES, AP], ids=lambda s: s.label())
+def test_limit_bound_against_mpmath(spec):
+    # independent reference: the first 8M factors at 50 digits, times the
+    # same exp tail correction with mpmath's own T_2 and T_4 at 8M; its own
+    # truncation, (pi x)^6 / b_8M^5 at most, is below 1e-15 here. For
+    # b_n = n, x = 0.5, 2 and 4 are zeros of a factor; 0.25 and 3.7 are not
+    mpmath = pytest.importorskip("mpmath")
+    for x in (0.25, 0.5, 2.0, 3.7, 4.0):
+        rv = cosine_product_limit(spec, x, 1e-6)
+        terms = [int(b) for b in terms_array(spec, 8 * rv.terms_used)]
+        with mpmath.workdps(50):
+            if spec == PRIMES:
+                head = [mpmath.fsum(mpmath.mpf(b) ** -j for b in terms) for j in (2, 4)]
+                t2, t4 = mpmath.primezeta(2) - head[0], mpmath.primezeta(4) - head[1]
+            else:
+                t2, t4 = (mpmath.zeta(j, len(terms) + 1) for j in (2, 4))
+            px = mpmath.pi * mpmath.mpf(x)
+            reference = mpmath.fprod(mpmath.cos(px / b) for b in terms) * mpmath.exp(
+                -(px**2) * t2 / 2 - px**4 * t4 / 12
+            )
+            assert abs(reference - rv.value) <= rv.tail_bound
 
 
 # -- convergence of the pinned values ------------------------------------------

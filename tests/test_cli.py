@@ -81,6 +81,10 @@ def test_rho_finite_and_limit(capsys):
     obj = json.loads(out)
     assert obj["tail_bound"] <= 1e-6
     assert abs(obj["value"] - 0.5466403) <= 1e-6
+    # a large x takes a larger M, priced and allowed
+    code, out, _ = run(capsys, ["rho", "--x", "1e5", "--eps", "1e-9", "--emit", "json"])
+    assert code == 0
+    assert json.loads(out)["tail_bound"] <= 1e-9
 
 
 def test_density_grid_tsv(capsys):
@@ -145,11 +149,19 @@ def test_cap_and_truncation_exit_codes(capsys):
     code, _, err = run(capsys, ["minsum", "--n", "49"])
     assert code == 3
     assert "cap" in err
+    # the limit's terms are priced (b_n >= n) before any sieve runs
+    code, out, err = run(capsys, ["rho", "--x", "1e12", "--eps", "1e-6"])
+    assert code == 3 and out == ""
+    assert "budget" in err
     code, _, err = run(
         capsys,
         ["density", "--kind", "custom", "--values", "2,4,8", "--x", "0", "--eps", "1e-6"],
     )
     assert code == 4
+    # no M brings the limit's bound below its rounding part, ~1e-12 here
+    code, out, err = run(capsys, ["rho", "--x", "0.5", "--eps", "1e-20"])
+    assert code == 4 and out == ""
+    assert "rounding" in err
 
 
 @pytest.mark.parametrize(
@@ -237,15 +249,23 @@ def test_memory_budget_must_be_finite_and_positive(capsys, budget):
     assert "finite positive" in err
 
 
-def test_readme_mc_example_is_reproduced(capsys):
-    # README promises these six lines for a fixed seed, byte for byte
+@pytest.mark.parametrize(
+    "command",
+    [
+        "$ harmsum mc --kind primes --n 100 --samples 200000 --seed 7 --lo -0.1 --hi 0.1",
+        "$ harmsum rho --kind primes --x 0.5 --eps 1e-8",
+    ],
+    ids=["mc", "rho"],
+)
+def test_readme_mc_example_is_reproduced(capsys, command):
+    # README promises the lines under each command, up to the next blank
+    # line or the end of the block, byte for byte (mc: for a fixed seed)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    command = "$ harmsum mc --kind primes --n 100 --samples 200000 --seed 7 --lo -0.1 --hi 0.1"
     at = readme.index(command)
+    end = next(i for i in range(at + 1, len(readme)) if readme[i] in ("", "```"))
     code, out, _ = run(capsys, command.split()[2:])
     assert code == 0
-    assert out.splitlines() == readme[at + 1 : at + 7]
-    assert readme[at + 7] == "```"
+    assert out.splitlines() == readme[at + 1 : end]
 
 
 def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):
@@ -257,9 +277,19 @@ def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):
     assert estimate > budget == 0.001
 
 
-@pytest.mark.parametrize("x", ["inf", "nan"])
-def test_density_refuses_non_finite_x(capsys, x):
-    code, out, err = run(capsys, ["density", "--x", x, "--eps", "1e-6"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["density", "--x", "inf", "--eps", "1e-6"], id="inf"),
+        pytest.param(["density", "--x", "nan", "--eps", "1e-6"], id="nan"),
+        pytest.param(["rho", "--x", "inf", "--eps", "1e-6"], id="rho-limit-inf"),
+        pytest.param(["rho", "--x", "nan", "--eps", "1e-6"], id="rho-limit-nan"),
+        pytest.param(["rho", "--n", "3", "--x", "inf"], id="rho-finite-inf"),
+        pytest.param(["check", "--bound", "exp", "--n", "5", "--x-max", "inf"], id="check-inf"),
+    ],
+)
+def test_density_refuses_non_finite_x(capsys, argv):
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "finite" in err

@@ -133,11 +133,13 @@ def test_moments_within_stated_bound(monkeypatch, chunk):
 def test_memory_estimate_covers_the_peak(monkeypatch):
     # the price _iter_chunks checks is at least what one simulate at
     # n = 10^4 really allocates (a full chunk and a partial one), and not
-    # more than half again as much
+    # more than half again as much; numpy.random, which numpy 2 imports at
+    # the first sampler call, is imported before tracing
     priced = []
     check = mc._check_memory
     monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
     cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=30_000, seed=0, interval=(-0.1, 0.1))
+    mc._chunk_sums(np.ones(1), 0, 0, 1)
     tracemalloc.start()
     try:
         simulate(cfg, eps=1e-6)
