@@ -39,7 +39,16 @@ from .errors import (
     ResourceLimit,
     TruncationFailure,
 )
-from .exact import MEMORY_GIB, decay_profile, min_gap, min_signed_sum, parse_exact, two_stage_for_n
+from .exact import (
+    MEMORY_GIB,
+    decay_profile,
+    min_gap,
+    min_gaps,
+    min_signed_sum,
+    min_signed_sums,
+    parse_exact,
+    two_stage_for_n,
+)
 from .montecarlo import SimulationConfig, histogram, simulate
 from .sequences import SequenceSpec, generate, terms_array
 
@@ -170,25 +179,27 @@ def cmd_gap(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    terms = generate(SequenceSpec.primes(), args.upto)
-    rows = []
-    for n in range(1, args.upto + 1):
-        res = min_signed_sum(
-            terms.prefix(n), 0, cap=args.minsum_cap, force=args.force, memory_gib=args.memory_gib
-        )
-        rows.append((n, str(res.scaled_num)))
+    results = min_signed_sums(
+        generate(SequenceSpec.primes(), args.upto),
+        range(1, args.upto + 1),
+        cap=args.minsum_cap,
+        force=args.force,
+        memory_gib=args.memory_gib,
+    )
+    rows = [(res.n, str(res.scaled_num)) for res in results]
     _emit_table(args.emit, ("n", "scaled_minimum"), rows, "rows", bfile_cols=(0, 1))
     return 0
 
 
 def cmd_table3(args) -> int:
-    terms = generate(SequenceSpec.primes(), args.upto)
-    rows = []
-    for n in range(1, args.upto + 1):
-        res = min_gap(
-            terms.prefix(n), cap=args.gap_cap, force=args.force, memory_gib=args.memory_gib
-        )
-        rows.append((n, str(res.scaled_num)))
+    results = min_gaps(
+        generate(SequenceSpec.primes(), args.upto),
+        range(1, args.upto + 1),
+        cap=args.gap_cap,
+        force=args.force,
+        memory_gib=args.memory_gib,
+    )
+    rows = [(res.n, str(res.scaled_num)) for res in results]
     _emit_table(args.emit, ("n", "scaled_gap"), rows, "rows", bfile_cols=(0, 1))
     return 0
 

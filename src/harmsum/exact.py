@@ -11,15 +11,19 @@ are encoded in base 3: digit i is 0, 1 or 2 for a coefficient 0, +1 or -1
 on the (i+1)-th term. Ties between equally good choices are broken toward
 the smallest encoding, which makes every result reproducible.
 
-`min_signed_sum` and `min_gap` share one meet-in-the-middle engine: the
-first ceil(n/2) terms and the rest each give a list of float64 half sums,
-2^(n/2) per side for signs and 3^(n/2) per side for trits. Each list is
-built already sorted, one term at a time, by merging sorted runs
-(Horowitz-Sahni); the queries target - (right half sum) then come in
-ascending order and are binary-searched in the left list. For a target of
-0, c and -c have the same |sum|, so the left list keeps only the vectors
-whose first nonzero entry is + (and the zero vector), and the optima found
-are completed by their negations. The floats only filter: every pair
+`min_signed_sums` and `min_gaps` share one meet-in-the-middle engine, and
+`min_signed_sum` and `min_gap` are the one-prefix case of each: the first
+ceil(n/2) terms and the rest each give a list of float64 half sums, 2^(n/2)
+per side for signs and 3^(n/2) per side for trits. Each list is built
+already sorted, one term at a time, by merging sorted runs
+(Horowitz-Sahni). A sweep over many prefix lengths grows the lists instead
+of rebuilding them: the left list of n extends that of every shorter
+prefix, and the right list of n = 2L is that of n = 2L - 1 plus one term.
+The queries target - (right half sum) come in ascending order and are
+binary-searched in the left list, one cache-sized block at a time. For a
+target of 0, c and -c have the same |sum|, so the left list keeps only the
+vectors whose first nonzero entry is + (and the zero vector), and the optima
+found are completed by their negations. The floats only filter: every pair
 within a proven rounding bound of the float optimum is re-scored in exact
 integers, and the optimum is picked from those. Every result is then
 checked once more against `evaluate_signs`. `enumerate_sums` walks all 2^n
@@ -62,20 +66,27 @@ MEMORY_GIB = _half_physical_memory_gib()  # default budget of every memory check
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
-# Bytes per entry in `_meet`, where e is the size of one encoding: 4 while
-# they fit int32, else 8. A finished half keeps its float64 sums and their
-# encodings: 8 + e. Building a half peaks at its last merge, which holds the
-# merged runs with their encodings (8 + e), the int64 argsort order (8) and
-# the sums gathered through it (8): 24 + e; timsort's merge buffer, at most
-# half an order, is freed by then. The query side holds its float64 queries
-# and their encodings, the int64 searchsorted positions and two float64
-# neighbour distances: 32 + e. The left half is kept while the right one is
-# built and searched, and the right build peaks below its query side, so
-# the peak is the larger of the left build and the kept left plus the
-# query side.
+# Bytes per entry, where e is the size of one encoding: 4 while they fit
+# int32, else 8. A held half keeps its float64 sums and their encodings:
+# 8 + e. Growing a half peaks at its last merge, which holds the merged runs
+# with their encodings (8 + e), the int64 argsort order (8) and the sums
+# gathered through it (8): 24 + e; timsort's merge buffer, at most half an
+# order, is freed by then, and so is the state the merge extends. Matching
+# holds both halves and, for one block of at most `_BLOCK` queries, the
+# float64 queries, their int64 searchsorted positions and two float64
+# neighbour distances: 32 per query. A sweep grows the left half alone (the
+# right one is held only while the next prefix extends it), grows the right
+# half beside the held left, then matches, so with L left and R right
+# entries at its longest prefix it peaks at the largest of
+# (24 + e) L, (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 min(R, _BLOCK),
+# plus `_OBJECT_BYTES` for the Python objects beside them: the results so
+# far (under 1 KB per prefix), the exact lookup tables and the few queries
+# kept for the exact re-scoring, which are priced again with their pairs.
 _MERGE_BYTES = 24
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
+_OBJECT_BYTES = 2**17
+_BLOCK = 2**16  # queries per matching block in `_meet`
 _GROUP = 5  # terms per exact lookup table in `_exact_sums`, at most 3^5 rows
 
 
@@ -283,44 +294,78 @@ def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
     return total
 
 
-def _sorted_half(x, digits, symmetric: bool, dtype):
-    """The float half sums of `_expand(x, digits)` in ascending order, with
-    the encodings of their vectors: (sums, encodings).
+class _Half:
+    """One side of the search, grown a term at a time: the float sums of its
+    coefficient vectors in ascending order, held in `pad` between a -inf
+    and a +inf sentinel, the encodings of those vectors, and the number of
+    terms so far.
 
     Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
     sorted list gives one sorted run per digit, and numpy's stable argsort
     (timsort) merges those runs in linear time. Every sum takes the same
     rounded additions, in the same order, as in `_expand`, so the values are
-    bit-identical to its. When `symmetric`, only the vectors whose first
-    nonzero entry is + are kept, and the zero vector: a negative digit then
-    skips the zero vector so far, which is the one of encoding 0.
+    bit-identical to its, and a half grown in steps equals one grown at
+    once. When `symmetric`, only the vectors whose first nonzero entry is +
+    are kept, and the zero vector, whose encoding is 0.
     """
-    base = len(digits)
-    sums = np.zeros(1)
-    encs = np.zeros(1, dtype)
-    for i, w in enumerate(x):
-        runs = []
-        for k, c in enumerate(digits):
-            v, e = sums, encs
-            if symmetric and c < 0:
-                z = int(e.argmin())
-                if e[z] == 0:
-                    v, e = np.delete(v, z), np.delete(e, z)
-            runs.append((v, c * w, e, k * base**i))
-        size = sum(len(v) for v, *_ in runs)
-        merged, codes = np.empty(size), np.empty(size, dtype)
-        lo = 0
-        for v, cw, e, code in runs:
-            np.add(v, cw, out=merged[lo:lo + len(v)])
-            np.add(e, code, out=codes[lo:lo + len(v)])
-            lo += len(v)
-        del runs, sums, encs, v, e
-        order = np.argsort(merged, kind="stable")
-        sums = merged[order]
-        del merged
-        encs = codes[order]
-        del codes, order
-    return sums, encs
+
+    def __init__(self, digits, symmetric: bool, dtype):
+        self.digits = digits
+        self.symmetric = symmetric
+        self.pad = np.array([-np.inf, 0.0, np.inf])
+        self.encs = np.zeros(1, dtype)
+        self.terms = 0
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self.pad[1:-1]
+
+    def grow(self, x) -> None:
+        """Add the terms x after those held."""
+        base = len(self.digits)
+        dtype = self.encs.dtype
+        for w in x:
+            # the runs hold the last references to the old arrays, which are
+            # freed before the merge
+            sums, encs = self.sums, self.encs
+            self.pad = self.encs = None
+            # when symmetric, a negative digit skips the zero vector so far,
+            # the one of encoding 0 if held: the slices around it, one after
+            # the other, still make one sorted run
+            z = int(encs.argmin())
+            skip = self.symmetric and encs[z] == 0
+            runs = []
+            for k, c in enumerate(self.digits):
+                code = k * base**self.terms
+                if skip and c < 0:
+                    runs.append((sums[:z], c * w, encs[:z], code))
+                    runs.append((sums[z + 1:], c * w, encs[z + 1:], code))
+                else:
+                    runs.append((sums, c * w, encs, code))
+            size = sum(len(v) for v, *_ in runs)
+            merged, codes = np.empty(size), np.empty(size, dtype)
+            lo = 0
+            for v, cw, e, code in runs:
+                np.add(v, cw, out=merged[lo:lo + len(v)])
+                np.add(e, code, out=codes[lo:lo + len(v)])
+                lo += len(v)
+            del runs, sums, encs, v, e
+            order = np.argsort(merged, kind="stable")
+            self.pad = np.empty(size + 2)
+            self.pad[0], self.pad[-1] = -np.inf, np.inf
+            # mode="clip" writes straight into `out`; "raise" would buffer it
+            np.take(merged, order, out=self.sums, mode="clip")
+            del merged
+            self.encs = codes[order]
+            del codes, order
+            self.terms += 1
+
+
+def _sorted_half(x, digits, symmetric: bool, dtype):
+    """(sums, encodings) of a `_Half` grown over the terms x from none."""
+    half = _Half(digits, symmetric, dtype)
+    half.grow(x)
+    return half.sums, half.encs
 
 
 def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
@@ -333,11 +378,71 @@ def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
     return out
 
 
-def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=False):
+def _price(n: int, digits, symmetric: bool):
+    """(bytes, encoding dtype) of a sweep whose longest prefix is n: the
+    largest of its three phases at n, as the memory model above sets out."""
+    base = len(digits)
+    half = (n + 1) // 2
+    dtype = np.int32 if base**half <= 2**31 else np.int64
+    kept = _KEPT_BYTES + np.dtype(dtype).itemsize
+    merge = _MERGE_BYTES + np.dtype(dtype).itemsize
+    left = (base**half + 1) // 2 if symmetric else base**half
+    right = base ** (n - half)
+    est = max(
+        merge * left,
+        kept * left + merge * right,
+        kept * (left + right) + _QUERY_BYTES * min(right, _BLOCK),
+    )
+    return est + _OBJECT_BYTES, dtype
+
+
+def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False):
+    """For each n of the ascending prefix lengths ns, yield (n, den,
+    residuals, encodings): den = lcm(b_1..b_n, denominator of tau), and the
+    optima of |sum_{i<=n} c_i * (den // b_i) - tau * den| by `_meet`.
+
+    The halves grow along ns. The left half of n is its first ceil(n/2)
+    terms, so it extends the left half of every shorter prefix; the right
+    half of n = 2L is the right half of n = 2L - 1 plus one term. The right
+    half is held only while the next n extends it. Every prefix is priced
+    before any half is built, so a sweep that would outgrow the budget
+    stops before its first search.
+    """
+    if not ns:
+        return
+    # For target 0, c and -c have the same |sum|. So the left half keeps
+    # only the vectors that are 0 or whose first nonzero entry is +; every
+    # other c has such a -c, so the optima S found on that side give every
+    # optimum as S and -S.
+    symmetric = tau == 0
+    for m in ns:
+        est, dtype = _price(m, digits, symmetric)
+        _check_memory(est, memory_gib)
+    # dtype is now that of the longest prefix, which fits every shorter one
+    x = [1 / b for b in terms]
+    left, right = _Half(digits, symmetric, dtype), None
+    for i, n in enumerate(ns):
+        half = (n + 1) // 2
+        left.grow(x[left.terms:half])
+        if right is None:
+            right = _Half(digits, False, dtype)
+        right.grow(x[half + right.terms:n])
+        den = math.lcm(math.lcm(*terms[:n]), tau.denominator)
+        target = tau.numerator * (den // tau.denominator)
+        yield n, den, *_meet(left, right, terms[:n], target, den, memory_gib, nonzero=nonzero)
+        if i + 1 == len(ns) or (ns[i + 1] + 1) // 2 != half:
+            right = None
+
+
+def _meet(
+    left: _Half, right: _Half, terms, target: int, den: int, memory_gib: float, *, nonzero=False
+):
     """Every exact optimum of |sum_i c_i * (den // b_i) - target| over the
-    coefficient vectors c with entries in `digits`, leaving out c = 0 when
-    `nonzero` (which needs target 0, and 0 as digit 0 so that c = 0 is
-    encoding 0).
+    coefficient vectors c with entries in the halves' digits, the first
+    `left.terms` entries from `left` and the rest from `right`, leaving out
+    c = 0 when `nonzero` (which needs target 0, and 0 as digit 0 so that
+    c = 0 is encoding 0). With a `symmetric` left half, whose target must
+    be 0, every optimum S found is joined by -S.
 
     Returns (residuals, encodings): an object array of the exact signed
     residuals sum_i c_i * (den // b_i) - target, all of the optimal size,
@@ -345,21 +450,9 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     possibly repeated.
     """
     n = len(terms)
-    half = (n + 1) // 2
+    half = left.terms
+    digits = left.digits
     base = len(digits)
-    # For target 0, c and -c have the same |sum|. So the left half keeps
-    # only the vectors that are 0 or whose first nonzero entry is +; every
-    # other c has such a -c, so the optima S found on that side give every
-    # optimum as S and -S.
-    symmetric = target == 0
-    dtype = np.int32 if base**half <= 2**31 else np.int64
-    e = np.dtype(dtype).itemsize
-    left = (base**half + 1) // 2 if symmetric else base**half
-    right = base ** (n - half)
-    _check_memory(
-        max((_MERGE_BYTES + e) * left, (_KEPT_BYTES + e) * left + (_QUERY_BYTES + e) * right),
-        memory_gib,
-    )
     weights = [den // b for b in terms]
 
     # The float filter. x_i = fl(1/b_i) and t = fl(tau') are correctly
@@ -367,7 +460,7 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     # the reachable range [-r, r], r = sum_i 1/b_i: past it every distance
     # shifts by one constant, so the optima stay, and float() cannot overflow.
     # A pair (k, j) is scored as |fl(a_k - q_j)|, with a_k and b_j the half
-    # sums of `_expand` (`_sorted_half` computes them identically) and
+    # sums of `_expand` (`_Half` computes them identically) and
     # q_j = fl(t - b_j). Let R = r + |tau'| and u = 2^-53. The exact value of
     # every intermediate (a partial half sum, q_j, a_k - q_j) is at most R in
     # size, so while the error built up stays below R each rounded add errs
@@ -387,53 +480,65 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     x = [1 / b for b in terms]
     err = 2 * ((2 * n + 5) * 2.0**-53 * (math.fsum(x) + abs(t)) + (n + 1) * 2.0**-1074)
 
-    a, ea = _sorted_half(x[:half], digits, symmetric, dtype)
-    # -inf and +inf stand in for the neighbours past either end of a
-    pad = np.concatenate(([-np.inf], a, [np.inf]))
-    a = pad[1:-1]
-    b, eb = _sorted_half(x[half:], digits, False, dtype)
-    # fl(t - b_j) falls as b_j rises, so reversed the queries ascend and
-    # searchsorted walks a forward
-    q = np.subtract(t, b[::-1])
-    eb = eb[::-1]
-    del b
-
-    # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on one
-    # side or the other of q_j's insertion point pos: at a[pos - 1] = pad[pos]
-    # or at a[pos] = pad[pos + 1]
-    pos = np.searchsorted(a, q)
-    near = pad[pos]
-    near -= q
-    np.abs(near, out=near)
-    far = pad[1:][pos]
-    del pos
-    far -= q
-    np.abs(far, out=far)
-    np.minimum(near, far, out=near)
-    del far
+    pad, a, b = left.pad, left.sums, right.sums
+    # query j is q_j = fl(t - b[last - j]): fl(t - b) falls as b rises, so
+    # the right sums read backwards give ascending queries, and searchsorted
+    # walks a forward
+    last = len(b) - 1
     if nonzero:
         # the zero vector, the left's zero with the right's zero, is left
         # out: that query is q = t = 0 and the left zero sums to 0, so its
         # best other partner is a neighbour of the left zero in a
-        k0, j0 = int(ea.argmin()), int(eb.argmin())
-        near[j0] = min(abs(pad[k0]), abs(pad[k0 + 2]))
+        k0, j0 = int(left.encs.argmin()), last - int(right.encs.argmin())
+        zero = min(abs(pad[k0]), abs(pad[k0 + 2]))
 
-    limit = near.min() + 2 * err
-    js = np.flatnonzero(near <= limit)
-    del near
+    # The queries are matched in blocks, which stay in cache. Each block
+    # keeps its queries within the running limit, the least distance so far
+    # plus 2 * err; that limit only shrinks, so the final one, d + 2 * err,
+    # is at most every block's, and the queries within it are all kept.
+    limit, kept = np.inf, []
+    for lo in range(0, last + 1, _BLOCK):
+        q = np.subtract(t, b[last - lo::-1][:_BLOCK])
+        # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on
+        # one side or the other of q_j's insertion point pos: at
+        # a[pos - 1] = pad[pos] or at a[pos] = pad[pos + 1]. The block's
+        # insertion points lie between those of its first and last query,
+        # so each search runs in that slice of a.
+        first, end = np.searchsorted(a, (q[0], q[-1]))
+        pos = np.searchsorted(a[first:end], q)
+        pos += first
+        near = pad[pos]
+        near -= q
+        np.abs(near, out=near)
+        far = pad[1:][pos]
+        del pos
+        far -= q
+        np.abs(far, out=far)
+        np.minimum(near, far, out=near)
+        del far, q
+        if nonzero and lo <= j0 < lo + len(near):
+            near[j0 - lo] = zero
+        limit = min(limit, near.min() + 2 * err)
+        js = np.flatnonzero(near <= limit)
+        kept.append((js + lo, near[js]))
+        del near
+    js = np.concatenate([j[d <= limit] for j, d in kept])
+    del kept
+
     # A pair scoring within limit has |a_k - q_j| <= limit / (1 - u); as
     # limit >= 2 * err > 28 u R exceeds the rounding u|q_j| <= u R of these
     # edges many times over, fl(q_j -+ 2 * limit) brackets every such a_k.
-    lo = np.searchsorted(a, q[js] - 2 * limit)
-    hi = np.searchsorted(a, q[js] + 2 * limit, side="right")
+    rj = last - js
+    q = np.subtract(t, b[rj])
+    lo = np.searchsorted(a, q - 2 * limit)
+    hi = np.searchsorted(a, q + 2 * limit, side="right")
     counts = hi - lo
     total = int(counts.sum())
     _check_memory(total * (48 + 4 * _int_bytes(den)), memory_gib)
-    jj = np.repeat(js, counts)
     kk = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    keep = np.abs(a[kk] - q[jj]) <= limit
-    ka = ea[kk[keep]].astype(np.int64)
-    kb = eb[jj[keep]].astype(np.int64)
+    keep = np.abs(a[kk] - np.repeat(q, counts)) <= limit
+    ka = left.encs[kk[keep]].astype(np.int64)
+    kb = right.encs[np.repeat(rj, counts)[keep]].astype(np.int64)
     if nonzero:
         keep = (ka != 0) | (kb != 0)
         ka, kb = ka[keep], kb[keep]
@@ -443,10 +548,51 @@ def _meet(terms, digits, target: int, den: int, memory_gib: float, *, nonzero=Fa
     size = np.abs(res)
     opt = size == size.min()
     res, encs = res[opt], ka[opt] + kb[opt] * base**half
-    if symmetric:
+    if left.symmetric:
         res = np.concatenate((res, -res))
         encs = np.concatenate((encs, _negated(encs, digits, n)))
     return res, encs
+
+
+def _prefix_lengths(ns, count: int) -> list[int]:
+    """ns as a list of ints, each checked to lie in 1..count."""
+    ns = [int(m) for m in ns]
+    if any(m < 1 or m > count for m in ns):
+        raise ValueError("prefix lengths out of range")
+    return ns
+
+
+def min_signed_sums(
+    seq,
+    ns: Iterable[int],
+    tau=0,
+    *,
+    cap: int | None = None,
+    force: bool = False,
+    memory_gib: float = MEMORY_GIB,
+) -> list[SearchResult]:
+    """`min_signed_sum` of every prefix of seq whose length is in ns, one
+    result per entry of ns, in its order.
+
+    One sweep over the ascending lengths serves them all: the sorted halves
+    of each prefix grow into those of the next. Every length is checked
+    against the cap and priced before any search.
+    """
+    terms = _as_terms(seq)
+    ns = _prefix_lengths(ns, len(terms))
+    tau = Fraction(tau)
+    todo = sorted(set(ns))
+    for m in todo:
+        _check_cap(m, cap, MINSUM_CAP, MINSUM_CAP_FORCED, force)
+    found = {}
+    for n, den, res, encs in _sweep(terms, todo, SIGNS, tau, memory_gib):
+        best = abs(res[0])
+        witness = SignVector(int(encs.min()), n)
+        value = Fraction(best, den)
+        if abs(evaluate_signs(terms[:n], witness) - tau) != value:
+            raise CertificateError(f"witness {witness} does not reach the minimum {value}")
+        found[n] = SearchResult(value=value, scaled_num=best, den=den, witness=witness, tau=tau)
+    return [found[m] for m in ns]
 
 
 def min_signed_sum(
@@ -465,19 +611,9 @@ def min_signed_sum(
     the smallest encoding is returned.
     """
     terms = _as_terms(seq)
-    n = len(terms)
-    tau = Fraction(tau)
-    _check_cap(n, cap, MINSUM_CAP, MINSUM_CAP_FORCED, force)
-
-    den = math.lcm(math.lcm(*terms), tau.denominator)
-    target = tau.numerator * (den // tau.denominator)
-    res, encs = _meet(terms, SIGNS, target, den, memory_gib)
-    best = abs(res[0])
-    witness = SignVector(int(encs.min()), n)
-    value = Fraction(best, den)
-    if abs(evaluate_signs(terms, witness) - tau) != value:
-        raise CertificateError(f"witness {witness} does not reach the minimum {value}")
-    return SearchResult(value=value, scaled_num=best, den=den, witness=witness, tau=tau)
+    return min_signed_sums(
+        terms, [len(terms)], tau, cap=cap, force=force, memory_gib=memory_gib
+    )[0]
 
 
 def _scaled_sums(terms: tuple[int, ...], memory_gib: float) -> tuple[int, list[int]]:
@@ -502,6 +638,35 @@ def enumerate_sums(
     return den, [(sums[enc], SignVector(enc, n)) for enc in order]
 
 
+def min_gaps(
+    seq,
+    ns: Iterable[int],
+    *,
+    cap: int | None = None,
+    force: bool = False,
+    memory_gib: float = MEMORY_GIB,
+) -> list[GapResult]:
+    """`min_gap` of every prefix of seq whose length is in ns, one result
+    per entry of ns, in its order, from one sweep as in `min_signed_sums`."""
+    terms = _as_terms(seq)
+    ns = _prefix_lengths(ns, len(terms))
+    todo = sorted(set(ns))
+    for m in todo:
+        _check_cap(m, cap, GAP_CAP, GAP_CAP_FORCED, force)
+    found = {}
+    for n, den, res, encs in _sweep(terms, todo, TRITS, Fraction(0), memory_gib, nonzero=True):
+        best = abs(res[0])
+        # the optima come as pairs e, -e, so those with a sum >= 0 are all of
+        # them, oriented (a zero sum keeps both)
+        code = int(encs[res >= 0].min())
+        witness = TritVector(tuple(TRITS[code // 3**i % 3] for i in range(n)))
+        gap = Fraction(best, den)
+        if not any(witness.trits) or evaluate_signs(terms[:n], witness) != gap:
+            raise CertificateError(f"witness {witness} does not evaluate to the gap {gap}")
+        found[n] = GapResult(gap=gap, scaled_num=best, den=den, witness=witness)
+    return [found[m] for m in ns]
+
+
 def min_gap(
     seq,
     *,
@@ -512,23 +677,12 @@ def min_gap(
     """Smallest |sum_i e_i/b_i| over nonzero e in {-1,0,+1}^n.
 
     Meets in the middle over trit vectors, 3^ceil(n/2) half sums on each
-    side, of which the left keeps one of each pair e, -e. The witness: orient every optimal e so that its sum is >= 0 (a
-    zero sum keeps both e and -e), then take the smallest base-3 encoding.
+    side, of which the left keeps one of each pair e, -e. The witness:
+    orient every optimal e so that its sum is >= 0 (a zero sum keeps both e
+    and -e), then take the smallest base-3 encoding.
     """
     terms = _as_terms(seq)
-    n = len(terms)
-    _check_cap(n, cap, GAP_CAP, GAP_CAP_FORCED, force)
-    den = math.lcm(*terms)
-    res, encs = _meet(terms, TRITS, 0, den, memory_gib, nonzero=True)
-    best = abs(res[0])
-    # the optima come as pairs e, -e, so those with a sum >= 0 are all of
-    # them, oriented (a zero sum keeps both)
-    code = int(encs[res >= 0].min())
-    witness = TritVector(tuple(TRITS[code // 3**i % 3] for i in range(n)))
-    gap = Fraction(best, den)
-    if not any(witness.trits) or evaluate_signs(terms, witness) != gap:
-        raise CertificateError(f"witness {witness} does not evaluate to the gap {gap}")
-    return GapResult(gap=gap, scaled_num=best, den=den, witness=witness)
+    return min_gaps(terms, [len(terms)], cap=cap, force=force, memory_gib=memory_gib)[0]
 
 
 def two_stage_approx(
@@ -619,23 +773,18 @@ def decay_profile(
     terms = _as_terms(seq)
     if ns is None:
         ns = range(1, len(terms) + 1)
-    ns = tuple(int(m) for m in ns)
-    if any(m < 1 or m > len(terms) for m in ns):
-        raise ValueError("prefix lengths out of range")
-    rows = []
-    for m in ns:
-        res = min_signed_sum(terms[:m], tau, cap=cap, force=force, memory_gib=memory_gib)
-        rows.append(
-            DecayRow(
-                n=m,
-                scaled_num=res.scaled_num,
-                den=res.den,
-                value=res.value,
-                log_value=math.log(res.value) if res.value > 0 else float("-inf"),
-                ref_log_sq=-math.log(m) ** 2,
-                ref_power=-float(m) ** (1.0 / (2 * k + 1)),
-            )
+    rows = [
+        DecayRow(
+            n=res.n,
+            scaled_num=res.scaled_num,
+            den=res.den,
+            value=res.value,
+            log_value=math.log(res.value) if res.value > 0 else float("-inf"),
+            ref_log_sq=-math.log(res.n) ** 2,
+            ref_power=-float(res.n) ** (1.0 / (2 * k + 1)),
         )
+        for res in min_signed_sums(terms, ns, tau, cap=cap, force=force, memory_gib=memory_gib)
+    ]
     xs = [math.log(r.n) ** 2 for r in rows if r.value > 0]
     ys = [r.log_value for r in rows if r.value > 0]
     if len(xs) < 2:

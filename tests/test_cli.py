@@ -165,6 +165,24 @@ def test_cap_and_truncation_exit_codes(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, n, cap",
+    [
+        (["table1", "--upto", "49"], 49, 48),
+        (["table3", "--upto", "27"], 27, 26),
+        (["decay", "--lo", "4", "--hi", "49"], 49, 48),
+    ],
+    ids=["table1", "table3", "decay"],
+)
+def test_over_cap_sweeps_exit_before_any_search(capsys, monkeypatch, argv, n, cap):
+    def searched(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(exact, "_meet", searched)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"error: n={n} exceeds the cap of {cap}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["density", "--x", "0", "--eps", "1e-6"],

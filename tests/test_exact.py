@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import harmsum
+import harmsum.exact as exact
 from harmsum.errors import CapExceeded, RangeUnreachable, ResourceLimit
 from harmsum.exact import (
     SIGNS,
@@ -19,12 +20,16 @@ from harmsum.exact import (
     SignVector,
     _check_memory,
     _expand,
+    _Half,
+    _price,
     _sorted_half,
     decay_profile,
     enumerate_sums,
     evaluate_signs,
     min_gap,
+    min_gaps,
     min_signed_sum,
+    min_signed_sums,
     parse_exact,
     two_stage_approx,
     two_stage_for_n,
@@ -414,6 +419,123 @@ def test_sorted_half_is_the_expanded_sums_in_order():
                 if not symmetric or next((v for v in cs if v), 0) >= 0
             ]
             assert sorted(encs.tolist()) == want
+
+
+def test_resumed_half_equals_one_built_at_once():
+    x = [1 / b for b in generate(SequenceSpec.nonprimes(), 9).terms]
+    for digits in (SIGNS, TRITS):
+        for symmetric in (False, True):
+            sums, encs = _sorted_half(x, digits, symmetric, np.int32)
+            half = _Half(digits, symmetric, np.int32)
+            for lo, hi in ((0, 3), (3, 4), (4, 4), (4, 9)):
+                half.grow(x[lo:hi])
+            assert half.terms == 9
+            assert np.array_equal(half.sums.view(np.int64), sums.view(np.int64))
+            assert np.array_equal(half.encs, encs)
+            assert half.pad[0] == -np.inf and half.pad[-1] == np.inf
+
+
+def random_sweep(rng):
+    """Colliding terms, at most 16, with a non-contiguous list of prefix
+    lengths that holds both members of some pairs 2L - 1, 2L."""
+    spec = rng.choice(
+        (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1),
+         SequenceSpec.arithmetic(rng.randint(1, 5), rng.randint(1, 6)))
+    )
+    terms = generate(spec, rng.randint(4, 16)).terms
+    ns = sorted(rng.sample(range(1, len(terms) + 1), rng.randint(2, len(terms))))
+    return terms, ns
+
+
+def test_sweeps_equal_per_prefix_searches():
+    rng = random.Random(1101)
+    cases = [(generate(SequenceSpec.arithmetic(1, 1), 16).terms, [3, 4, 9, 10, 11, 16])]
+    cases += [random_sweep(rng) for _ in range(24)]
+    zero_gaps = 0
+    for terms, ns in cases:
+        num = rng.choice((-1, 1)) * rng.randint(1, 9)
+        for tau in (Fraction(0), Fraction(num, rng.randint(1, 9))):
+            got = min_signed_sums(terms, ns, tau)
+            want = [min_signed_sum(terms[:m], tau) for m in ns]
+            assert [(r.n, r.value, r.witness.encoding) for r in got] == [
+                (r.n, r.value, r.witness.encoding) for r in want
+            ]
+        gns = [m for m in ns if m <= 12]
+        got = min_gaps(terms, gns)
+        assert [(g.gap, g.witness.trits) for g in got] == [
+            (g.gap, g.witness.trits) for g in map(min_gap, (terms[:m] for m in gns))
+        ]
+        zero_gaps += sum(g.gap == 0 for g in got)
+    assert zero_gaps >= 10
+
+
+def test_sweeps_keep_the_order_of_the_lengths_asked_for():
+    terms = generate(SequenceSpec.nonprimes(), 9).terms
+    ns = [9, 2, 5, 5, 1]
+    assert [r.n for r in min_signed_sums(terms, ns)] == ns
+    assert [g.n for g in min_gaps(terms, ns)] == ns
+    assert min_signed_sums(terms, []) == [] and min_gaps(terms, []) == []
+    for bad in ([0, 3], [3, 10]):
+        with pytest.raises(ValueError, match="prefix lengths out of range"):
+            min_signed_sums(terms, bad)
+        with pytest.raises(ValueError, match="prefix lengths out of range"):
+            min_gaps(terms, bad)
+
+
+def test_small_blocks_keep_the_optima(monkeypatch):
+    # blocks of 7 queries run many blocks per search, and for the gap the
+    # right half's zero vector, whose query is replaced, lies past block 0
+    terms = generate(SequenceSpec.nonprimes(), 14).terms
+    ns = list(range(1, 15))
+    taus = (Fraction(0), Fraction(1, 3), Fraction(-7, 5))
+    want = [min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)
+    right = _sorted_half([1 / b for b in terms[7:]], TRITS, False, np.int32)[1]
+    assert len(right) - 1 - int(right.argmin()) >= 7
+    monkeypatch.setattr(exact, "_BLOCK", 7)
+    assert ([min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)) == want
+    for m in range(1, 9):
+        gap = min_gap(terms[:m])
+        assert (gap.gap, gap.witness.trits) == brute_gap_witness(terms[:m])
+
+
+def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(_Half, "grow", searched)
+    primes = generate(SequenceSpec.primes(), 49)
+    with pytest.raises(CapExceeded, match="n=49 exceeds the cap of 48"):
+        min_signed_sums(primes, range(1, 50))
+    with pytest.raises(CapExceeded, match="n=49 exceeds the cap of 48"):
+        decay_profile(primes, range(4, 50))
+    with pytest.raises(CapExceeded, match="n=27 exceeds the cap of 26"):
+        min_gaps(primes, range(1, 28))
+    with pytest.raises(ResourceLimit):
+        min_signed_sums(primes, range(1, 41), memory_gib=0.01)
+    with pytest.raises(ResourceLimit):
+        min_gaps(primes, range(1, 23), memory_gib=0.001)
+
+
+@pytest.mark.parametrize(
+    "search, n, digits, symmetric",
+    [
+        (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True),
+        (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False),
+        (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True),
+    ],
+    ids=["minsum-tau0", "minsum-tau1/3", "gap"],
+)
+def test_memory_estimate_bounds_the_traced_peak(search, n, digits, symmetric):
+    terms = generate(SequenceSpec.primes(), n)
+    search(terms)  # lazy imports and first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        search(terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    est, _ = _price(n, digits, symmetric)
+    assert peak <= est <= 1.5 * peak
 
 
 def test_memory_refusal_shows_the_estimate_above_the_budget():
