@@ -14,6 +14,15 @@ interval probability, a sine transform of rho(2u), are trapezoid sums
 over one grid u = ih on [0, U], U from a sampled envelope of |rho(2u)|
 and h from a dyadic ladder. Their error estimate adds the node bound to
 two estimates: |T_h - T_2h| and the envelope tail.
+
+The finite-range scans (`exponential_bound_suite`, `sandwich_suite`)
+draw all their (x, delta) pairs first and evaluate them in one batch:
+|rho_N| from one `_rho_batch` call, the far counts and the near-multiple
+counts over blocks of pairs, the latter in closed form per term. The
+one-pair functions are the same code at a single pair. Terms of every
+form (list, tuple, SequenceTerms, array) go through one check, `_terms`.
+The kernel, the scans and the decay grid are priced against a
+`memory_gib` budget, MEMORY_GIB by default, before they allocate.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .sequences import (
     KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
     SequenceTerms, count_up_to, terms_array,
 )
-from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _as_terms, _check_cap, _check_memory, _expand
+from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _check_cap, _check_memory, _expand
 
 KERNEL_M = 1024            # fewest terms the tail-corrected kernel multiplies
 DENSITY_U = 8.0            # first cut tried for the transforms
@@ -89,12 +98,23 @@ class BoundCheckReport:
     c_prime_defaulted: bool = False
 
 
-def _terms_as_array(seq) -> np.ndarray:
+def _terms(seq) -> np.ndarray:
+    """The terms of a SequenceTerms, an array or any iterable as an int64
+    array, checked in numpy to be nonempty, integral, positive, strictly
+    increasing and below 2^63."""
     if isinstance(seq, SequenceTerms):
-        return np.array(seq.terms, dtype=np.float64)
-    if isinstance(seq, np.ndarray):
-        return seq.astype(np.float64)
-    return np.array(_as_terms(seq), dtype=np.float64)
+        seq = seq.terms
+    values = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq))
+    if values.ndim != 1 or not len(values):
+        raise ValueError("need at least one term")
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.float64)
+        if not np.all((values == np.floor(values)) & (np.abs(values) < 2.0**63)):
+            raise ValueError("terms must be strictly increasing positive integers")
+    terms = values.astype(np.int64, copy=False)
+    if terms[0] < 1 or np.any(terms[1:] <= terms[:-1]):
+        raise ValueError("terms must be strictly increasing positive integers")
+    return terms
 
 
 def _finite(x: float) -> float:
@@ -104,16 +124,24 @@ def _finite(x: float) -> float:
     return x
 
 
+def _one_pair(delta: float, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(deltas, xs) of the single pair that the one-pair functions check."""
+    if not 0 <= delta <= 0.5:
+        raise ValueError("delta must lie in [0, 1/2]")
+    return np.array([float(delta)]), np.array([_finite(x)])
+
+
 def cosine_product(seq, x: float) -> RhoValue:
     """rho_N(x) = prod over the given terms of cos(pi x / b)."""
-    terms = _terms_as_array(seq)
+    terms = _terms(seq)
     x = _finite(x)
     return RhoValue(x=x, n=len(terms), value=float(_rho_batch(terms, [x])[0]))
 
 
-def _rho_batch(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _rho_batch(terms: np.ndarray, xs) -> np.ndarray:
     """prod over the terms of cos(pi x / b) at every x of xs, multiplied in
     term order for each x, so an x's bits never depend on the other xs."""
+    terms = np.asarray(terms, dtype=np.float64)
     px = np.pi * np.asarray(xs, dtype=np.float64)
     out = np.ones(len(px))
     for c in range(0, len(px), _BLOCK):
@@ -123,7 +151,9 @@ def _rho_batch(terms: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def cosine_product_limit(spec: SequenceSpec, x: float, eps: float) -> RhoValue:
+def cosine_product_limit(
+    spec: SequenceSpec, x: float, eps: float, *, memory_gib: float = MEMORY_GIB
+) -> RhoValue:
     """The infinite product lim_N rho_N(x): the tail-corrected kernel at the
     one node |x|, with its certified bound as tail_bound.
 
@@ -131,7 +161,8 @@ def cosine_product_limit(spec: SequenceSpec, x: float, eps: float) -> RhoValue:
     eps and its truncation part is what exceeds it. DivergedTruncation is
     raised once the rounding part alone exceeds eps; that part is at least
     9 M 2^-53, about 1e-12 at M = 1024, so the doubling ends. x = 0 gives
-    1 exactly, with bound 0 and no terms.
+    1 exactly, with bound 0 and no terms. Every M is priced against
+    memory_gib before its terms are sieved.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -140,7 +171,7 @@ def cosine_product_limit(spec: SequenceSpec, x: float, eps: float) -> RhoValue:
         return RhoValue(x=x, n=None, value=1.0, tail_bound=0.0, terms_used=0)
     m = 0
     while True:
-        m, kernel = _kernel(spec, abs(x), 2 * m)
+        m, kernel = _kernel(spec, abs(x), 2 * m, memory_gib)
         (value,), (bound,), (rounding,) = kernel(np.array([abs(x)]))
         if bound <= eps:
             return RhoValue(
@@ -152,13 +183,46 @@ def cosine_product_limit(spec: SequenceSpec, x: float, eps: float) -> RhoValue:
             )
 
 
+def _rows(width: int) -> int:
+    """Pairs per block of the counts, so a block holds about _BLOCK^2 entries."""
+    return max(1, _BLOCK * _BLOCK // width)
+
+
+def _far_counts(terms: np.ndarray, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """#{n : dist(x/b_n, nearest integer) >= delta} for every pair, in
+    blocks of _rows(N) pairs."""
+    terms = terms.astype(np.float64)
+    out = np.empty(len(xs), dtype=np.int64)
+    step = _rows(len(terms))
+    for c in range(0, len(xs), step):
+        t = xs[c : c + step, None] / terms
+        t -= np.rint(t)
+        out[c : c + step] = np.count_nonzero(np.abs(t, out=t) >= deltas[c : c + step, None], 1)
+    return out
+
+
 def count_far_from_integer(seq, delta: float, x: float) -> int:
     """#{n : dist(x/b_n, nearest integer) >= delta}."""
-    if not 0 <= delta <= 0.5:
-        raise ValueError("delta must lie in [0, 1/2]")
-    t = float(x) / _terms_as_array(seq)
-    dist = np.abs(t - np.rint(t))
-    return int(np.count_nonzero(dist >= delta))
+    return int(_far_counts(_terms(seq), *_one_pair(delta, x))[0])
+
+
+def _near_counts(terms: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """For every pair, the pairs (m, b) with b | m over the integers m in
+    (x-y, x+y) and the back half of the terms (index n >= ceil(N/2)). The
+    multiples of b in [m_lo, m_hi] number floor(m_hi/b) - floor((m_lo-1)/b),
+    m <= 0 included, so the count is O(N) per pair, whatever the width."""
+    if not np.all(np.abs(xs) + ys < 2.0**63):
+        raise ValueError("x - y and x + y must be finite and within 64-bit integers")
+    window = terms[(len(terms) + 1) // 2 - 1 :]
+    below = np.floor(xs - ys).astype(np.int64)  # m_lo - 1
+    top = np.maximum(np.ceil(xs + ys).astype(np.int64) - 1, below)  # m_hi, or none
+    out = np.empty(len(xs), dtype=np.int64)
+    step = _rows(len(window))
+    for c in range(0, len(xs), step):
+        multiples = top[c : c + step, None] // window
+        multiples -= below[c : c + step, None] // window
+        out[c : c + step] = multiples.sum(axis=1)
+    return out
 
 
 def count_near_multiples(seq, y: float, x: float) -> int:
@@ -166,15 +230,7 @@ def count_near_multiples(seq, y: float, x: float) -> int:
     b running over the back half of the terms (index n >= ceil(N/2))."""
     if y < 0:
         raise ValueError("y must be >= 0")
-    terms = _as_terms(seq)
-    n = len(terms)
-    window = np.array(terms[(n + 1) // 2 - 1 :], dtype=np.int64)
-    m_lo = math.floor(x - y) + 1
-    m_hi = math.ceil(x + y) - 1
-    if m_hi < m_lo:
-        return 0
-    ms = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-    return int((ms[:, None] % window[None, :] == 0).sum())
+    return int(_near_counts(_terms(seq), np.array([float(y)]), np.array([float(x)]))[0])
 
 
 def sigma_minus(w: float, m: int) -> float:
@@ -194,23 +250,45 @@ def sigma_minus(w: float, m: int) -> float:
     return total
 
 
+def _exp_holds(terms: np.ndarray, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """|rho_N(x)| <= exp(-pi^2 delta^2 / 2 * far_count) + FLOAT_SLACK, per pair."""
+    lhs = np.abs(_rho_batch(terms, xs))
+    count = _far_counts(terms, deltas, xs)
+    return lhs <= np.exp(-(math.pi ** 2) * deltas ** 2 / 2.0 * count) + FLOAT_SLACK
+
+
 def check_exponential_bound(seq, delta: float, x: float) -> bool:
     """|rho_N(x)| <= exp(-pi^2 delta^2 / 2 * far_count) up to float slack."""
-    lhs = abs(cosine_product(seq, x).value)
-    count = count_far_from_integer(seq, delta, x)
-    rhs = math.exp(-(math.pi ** 2) * delta ** 2 / 2.0 * count) + FLOAT_SLACK
-    return lhs <= rhs
+    return bool(_exp_holds(_terms(seq), *_one_pair(delta, x))[0])
 
 
-def _scan(pairs: int, seed: int, x_max: float, holds) -> BoundCheckReport:
+def _sandwich_holds(terms: np.ndarray, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """N/2 - near_count(delta b_N) - 1 <= far_count <= N, per pair."""
+    n = len(terms)
+    far = _far_counts(terms, deltas, xs)
+    near = _near_counts(terms, deltas * float(terms[-1]), xs)
+    return (n / 2 - near - 1 <= far) & (far <= n)
+
+
+def _scan(holds, seq, pairs: int, seed: int, x_max: float, memory_gib: float) -> BoundCheckReport:
     """The x of random (x, delta) pairs, x in [0, x_max), delta in
-    [0, 1/2), for which holds(x, delta) fails."""
-    if not math.isfinite(x_max):
-        raise ValueError(f"x_max must be finite, got {x_max}")
+    [0, 1/2), for which holds(terms, deltas, xs) is False, every pair in one
+    batch. The pairs and the counting blocks are priced before the draw:
+    72 B per pair (x, delta, |rho_N| or the near counts, the far counts and
+    the bound's temporaries), 24 B per entry of a counting block and 16 B
+    per entry of a _rho_batch block."""
+    terms = _terms(seq)
+    if not 0.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be finite and positive, got {x_max}")
+    n = len(terms)
+    _check_memory(
+        72 * pairs + 24 * min(pairs, _rows(n)) * n + 16 * min(pairs, _BLOCK) * min(n, _BLOCK),
+        memory_gib,
+    )
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0.0, x_max, pairs)
     deltas = rng.uniform(0.0, 0.5, pairs)
-    violations = tuple(float(x) for x, d in zip(xs, deltas) if not holds(x, d))
+    violations = tuple(xs[~holds(terms, deltas, xs)].tolist())
     return BoundCheckReport(
         a=None, x_lo=0.0, x_hi=x_max, samples=pairs, violations=violations,
         passed=not violations,
@@ -218,26 +296,20 @@ def _scan(pairs: int, seed: int, x_max: float, holds) -> BoundCheckReport:
 
 
 def exponential_bound_suite(
-    seq, pairs: int = 1000, seed: int = 0, x_max: float = 1000.0
+    seq, pairs: int = 1000, seed: int = 0, x_max: float = 1000.0, *,
+    memory_gib: float = MEMORY_GIB,
 ) -> BoundCheckReport:
     """Random (x, delta) scan of check_exponential_bound."""
-    terms = _terms_as_array(seq)
-    return _scan(pairs, seed, x_max, lambda x, d: check_exponential_bound(terms, d, x))
+    return _scan(_exp_holds, seq, pairs, seed, x_max, memory_gib)
 
 
 def sandwich_suite(
-    seq, pairs: int = 200, seed: int = 0, x_max: float = 1000.0
+    seq, pairs: int = 200, seed: int = 0, x_max: float = 1000.0, *,
+    memory_gib: float = MEMORY_GIB,
 ) -> BoundCheckReport:
     """Random scan of the counting sandwich: with y = delta * b_N,
     far_count >= N/2 - near_multiple_count(y) - 1 and far_count <= N."""
-    terms = _as_terms(seq)
-    n = len(terms)
-
-    def holds(x, d):
-        s = count_far_from_integer(terms, d, x)
-        return n / 2 - count_near_multiples(terms, d * terms[-1], x) - 1 <= s <= n
-
-    return _scan(pairs, seed, x_max, holds)
+    return _scan(_sandwich_holds, seq, pairs, seed, x_max, memory_gib)
 
 
 def check_decay(
@@ -248,21 +320,31 @@ def check_decay(
     *,
     c_prime: float | None = None,
     x_cap: float = 1e6,
+    memory_gib: float = MEMORY_GIB,
 ) -> BoundCheckReport:
     """Scan |rho_N(x)| < x^(-a) on a log grid over [N, exp(c' log^2 N)].
 
     With the default placeholder c' the window is empty below astronomical
     N, making the report vacuous (samples=0, flagged); pass an explicit
     c_prime for a substantive scan. Finite-range diagnostic, not a proof.
+    a, c_prime and x_cap must be finite; the grid is priced before it is
+    built, at 48 B per node and a _rho_batch block.
     """
-    if a < 0 or grid < 1:
-        raise ValueError("need a >= 0 and grid >= 1")
     defaulted = c_prime is None
     cp = C_PRIME_DEFAULT if defaulted else float(c_prime)
+    for name, value in (("a", a), ("c_prime", cp), ("x_cap", x_cap)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if a < 0 or grid < 1:
+        raise ValueError("need a >= 0 and grid >= 1")
+    _check_memory(48 * grid + 16 * min(grid, _BLOCK) * min(n, _BLOCK), memory_gib)
     x_lo = float(n)
-    x_hi = min(x_cap, math.exp(cp * math.log(n) ** 2))
+    try:
+        x_hi = min(x_cap, math.exp(cp * math.log(n) ** 2))
+    except OverflowError:  # the range ends beyond every float
+        x_hi = x_cap
     xs = np.geomspace(x_lo, x_hi, grid) if x_lo <= x_hi else np.empty(0)
-    rho = np.abs(_rho_batch(terms_array(spec, n).astype(np.float64), xs))
+    rho = np.abs(_rho_batch(terms_array(spec, n), xs))
     violations = tuple(float(v) for v in xs[rho >= xs ** (-a)])
     return BoundCheckReport(
         a=a, x_lo=x_lo, x_hi=x_hi, samples=len(xs), violations=violations,
@@ -313,7 +395,7 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
     x_max and step must be finite and positive, and both phases are priced
     against MEMORY_GIB before either allocates.
     """
-    terms = _as_terms(seq)
+    terms = _terms(seq).astype(np.float64)
     _check_cap(len(terms), None, ENUM_CAP, ENUM_CAP, False)
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError(f"x_max and step must be finite and positive, got {x_max} and {step}")
@@ -330,13 +412,13 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
         max(25 * 2 ** len(terms), 64 * (x_max / step + 2) + 16 * _BLOCK * min(len(terms), _BLOCK)),
         MEMORY_GIB,
     )
-    exact = float(np.mean(smooth_bump(_expand([1.0 / b for b in terms], SIGNS))))
+    exact = float(np.mean(smooth_bump(_expand(1.0 / terms, SIGNS))))
 
     npts = max(2, int(round(x_max / step)))
     if npts % 2 == 1:
         npts += 1  # composite Simpson needs an even panel count
     xs = np.linspace(0.0, x_max, npts + 1)
-    integrand = smooth_bump_transform(xs) * _rho_batch(np.array(terms, float), 2.0 * xs)
+    integrand = smooth_bump_transform(xs) * _rho_batch(terms, 2.0 * xs)
     weights = np.ones(npts + 1)  # composite Simpson
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -463,12 +545,15 @@ def _tail_sums(spec: SequenceSpec, m: int) -> tuple[float, float]:
 # -- tail-corrected kernel, density and interval probability ----------------
 
 
-def _kernel(spec: SequenceSpec, x_max: float, least: int = 0):
+def _kernel(
+    spec: SequenceSpec, x_max: float, least: int = 0, memory_gib: float = MEMORY_GIB
+):
     """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i, and at
     least `least`, with pi x_max <= b_{M+1} (or every term of a finite
-    sequence): kernel(xs) is (values, bounds, rounding), a value being the
-    product of the first M factors times exp(-(pi x)^2 T_2/2 -
-    (pi x)^4 T_4/12) and rounding the rounding part of its bound."""
+    sequence), priced against memory_gib before any sieve runs: kernel(xs)
+    is (values, bounds, rounding), a value being the product of the first M
+    factors times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12) and rounding the
+    rounding part of its bound."""
     cap = len(spec.values) if spec.kind == KIND_CUSTOM else math.inf
 
     def size(count: int) -> int:
@@ -482,7 +567,7 @@ def _kernel(spec: SequenceSpec, x_max: float, least: int = 0):
     # before any sieve runs, at 64 B per term (the float64 terms, the int64
     # sieve output and the Python ints _tail_sums sums; 56 measured)
     below = math.ceil(math.pi * x_max) - 1
-    _check_memory(64 * size(below), MEMORY_GIB)
+    _check_memory(64 * size(below), memory_gib)
     m = size(count_up_to(spec, below))
     terms = terms_array(spec, m).astype(np.float64)
     t2, t4 = _tail_sums(spec, m)
@@ -527,19 +612,19 @@ def _step(spec: SequenceSpec, ax: float) -> float:
     return 2.0 ** -max(4, math.ceil(math.log2(2.0 * (ax + w))))
 
 
-def _grid(spec: SequenceSpec, eps: float, h: float) -> _Grid:
+def _grid(spec: SequenceSpec, eps: float, h: float, memory_gib: float) -> _Grid:
     """Kernel nodes at step h (a power of two, at most 1/16) out to a cut
     that doubles from DENSITY_U until the envelope, at the 65 nodes cut/128
     apart on [cut/2, cut], is below min(eps, DENSITY_TOL). Those nodes do
     not depend on h, so the cut, M (from the largest node, 2 cut) and each
     node's value are the same for every request. A doubling evaluates only
     the new nodes, unless M grows with it."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     tol = min(eps, DENSITY_TOL)
     cut, m, values, bounds = DENSITY_U, 0, np.empty(0), np.empty(0)
     while cut <= DENSITY_U_CAP:
-        wider, kernel = _kernel(spec, 2.0 * cut)
+        wider, kernel = _kernel(spec, 2.0 * cut, memory_gib=memory_gib)
         keep = len(values) if wider == m else 0
         m = wider
         more, more_bounds, _ = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))
@@ -568,14 +653,17 @@ def _transform(grid: _Grid, h: float, factor, scale: float) -> tuple[float, floa
     return fine, abs(fine - coarse) + reach
 
 
-def densities(spec: SequenceSpec, xs, eps: float) -> list[DensitySample]:
+def densities(
+    spec: SequenceSpec, xs, eps: float, *, memory_gib: float = MEMORY_GIB
+) -> list[DensitySample]:
     """g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du at every x in xs.
     One grid (`_grid`) serves the request; each distinct |x| is integrated
     once at its own step (`_step`), so `densities(xs) == [density(x) for x
-    in xs]` and g is even in x exactly."""
+    in xs]` and g is even in x exactly. The kernel is priced against
+    memory_gib."""
     xs = [float(x) for x in xs]
     steps = {abs(x): _step(spec, abs(x)) for x in xs}
-    grid = _grid(spec, eps, min(steps.values(), default=_step(spec, 0.0)))
+    grid = _grid(spec, eps, min(steps.values(), default=_step(spec, 0.0)), memory_gib)
     by_ax = {
         ax: _transform(grid, h, lambda u, ax=ax: np.cos(2.0 * np.pi * ax * u), 1.0)
         for ax, h in steps.items()
@@ -583,12 +671,16 @@ def densities(spec: SequenceSpec, xs, eps: float) -> list[DensitySample]:
     return [DensitySample(x, *by_ax[abs(x)], grid.m, grid.cut) for x in xs]
 
 
-def density(spec: SequenceSpec, x: float, eps: float) -> DensitySample:
+def density(
+    spec: SequenceSpec, x: float, eps: float, *, memory_gib: float = MEMORY_GIB
+) -> DensitySample:
     """g(x) at one point; see `densities`."""
-    return densities(spec, [x], eps)[0]
+    return densities(spec, [x], eps, memory_gib=memory_gib)[0]
 
 
-def _interval(spec: SequenceSpec, lo: float, hi: float, eps: float) -> tuple[float, float]:
+def _interval(
+    spec: SequenceSpec, lo: float, hi: float, eps: float, memory_gib: float = MEMORY_GIB
+) -> tuple[float, float]:
     """(P(lo < X < hi), its error estimate) by the sine transform
     2 * integral_0^inf rho(2u) (sin 2 pi u hi - sin 2 pi u lo) / (2 pi u) du,
     its integrand written (hi - lo) cos(pi u (hi + lo)) sinc(u (hi - lo))."""
@@ -599,9 +691,12 @@ def _interval(spec: SequenceSpec, lo: float, hi: float, eps: float) -> tuple[flo
     def factor(u):
         return width * np.cos(np.pi * mid * u) * np.sinc(width * u)
 
-    return _transform(_grid(spec, eps, h), h, factor, width)
+    return _transform(_grid(spec, eps, h, memory_gib), h, factor, width)
 
 
-def interval_probability(spec: SequenceSpec, lo: float, hi: float, eps: float) -> float:
-    """The integral of the density over [lo, hi], a float; see `_interval`."""
-    return _interval(spec, lo, hi, eps)[0]
+def interval_probability(
+    spec: SequenceSpec, lo: float, hi: float, eps: float, *, memory_gib: float = MEMORY_GIB
+) -> float:
+    """The integral of the density over [lo, hi], a float; see `_interval`.
+    The kernel is priced against memory_gib."""
+    return _interval(spec, lo, hi, eps, memory_gib)[0]

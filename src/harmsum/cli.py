@@ -274,7 +274,7 @@ def cmd_rho(args) -> int:
     else:
         if args.eps is None:
             raise ValueError("need --n for the finite kernel or --eps for the limit")
-        rv = cosine_product_limit(spec, args.x, args.eps)
+        rv = cosine_product_limit(spec, args.x, args.eps, memory_gib=args.memory_gib)
         pairs = [
             ("x", _jnum(rv.x)),
             ("eps", _jnum(args.eps)),
@@ -298,11 +298,13 @@ def cmd_density(args) -> int:
             raise ValueError("--grid expects lo < hi and steps >= 2")
         rows = [
             (_jnum(d.x), _jnum(d.g), _jnum(d.quadrature_error_estimate))
-            for d in densities(spec, np.linspace(lo, hi, steps), args.eps)
+            for d in densities(
+                spec, np.linspace(lo, hi, steps), args.eps, memory_gib=args.memory_gib
+            )
         ]
         _emit_table(args.emit, ("x", "g", "quadrature_error_estimate"), rows, "rows")
     else:
-        d = density(spec, args.x, args.eps)
+        d = density(spec, args.x, args.eps, memory_gib=args.memory_gib)
         pairs = [
             ("x", _jnum(d.x)),
             ("eps", _jnum(args.eps)),
@@ -317,17 +319,16 @@ def cmd_density(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _spec_from_args(args)
-    if args.bound == "exp":
-        report = exponential_bound_suite(
-            terms_array(spec, args.n), pairs=args.pairs, seed=args.seed, x_max=args.x_max
-        )
-    elif args.bound == "sandwich":
-        report = sandwich_suite(
-            terms_array(spec, args.n), pairs=args.pairs, seed=args.seed, x_max=args.x_max
+    if args.bound == "decay":
+        report = check_decay(
+            spec, args.n, args.alpha, args.grid, c_prime=args.c_prime, x_cap=args.x_cap,
+            memory_gib=args.memory_gib,
         )
     else:
-        report = check_decay(
-            spec, args.n, args.alpha, args.grid, c_prime=args.c_prime, x_cap=args.x_cap
+        suite = exponential_bound_suite if args.bound == "exp" else sandwich_suite
+        report = suite(
+            terms_array(spec, args.n), pairs=args.pairs, seed=args.seed, x_max=args.x_max,
+            memory_gib=args.memory_gib,
         )
     payload = {
         "bound": args.bound,

@@ -129,7 +129,7 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
     return out
 
 
-def _iter_chunks(config: SimulationConfig, memory_gib: float | None):
+def _iter_chunks(config: SimulationConfig, memory_gib: float):
     nbytes = -(-config.n // 8)
     nwords = -(-config.n // 64)
     blocks = _blocks_per_sample(config.n)
@@ -145,7 +145,7 @@ def _iter_chunks(config: SimulationConfig, memory_gib: float | None):
     tile = _tile_samples(blocks, largest)
     _check_memory(
         2048 * nbytes + 128 * nbytes + 32 * largest + tile * (32 * blocks + 8 * nwords + 48),
-        MEMORY_GIB if memory_gib is None else memory_gib,
+        memory_gib,
     )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
     done = 0
@@ -167,18 +167,19 @@ def simulate(
     sample_mean is within g(35) * sum |x_j| / m of their exact mean, and
     sample_variance within 4 g(35) * sum x_j^2 / (m - 1) of their exact
     sample variance."""
+    budget = MEMORY_GIB if memory_gib is None else memory_gib
     lo, hi = config.interval
     hits = 0
     sum_parts: list[float] = []
     sq_parts: list[float] = []
-    for vals in _iter_chunks(config, memory_gib):
+    for vals in _iter_chunks(config, budget):
         hits += int(np.count_nonzero((vals >= lo) & (vals < hi)))
         sum_parts.append(float(np.add.reduce(vals)))
         sq_parts.append(float(np.add.reduce(np.square(vals, out=vals))))
     m = config.samples
     p = hits / m
     se = math.sqrt(p * (1.0 - p) / m)
-    predicted = interval_probability(config.spec, lo, hi, eps)
+    predicted = interval_probability(config.spec, lo, hi, eps, memory_gib=budget)
     diff = p - predicted
     if se > 0.0:
         z = diff / se
@@ -242,8 +243,9 @@ def histogram(
         raise ValueError("bins must be >= 2")
     lo, hi = config.interval
     width = (hi - lo) / bins
+    budget = MEMORY_GIB if memory_gib is None else memory_gib
     counts = np.zeros(bins, dtype=np.int64)
-    for vals in _iter_chunks(config, memory_gib):
+    for vals in _iter_chunks(config, budget):
         ok = (vals >= lo) & (vals < hi)
         # (x - lo) / width lies in [0, bins] for x in [lo, hi), and rounds up
         # to bins for some x just below hi, which belongs to the top bin
@@ -252,7 +254,7 @@ def histogram(
     in_range = int(counts.sum())
     centers = lo + width * (np.arange(bins) + 0.5)
     rows = []
-    for count, sample in zip(counts, densities(config.spec, centers, eps)):
+    for count, sample in zip(counts, densities(config.spec, centers, eps, memory_gib=budget)):
         emp = count / (in_range * width) if in_range else 0.0
         rows.append(HistogramRow(center=sample.x, empirical=float(emp), expected=sample.g))
     return rows

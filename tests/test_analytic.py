@@ -26,7 +26,7 @@ from harmsum.analytic import (
 )
 from harmsum.errors import CapExceeded, DivergedTruncation, ResourceLimit, TruncationFailure
 from harmsum.exact import ENUM_CAP
-from harmsum.sequences import SequenceSpec, terms_array
+from harmsum.sequences import SequenceSpec, generate, terms_array
 
 PRIMES = SequenceSpec.primes()
 AP = SequenceSpec.arithmetic(1, 1)
@@ -154,6 +154,9 @@ def test_count_far_from_integer():
     assert count_far_from_integer(terms_array(PRIMES, 5), 0.2, 0.0) == 0
     with pytest.raises(ValueError):
         count_far_from_integer(terms, 0.6, 1.0)
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            count_far_from_integer(terms, 0.2, x)
 
 
 def test_count_far_brute():
@@ -181,12 +184,16 @@ def test_count_near_multiples():
 
 
 def test_count_near_multiples_brute():
+    # the last 25 cases have y > x, so the window reaches m <= 0, and b | 0
     rng = np.random.default_rng(123)
     terms = [int(t) for t in terms_array(PRIMES, 9)]
     window = terms[(len(terms) + 1) // 2 - 1 :]
+    cases = [(float(rng.uniform(0.0, 300.0)), float(rng.uniform(0.0, 20.0))) for _ in range(25)]
     for _ in range(25):
-        x = float(rng.uniform(0.0, 300.0))
-        y = float(rng.uniform(0.0, 20.0))
+        x = float(rng.uniform(0.0, 20.0))
+        cases.append((x, x + float(rng.uniform(0.0, 40.0))))
+    cases += [(0.0, 0.5), (3.0, 3.0), (-5.5, 10.0)]
+    for x, y in cases:
         want = 0
         m = math.floor(x - y) + 1
         while m < x + y:
@@ -194,6 +201,131 @@ def test_count_near_multiples_brute():
                 want += sum(1 for b in window if m % b == 0)
             m += 1
         assert count_near_multiples(terms, y, x) == want
+
+
+def _brute_near(window, y, x):
+    """Pairs (m, b), b | m, over the integers x - y < m < x + y, by stepping
+    through the multiples of each b."""
+    lo, hi = math.floor(x - y) + 1, math.ceil(x + y) - 1
+    hits = 0
+    for b in window:
+        m = lo + (-lo) % b
+        while m <= hi:
+            hits += 1
+            m += b
+    return hits
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [10, 200, 1000])
+@pytest.mark.parametrize(
+    "spec",
+    [PRIMES, SequenceSpec.k_squarefree(2), SequenceSpec.nonprimes(), AP],
+    ids=["primes", "pk2", "nonprimes", "ap"],
+)
+def test_scans_match_per_pair_reference(monkeypatch, spec, n, seed):
+    # each scan draws its pairs as before and evaluates them in one batch:
+    # every |rho_N(x)|, far count and near count it computed equals, bit
+    # for bit, the one-pair function or a brute loop at that pair
+    seen = {}
+
+    def spy(name):
+        inner = getattr(analytic, name)
+
+        def wrapped(*args):
+            out = inner(*args)
+            seen.setdefault(name, []).append((args, out.copy()))
+            return out
+
+        monkeypatch.setattr(analytic, name, wrapped)
+
+    for name in ("_rho_batch", "_far_counts", "_near_counts"):
+        spy(name)
+    terms = terms_array(spec, n)
+    pairs = 60
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, 1000.0, pairs)
+    deltas = rng.uniform(0.0, 0.5, pairs)
+    assert exponential_bound_suite(terms, pairs=pairs, seed=seed).passed
+    assert sandwich_suite(terms, pairs=pairs, seed=seed).passed
+    monkeypatch.undo()
+    [(_, rho)] = seen["_rho_batch"]
+    [(far_args, far_exp), (_, far_sandwich)] = seen["_far_counts"]
+    [(near_args, near)] = seen["_near_counts"]
+    assert far_args[1].tolist() == deltas.tolist() and far_args[2].tolist() == xs.tolist()
+    assert near_args[2].tolist() == xs.tolist()
+    ints = [int(b) for b in terms]
+    window = ints[(n + 1) // 2 - 1 :]
+    want_far = [count_far_from_integer(terms, d, x) for x, d in zip(xs, deltas)]
+    assert np.abs(rho).tolist() == [abs(cosine_product(terms, x).value) for x in xs]
+    assert far_exp.tolist() == far_sandwich.tolist() == want_far
+    assert near.tolist() == [_brute_near(window, d * ints[-1], x) for x, d in zip(xs, deltas)]
+
+
+@pytest.mark.parametrize("suite", [exponential_bound_suite, sandwich_suite])
+@pytest.mark.parametrize("n, pairs", [(10, 10**6), (3000, 2000)])
+def test_scan_price_covers_the_traced_peak(monkeypatch, suite, n, pairs):
+    # many pairs over few terms weigh the per-pair arrays, few pairs over
+    # many terms the counting and product blocks
+    priced = []
+    check = analytic._check_memory
+    monkeypatch.setattr(analytic, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
+    terms = terms_array(PRIMES, n)
+    np.random.default_rng(0).uniform(0.0, 1.0, 1)  # numpy.random's first use is not priced
+    tracemalloc.start()
+    try:
+        suite(terms, pairs=pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert priced and peak <= priced[-1] <= 3 * peak
+
+
+def test_near_count_refuses_windows_beyond_int64():
+    with pytest.raises(ValueError, match="64-bit"):
+        sandwich_suite(terms_array(PRIMES, 5), pairs=10, x_max=1e19)
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="64-bit"):
+            count_near_multiples(terms_array(PRIMES, 5), 1.0, x)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[], [3, 2], (0, 1), [2, 2], np.array([0.0]), np.array([5.0, 3.0, -2.0]),
+     np.array([2.5, 3.0]), np.array([2.0, math.nan]), np.array([2.0, math.inf]),
+     np.array([[2, 3]]), [2, 2**63], np.array([2, 2**63], dtype=np.uint64)],
+    ids=["empty", "decreasing", "zero", "repeat", "array-zero", "array-decreasing",
+         "array-fraction", "array-nan", "array-inf", "array-2d", "too-large", "uint64-wraps"],
+)
+def test_terms_validated_alike(bad):
+    # lists, tuples and arrays go through one check; an unchecked array of
+    # zeros used to give value=nan, and a decreasing one a passed scan
+    for call in (
+        lambda: cosine_product(bad, 1.0),
+        lambda: count_far_from_integer(bad, 0.2, 1.0),
+        lambda: count_near_multiples(bad, 1.0, 5.0),
+        lambda: check_exponential_bound(bad, 0.2, 1.0),
+        lambda: exponential_bound_suite(bad, pairs=5),
+        lambda: sandwich_suite(bad, pairs=5),
+        lambda: expectation_identity(bad),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_terms_forms_agree():
+    terms = terms_array(PRIMES, 12)
+    forms = [terms, terms.astype(np.float64), terms.tolist(), tuple(terms.tolist()),
+             generate(PRIMES, 12)]
+    got = set()
+    for seq in forms:
+        got.add((
+            cosine_product(seq, 3.3).value,
+            count_far_from_integer(seq, 0.2, 41.7),
+            count_near_multiples(seq, 4.0, 60.5),
+            exponential_bound_suite(seq, pairs=20).violations,
+        ))
+    assert len(got) == 1
 
 
 def test_sigma_minus():

@@ -1,10 +1,11 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from harmsum import exact, montecarlo
+from harmsum import analytic, exact, montecarlo
 from harmsum.cli import build_parser, main
 
 BFILE_LINE = re.compile(r"^\d+ -?\d+$")
@@ -116,6 +117,78 @@ def test_check_json(capsys):
     obj = json.loads(out)
     assert obj["c_prime_defaulted"] is True
     assert obj["samples"] == 0
+
+
+def test_sandwich_counts_wide_windows(capsys):
+    # the near count is closed form per term: a matrix of every integer in
+    # (x - y, x + y) by every back-half term would take 11.3 GiB here
+    code, out, _ = run(capsys, ["check", "--bound", "sandwich", "--n", "20000", "--pairs", "20"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["density", "--eps", "nan"], "eps"),
+        (["mc", "--n", "10", "--samples", "10", "--lo", "-0.1", "--hi", "0.1", "--eps", "nan"],
+         "eps"),
+        (["check", "--bound", "decay", "--n", "50", "--c-prime", "nan"], "c_prime"),
+        (["check", "--bound", "decay", "--n", "50", "--alpha", "nan"], "a"),
+        (["check", "--bound", "decay", "--n", "50", "--alpha", "inf"], "a"),
+        (["check", "--bound", "decay", "--n", "50", "--c-prime", "1", "--x-cap", "nan"], "x_cap"),
+        (["check", "--bound", "exp", "--n", "10", "--x-max", "-5"], "x_max"),
+        (["check", "--bound", "sandwich", "--n", "10", "--x-max", "0"], "x_max"),
+    ],
+    ids=["density-eps", "mc-eps", "c-prime", "alpha-nan", "alpha-inf", "x-cap", "x-max-negative",
+         "x-max-zero"],
+)
+def test_bad_analytic_inputs_exit_2_at_once(capsys, monkeypatch, argv, name):
+    # refused before any kernel node or product is evaluated
+    def evaluated(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(analytic, "_kernel", evaluated)
+    monkeypatch.setattr(analytic, "_rho_batch", evaluated)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--x", "3e5", "--eps", "1e-6", "--memory-gib", "0.001"],
+        ["density", "--x", "0", "--eps", "1e-6", "--memory-gib", "1e-5"],
+        ["density", "--grid", "0:1:3", "--eps", "1e-6", "--memory-gib", "1e-5"],
+        ["check", "--bound", "exp", "--n", "10", "--pairs", "100000000", "--memory-gib", "0.01"],
+        ["check", "--bound", "sandwich", "--n", "10", "--pairs", "100000000",
+         "--memory-gib", "0.01"],
+        ["check", "--bound", "decay", "--n", "50", "--c-prime", "1", "--grid", "100000000",
+         "--memory-gib", "0.01"],
+    ],
+    ids=["rho", "density", "density-grid", "exp", "sandwich", "decay"],
+)
+def test_analytic_reads_memory_budget(capsys, argv):
+    # the run is refused before its arrays are allocated; the kernel's M is
+    # 2^20 at x = 3e5 (64 MiB) and 1024 for the density (64 KiB)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "budget" in err
+    assert peak < 2**20
+
+
+def test_decay_range_past_every_float_ends_at_the_cap(capsys):
+    code, out, _ = run(capsys, ["check", "--bound", "decay", "--n", "50", "--c-prime", "1e300",
+                                "--grid", "5"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["x_hi"], obj["samples"]) == (1e6, 5)
 
 
 def test_mc_deterministic(capsys):

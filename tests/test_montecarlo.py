@@ -160,7 +160,8 @@ def test_memory_estimate_covers_the_heaviest_consumer(monkeypatch, n):
     priced = []
     check = mc._check_memory
     monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
-    monkeypatch.setattr(mc, "densities", lambda spec, xs, eps: [SimpleNamespace(x=x, g=0.0) for x in xs])
+    monkeypatch.setattr(mc, "densities",
+                        lambda spec, xs, eps, memory_gib: [SimpleNamespace(x=x, g=0.0) for x in xs])
     cfg = SimulationConfig(spec=PRIMES, n=n, samples=2 * mc.CHUNK, seed=0, interval=(-3.0, 3.0))
     mc._chunk_sums(np.ones(1), 0, 0, 1)
     tracemalloc.start()
@@ -232,6 +233,19 @@ def test_memory_budget_is_a_parameter():
         exhaustive_probability(small, memory_gib=1e-6)
     assert exhaustive_probability(small) == exhaustive_probability(small, memory_gib=1.0)
     assert simulate(cfg, eps=1e-6).empirical_prob >= 0.0
+
+
+def test_prediction_reads_memory_budget():
+    # at n = 10 the sampler fits in 32 KiB; the prediction's kernel (M = 1024,
+    # priced at 64 KiB) does not, so the same budget must reach it
+    cfg = SimulationConfig(spec=PRIMES, n=10, samples=10, seed=0, interval=(-0.1, 0.1))
+    budget = 2.0**-15
+    assert len(next(mc._iter_chunks(cfg, budget))) == 10
+    with pytest.raises(ResourceLimit):
+        simulate(cfg, eps=1e-6, memory_gib=budget)
+    with pytest.raises(ResourceLimit):
+        histogram(cfg, 4, eps=1e-6, memory_gib=budget)
+    assert 0.0 <= simulate(cfg, eps=1e-6, memory_gib=2.0**-10).empirical_prob <= 1.0
 
 
 def test_nan_memory_budget_is_refused():
