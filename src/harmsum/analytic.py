@@ -2,12 +2,16 @@
 density and interval probabilities, and finite-range inequality checks.
 
 The kernel rho_N(x) = prod_{n<=N} cos(pi x / b_n) is evaluated in double
-precision. One tail-corrected kernel, `_kernel`, evaluates the limit
-rho(x): it multiplies M >= 1024 factors by exp(-(pi x)^2 T_2/2 -
-(pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j in closed form for every
-family, and bounds every node by the rest of the -log cos series plus a
-worst-case rounding term. `cosine_product_limit` (the `rho` subcommand)
-is that kernel at one node, with its bound.
+precision, each block of terms by xs in one numpy multiply.reduce that
+keeps every x's factors in term order. One tail-corrected kernel,
+`_kernel`, evaluates the limit rho(x): it multiplies M >= 1024 factors by
+exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j the
+closed-form series of the family minus its first 1024 terms in 40-digit
+decimal, less each further dyadic block of terms summed in numpy
+double-double. Every node is bounded by the rest of the -log cos series
+plus a worst-case rounding term, which takes in the error bound of T_j.
+`cosine_product_limit` (the `rho` subcommand) is that kernel at one node,
+with its bound; its doublings of M reuse T_j at the M before.
 
 The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du and the
 interval probability, a sine transform of rho(2u), are trapezoid sums
@@ -31,7 +35,6 @@ import decimal
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -140,14 +143,24 @@ def cosine_product(seq, x: float) -> RhoValue:
 
 def _rho_batch(terms: np.ndarray, xs) -> np.ndarray:
     """prod over the terms of cos(pi x / b) at every x of xs, multiplied in
-    term order for each x, so an x's bits never depend on the other xs."""
+    term order for each x, so an x's bits never depend on the other xs.
+
+    Each (x-block, term-block) writes its cosines into rows 1.. of one
+    reused block and the running product into row 0. A multiply.reduce
+    over axis 0 then multiplies row by row (numpy pairs only additions),
+    so every x sees the order of a loop over the terms."""
     terms = np.asarray(terms, dtype=np.float64)
     px = np.pi * np.asarray(xs, dtype=np.float64)
     out = np.ones(len(px))
+    buf = np.empty((min(len(terms), _BLOCK) + 1) * min(len(px), _BLOCK))
     for c in range(0, len(px), _BLOCK):
+        p, prod = px[c : c + _BLOCK], out[c : c + _BLOCK]
         for i in range(0, len(terms), _BLOCK):
-            for row in np.cos(px[c : c + _BLOCK] / terms[i : i + _BLOCK, None]):
-                out[c : c + _BLOCK] *= row
+            t = terms[i : i + _BLOCK, None]
+            block = buf[: (len(t) + 1) * len(p)].reshape(len(t) + 1, len(p))
+            block[0] = prod
+            np.cos(np.divide(p, t, out=block[1:]), out=block[1:])
+            np.multiply.reduce(block, axis=0, out=prod)
     return out
 
 
@@ -427,33 +440,41 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
 
 # -- tail sums ---------------------------------------------------------------
 #
-# T_j(m) = sum_{n>m} b_n^-j is the full series S_j = sum_n b_n^-j minus its
-# first m terms, both in 40-digit decimal arithmetic, so the difference keeps
-# full float precision however small the tail. Nothing here runs at import.
+# T_j(m) = sum_{n>m} b_n^-j for j = 2, 4. Past the first KERNEL_M terms it
+# is the full series S_j = sum_n b_n^-j minus that head, both in 40-digit
+# decimal arithmetic, so the difference keeps full float precision however
+# small the tail: S_4 - head cancels about 18 digits for the primes at
+# M = 2^16, which a double-double head would not survive. Each further
+# dyadic block sum_{M<n<=2M} b_n^-j is summed in numpy double-double, its
+# value converted exactly to decimal and subtracted there, so T_j(2M)
+# reuses T_j(M). Nothing here runs at import.
 
 _DEC = decimal.Context(prec=40)
+_WIDE = decimal.Context(prec=60)
 
-
-@lru_cache(maxsize=None)
-def _bernoulli(count: int) -> tuple[Fraction, ...]:
-    """B_2, B_4, ..., B_{2 count}."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * count + 1):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return tuple(b[2::2])
+# B_2, B_4, ..., B_30 as (numerator, denominator)
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322),
+)
 
 
 def _hurwitz(s: int, z: Decimal) -> Decimal:
-    """zeta(s, z) = sum_{i>=0} (z + i)^-s for integer s >= 2 and z > 0:
-    32 terms directly, the rest by the Euler-Maclaurin (polygamma) asymptotic
-    series at w = z + 32, whose 16th omitted term is below 1e-40."""
+    """zeta(s, z) = sum_{i>=0} (z + i)^-s for integer s >= 2 and z > 0.
+    For s >= 40 the terms with z + i < 14 directly: every later one is below
+    14^-40 and all of them below 2e-46. Otherwise 32 terms directly and the
+    rest by the Euler-Maclaurin (polygamma) asymptotic series at w = z + 32,
+    whose 16th omitted term is below 1e-40."""
     with decimal.localcontext(_DEC):
+        if s >= 40:
+            return sum((z + i) ** -s for i in range(max(1, 14 - int(z))))
         head = sum((z + i) ** -s for i in range(32))
         w = z + 32
         tail = w ** (1 - s) / (s - 1) + w ** -s / 2
         rising = Decimal(s)  # s (s+1) ... (s+2k-2)
-        for k, b in enumerate(_bernoulli(15), 1):
-            coef = Decimal(b.numerator) / (b.denominator * math.factorial(2 * k))
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            coef = Decimal(num) / (den * math.factorial(2 * k))
             tail += coef * rising * w ** (1 - s - 2 * k)
             rising *= (s + 2 * k - 1) * (s + 2 * k)
         return head + tail
@@ -475,14 +496,15 @@ def _mobius(k: int) -> int:
 def _prime_zeta(s: int) -> Decimal:
     """P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks) (Froberg,
     BIT 8, 1968); log zeta(ks) < 2^(1-ks), so terms past ks = 140 are
-    below 1e-42."""
+    below 1e-42. log(1 + zeta(ks, 2)) is taken at 60 digits, so it keeps 40
+    significant digits however small zeta(ks, 2) is, and so does P(s)."""
     with decimal.localcontext(_DEC):
         total = Decimal(0)
         k = 1
         while k == 1 or k * s < 140:
             mu = _mobius(k)
             if mu:
-                total += mu * (1 + _hurwitz(k * s, Decimal(2))).ln() / k
+                total += mu * _WIDE.ln(_WIDE.add(1, _hurwitz(k * s, Decimal(2)))) / k
             k += 1
         return total
 
@@ -526,20 +548,152 @@ def _power_sum(terms, j: int) -> Decimal:
         return sum(Decimal(int(b)) ** -j for b in terms)
 
 
-@lru_cache(maxsize=64)
-def _tail_sums(spec: SequenceSpec, m: int) -> tuple[float, float]:
-    """(T_2(m), T_4(m)), each checked against the certified range
-    0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any strictly
-    increasing integer sequence."""
-    head = terms_array(spec, m).tolist()
-    out = []
-    for j in (2, 4):
+# Double-double arithmetic (Dekker 1971; Ogita, Rump & Oishi, SIAM J. Sci.
+# Comput. 26, 2005) on numpy arrays, in round-to-nearest with u = 2^-53.
+# Every value is positive and far from overflow and underflow: the terms
+# lie in [1, 2^63), so b^-4 >= 2^-252.
+
+
+def _two_sum(a, b):
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b):
+    """(p, e): p = fl(a b) and p + e = a b exactly (Dekker, Veltkamp's split)."""
+    p = a * b
+    c = 134217729.0 * a  # 2^27 + 1
+    ah = c - (c - a)
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_square(h, l):
+    """(h + l)^2 as a normalized double-double, for |l| <= 2.1u h: within
+    14 u^2 relative (the omitted l^2 and two roundings). h^2 = p + e is
+    Dekker's product with one split, as 2 (hh hl) is exact."""
+    p = h * h
+    c = 134217729.0 * h
+    hh = c - (c - h)
+    hl = h - hh
+    e = ((hh * hh - p) + 2.0 * (hh * hl)) + hl * hl
+    e += 2.0 * (h * l)
+    s = p + e  # fast two-sum: |e| <= 5.2u p
+    return s, e - (s - p)
+
+
+def _inverse_powers(b: np.ndarray):
+    """b^-2 and b^-4 as normalized double-doubles (hi, lo) for int64 terms
+    b >= 1, within 35 u^2 and 76 u^2 relative.
+
+    b = s + e exactly from its high and low 32 bits. With r = fl(1/s) and
+    p + q = r s exactly, 1 - p is exact (p is within 2u of 1), so
+    R = 1 - r b = (1 - p) - q - r e is computed within 4u^2 and r R within
+    6u^2 r; as 1/b = r / (1 - R) = r (1 + R) + O(R^2) with |R| <= 2u,
+    (r, r R) is within 10 u^2 of 1/b. A squaring doubles the relative error
+    and adds 14 u^2 (6 u^2 once the input is normalized)."""
+    s, e = _two_sum(
+        (b >> 32).astype(np.float64) * 4294967296.0, (b & 0xFFFFFFFF).astype(np.float64)
+    )
+    r = 1.0 / s
+    p, q = _two_prod(r, s)
+    inv2 = _dd_square(r, r * (((1.0 - p) - q) - r * e))
+    return inv2, _dd_square(*inv2)
+
+
+def _dd_total(h, l):
+    """The sum of nonnegative normalized double-doubles (h_i, l_i) by a
+    pairwise tree. An addition rounds l_a + l_b and then its sum with the
+    TwoSum error of h_a + h_b, erring by at most 3u^2 (1 + u) fl(h_a + h_b),
+    so a level errs by 3.1 u^2 of the total and D levels by 3.1 D u^2."""
+    while len(h) > 1:
+        if len(h) % 2:
+            h, l = np.append(h, 0.0), np.append(l, 0.0)
+        s, e = _two_sum(h[::2], h[1::2])
+        e += l[::2] + l[1::2]
+        h = s + e  # fast two-sum: |e| <= 2.1u s
+        l = e - (h - s)
+    return h[0], l[0]
+
+
+_DD_CHUNK = 2**14          # terms per double-double pass: 14 tree levels
+# a chunk's sum is within (76 + 3.1 * 14) u^2 < 2^-99 relative, and adding
+# the chunks' hi and lo in 40-digit decimal, below 1e-39 relative per
+# chunk, keeps a block's sum within _DD_REL for any block numpy can hold
+_DD_REL = 2.0**-98
+
+
+def _block_sums(b: np.ndarray) -> tuple[Decimal, Decimal]:
+    """(sum b^-2, sum b^-4) over the int64 terms b, each within _DD_REL
+    relative: numpy double-double per chunk of _DD_CHUNK terms, the chunks'
+    hi and lo added exactly converted in decimal."""
+    totals = [Decimal(0), Decimal(0)]
+    with decimal.localcontext(_DEC):
+        for c in range(0, len(b), _DD_CHUNK):
+            for k, (h, l) in enumerate(_inverse_powers(b[c : c + _DD_CHUNK])):
+                hi, lo = _dd_total(h, l)
+                totals[k] += Decimal(float(hi)) + Decimal(float(lo))
+    return totals[0], totals[1]
+
+
+# T_j(m) as 40-digit decimals, each with a bound on its absolute error, by
+# (spec, KERNEL_M, m): KERNEL_M fixes the route, so a value's bits never
+# depend on the calls before it
+_TAILS: dict[tuple[SequenceSpec, int, int], list[tuple[Decimal, float]]] = {}
+
+
+def _tail_decimals(spec: SequenceSpec, terms: np.ndarray) -> list[tuple[Decimal, float]]:
+    """[(T_2(m), its error bound), (T_4(m), its error bound)] past the
+    m = len(terms) first terms of spec.
+
+    A finite sequence sums its tail directly. Otherwise S_j (within 1e-38,
+    checked against mpmath) minus the 40-digit head, each term and addition
+    within 5e-40 relative, when m <= KERNEL_M. Past that, T_j(m) is the
+    T_j of the largest KERNEL_M 2^i below m minus the block after it."""
+    m = len(terms)
+    key = (spec, KERNEL_M, m)
+    if key not in _TAILS:
         with decimal.localcontext(_DEC):
-            t = float(_series(spec, j) - _power_sum(head, j))
-        if not 0.0 <= t <= 1.0 / ((j - 1) * float(head[-1]) ** (j - 1)):
-            raise CertificateError(f"T_{j}({m}) = {t!r} for {spec.label()} is outside its bounds")
+            if spec.kind == KIND_CUSTOM:
+                tails = [_power_sum(spec.values[m:], j) for j in (2, 4)]
+                _TAILS[key] = [(t, 1e-39 * (len(spec.values) - m) * float(t)) for t in tails]
+            elif m <= KERNEL_M:
+                _TAILS[key] = [
+                    (_series(spec, j) - _power_sum(terms.tolist(), j),
+                     1e-38 + 1e-39 * (m + 1) * float(_series(spec, j)))
+                    for j in (2, 4)
+                ]
+            else:
+                prev = KERNEL_M << ((m - 1) // KERNEL_M).bit_length() - 1
+                _TAILS[key] = [
+                    (t - block, err + _DD_REL * float(block) + 5e-40 * float(t))
+                    for (t, err), block in zip(
+                        _tail_decimals(spec, terms[:prev]), _block_sums(terms[prev:])
+                    )
+                ]
+    return _TAILS[key]
+
+
+def _tail_sums(spec: SequenceSpec, terms: np.ndarray):
+    """((T_2(m), T_4(m)), (e_2, e_4)) past the m = len(terms) first terms of
+    spec. e_j is the part of T_j's error bound beyond u/2 relative, which
+    the kernel's rounding allows for. Each T_j is checked against the
+    certified range 0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any
+    strictly increasing integer sequence."""
+    out, extra = [], []
+    for j, (t, err) in zip((2, 4), _tail_decimals(spec, terms)):
+        t = float(t)
+        if not 0.0 <= t <= 1.0 / ((j - 1) * float(terms[-1]) ** (j - 1)):
+            raise CertificateError(
+                f"T_{j}({len(terms)}) = {t!r} for {spec.label()} is outside its bounds"
+            )
         out.append(t)
-    return out[0], out[1]
+        extra.append(max(0.0, err - 2.0**-54 * t))
+    return (out[0], out[1]), (extra[0], extra[1])
 
 
 # -- tail-corrected kernel, density and interval probability ----------------
@@ -564,13 +718,20 @@ def _kernel(
         return min(m, cap)
 
     # b_n >= n, so fewer than pi x_max terms lie below pi x_max: M is priced
-    # before any sieve runs, at 64 B per term (the float64 terms, the int64
-    # sieve output and the Python ints _tail_sums sums; 56 measured)
+    # before any sieve runs, at 24 B per term (the int64 terms, their float64
+    # copy and reciprocals) and 16 B more for a sieved family (the sieve's
+    # collected pieces and their concatenation), plus 40 B per term of the
+    # decimal head (its Python ints) and 136 B per term of a double-double
+    # chunk if M may pass KERNEL_M (its temporaries)
     below = math.ceil(math.pi * x_max) - 1
-    _check_memory(64 * size(below), memory_gib)
+    most = size(below)
+    per_term = 24 if spec.kind in (KIND_AP, KIND_CUSTOM) else 40
+    chunk = min(_DD_CHUNK, max(0, most - KERNEL_M))
+    _check_memory(per_term * most + 40 * KERNEL_M + 136 * chunk, memory_gib)
     m = size(count_up_to(spec, below))
-    terms = terms_array(spec, m).astype(np.float64)
-    t2, t4 = _tail_sums(spec, m)
+    ints = terms_array(spec, m)
+    (t2, t4), (e2, e4) = _tail_sums(spec, ints)
+    terms = ints.astype(np.float64)
     # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
     t6 = 0.0 if m == cap else 1.0 / (5.0 * float(terms[-1]) ** 5)
     inv_sum = math.fsum(1.0 / terms)
@@ -582,9 +743,12 @@ def _kernel(
         # truncation: rho = value * exp(-r), 0 <= r <= _C6 (pi x)^6 T_6, as each
         # t = pi x / b_n past M is at most 1. Rounding, worst case (u = 2^-53):
         # per factor 3u|t| from its argument, 8u from cos (4 ulp assumed) and u
-        # from the product; 11u relative in the exponent, 3u in exp and product
+        # from the product; 11u relative in the exponent, which allows each T_j
+        # an error of u/2 beyond its rounding to float, e_j being the rest of
+        # its bound; 3u in exp and product
         trunc = _C6 * px**6 * t6
         rounding = (9 * m + 3.0 * px * inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
+        rounding += px**2 * (e2 / 2.0) + px**4 * (e4 / 12.0)
         return values, np.abs(values) * trunc + rounding * (1.0 + trunc), rounding
 
     return m, kernel

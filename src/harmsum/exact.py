@@ -418,7 +418,15 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     for m in ns:
         est, dtype = _price(m, digits, symmetric)
         _check_memory(est, memory_gib)
-    # dtype is now that of the longest prefix, which fits every shorter one
+    # dtype is now that of the longest prefix, which fits every shorter one.
+    # The right half of an odd n = 2L + 1 is built again from scratch, as its
+    # first term moved to the left half. Halves of interleaved terms (odd
+    # positions left, even right) would only grow, but their encodings would
+    # no longer follow term order, so the tie rules and the witnesses would
+    # need a permutation. Over the first 40 primes (ns = 1..40, tau = 0, 12
+    # alternating in-process runs on 2 cores) contiguous halves took 302 ms
+    # (median) and interleaved ones 257 ms, with the same minima and _meet
+    # at 156 and 161 ms.
     x = [1 / b for b in terms]
     left, right = _Half(digits, symmetric, dtype), None
     for i, n in enumerate(ns):

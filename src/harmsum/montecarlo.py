@@ -167,6 +167,8 @@ def simulate(
     sample_mean is within g(35) * sum |x_j| / m of their exact mean, and
     sample_variance within 4 g(35) * sum x_j^2 / (m - 1) of their exact
     sample variance."""
+    if not eps > 0:  # before any sampling, not after it
+        raise ValueError("eps must be positive")
     budget = MEMORY_GIB if memory_gib is None else memory_gib
     lo, hi = config.interval
     hits = 0
@@ -241,6 +243,8 @@ def histogram(
     after multiplying by the bin width."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     lo, hi = config.interval
     width = (hi - lo) / bins
     budget = MEMORY_GIB if memory_gib is None else memory_gib

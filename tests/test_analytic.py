@@ -1,6 +1,7 @@
 import math
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from harmsum.analytic import (
 )
 from harmsum.errors import CapExceeded, DivergedTruncation, ResourceLimit, TruncationFailure
 from harmsum.exact import ENUM_CAP
-from harmsum.sequences import SequenceSpec, generate, terms_array
+from harmsum.sequences import (
+    KIND_AP, KIND_NONPRIMES, KIND_PK, KIND_PRIMES, SequenceSpec, generate, terms_array,
+)
 
 PRIMES = SequenceSpec.primes()
 AP = SequenceSpec.arithmetic(1, 1)
@@ -547,6 +550,28 @@ def test_rho_batch_bits_do_not_depend_on_the_batch():
     assert np.allclose(together[::500], direct, rtol=0.0, atol=1e-12)
 
 
+def _rho_per_row(terms, xs):
+    """The product one row of cosines at a time, in blocks of 1024 terms and
+    xs: the loop _rho_batch replaces, kept as its reference."""
+    terms = np.asarray(terms, dtype=np.float64)
+    px = np.pi * np.asarray(xs, dtype=np.float64)
+    out = np.ones(len(px))
+    for c in range(0, len(px), 1024):
+        for i in range(0, len(terms), 1024):
+            for row in np.cos(px[c : c + 1024] / terms[i : i + 1024, None]):
+                out[c : c + 1024] *= row
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+def test_rho_batch_matches_the_per_row_product(n):
+    terms = terms_array(PRIMES, n)
+    rng = np.random.default_rng(n)
+    for count in (1, 2, 1024, 1025, 5001):
+        xs = rng.uniform(-60.0, 60.0, count)
+        assert np.array_equal(analytic._rho_batch(terms, xs), _rho_per_row(terms, xs))
+
+
 @pytest.mark.parametrize(
     "spec", [PRIMES, AP, SequenceSpec.nonprimes(), SequenceSpec.k_squarefree(2)],
     ids=lambda s: s.label(),
@@ -591,8 +616,9 @@ def test_prime_zeta_published_values():
 def test_tail_sums_bracketed_by_partial_sums(spec):
     # sum_{m<n<=m'} b_n^-j <= T_j(m) <= that + 1/((j-1) b_m'^(j-1))
     m, m_far = 1024, 2**16
-    far = terms_array(spec, m_far)[m:].astype(np.float64)
-    t2, t4 = analytic._tail_sums(spec, m)
+    terms = terms_array(spec, m_far)
+    far = terms[m:].astype(np.float64)
+    (t2, t4), _ = analytic._tail_sums(spec, terms[:m])
     for j, t in ((2, t2), (4, t4)):
         part = math.fsum(far ** -float(j))
         assert part <= t <= part + 1.0 / ((j - 1) * far[-1] ** (j - 1))
@@ -600,8 +626,8 @@ def test_tail_sums_bracketed_by_partial_sums(spec):
 
 def test_tail_sums_finite_sequence_is_exact():
     spec = SequenceSpec.custom((3, 7, 9, 20))
-    assert analytic._tail_sums(spec, 4) == (0.0, 0.0)
-    t2, _ = analytic._tail_sums(spec, 2)
+    assert analytic._tail_sums(spec, terms_array(spec, 4))[0] == (0.0, 0.0)
+    (t2, _), _ = analytic._tail_sums(spec, terms_array(spec, 2))
     assert t2 == pytest.approx(1 / 81 + 1 / 400, rel=1e-15)
 
 
@@ -621,6 +647,126 @@ def test_tail_sums_against_mpmath():
     for (spec, j), value in want.items():
         assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
 
+
+
+def test_bernoulli_constants_match_the_recurrence():
+    b = [Fraction(1)]
+    for m in range(1, 31):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    assert [Fraction(*pair) for pair in analytic._BERNOULLI] == b[2::2]
+
+
+def _mp_series(mpmath, spec, j):
+    """S_j by mpmath at its working precision: the prime zeta function,
+    Hurwitz zeta, and e_k of power sums by Newton's identities."""
+    pz = mpmath.primezeta
+    if spec.kind == KIND_PRIMES:
+        return pz(j)
+    if spec.kind == KIND_NONPRIMES:
+        return mpmath.zeta(j) - pz(j)
+    if spec.kind == KIND_AP:
+        return mpmath.zeta(j, mpmath.mpf(spec.a) / spec.q) / mpmath.mpf(spec.q) ** j
+    sums = []
+    for m in range(1, spec.k + 1):
+        if spec.kind == KIND_PK:  # sum_p p^(-jm)
+            sums.append(pz(j * m))
+        else:  # sum_p (p^j - 1)^-m = sum_i C(m+i-1, i) P(j(m+i))
+            total, i = mpmath.mpf(0), 0
+            while math.comb(m + i - 1, i) * 2.0 ** (-j * (m + i)) > 1e-60:
+                total += math.comb(m + i - 1, i) * pz(j * (m + i))
+                i += 1
+            sums.append(total)
+    e = [mpmath.mpf(1)]
+    for n in range(1, spec.k + 1):
+        e.append(mpmath.fsum((-1) ** (i - 1) * e[n - i] * sums[i - 1] for i in range(1, n + 1)) / n)
+    return e[spec.k]
+
+
+@pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
+def test_series_against_mpmath_at_50_digits(spec):
+    # the tail sums' error bounds take S_j within 1e-38
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for j in (2, 4):
+            want = Decimal(mpmath.nstr(_mp_series(mpmath, spec, j), 50))
+            assert abs(analytic._series(spec, j) - want) <= Decimal("1e-38")
+
+
+@pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
+def test_tail_sums_match_a_60_digit_head(spec, monkeypatch):
+    # past KERNEL_M the blocks are summed in double-double; the floats must
+    # be those of S_j minus a 60-digit head, bit for bit, and the decimals
+    # within their error bounds of it
+    monkeypatch.setattr(analytic, "_TAILS", {})
+    terms = terms_array(spec, 2**16)
+    head = [Decimal(0), Decimal(0)]
+    done = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for m in (1024, 2048, 4096, 2**16):
+            for b in terms[done:m].tolist():
+                square = Decimal(b * b)
+                head[0] += 1 / square
+                head[1] += 1 / (square * square)
+            done = m
+            exact = [analytic._series(spec, j) - h for j, h in zip((2, 4), head)]
+            assert analytic._tail_sums(spec, terms[:m])[0] == tuple(map(float, exact))
+            for (t, err), e in zip(analytic._tail_decimals(spec, terms[:m]), exact):
+                assert abs(t - e) <= Decimal(err)
+
+
+def test_double_double_sums_within_their_bounds():
+    u2 = Fraction(1, 2**106)
+    rng = np.random.default_rng(3)
+    b = np.concatenate([
+        np.arange(1, 2000), rng.integers(2**52, 2**54, 500), rng.integers(1, 2**63 - 1, 500),
+        [2**32 - 1, 2**32 + 1, 2**53 + 1, 2**63 - 1],
+    ]).astype(np.int64)
+    (h2, l2), (h4, l4) = analytic._inverse_powers(b)
+    for i, v in enumerate(b.tolist()):
+        for h, l, j, rel in ((h2, l2, 2, 35), (h4, l4, 4, 76)):
+            got = Fraction(float(h[i])) + Fraction(float(l[i]))
+            assert abs(got * v**j - 1) <= rel * u2
+            assert abs(float(l[i])) <= 2.0**-53 * float(h[i])  # normalized
+    terms = terms_array(PRIMES, 3 * analytic._DD_CHUNK + 5)  # a part chunk, odd levels
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = [sum(1 / Decimal(v) ** j for v in terms.tolist()) for j in (2, 4)]
+        for got, exact in zip(analytic._block_sums(terms), want):
+            assert abs(got - exact) <= Decimal(analytic._DD_REL) * exact
+
+
+def _kernel_priced_and_peak(monkeypatch, spec, m):
+    """(price, traced peak) of a fresh _kernel call whose M is m, the first
+    x_max that needs it; its tail sums are recomputed."""
+    x_max = float(terms_array(spec, m // 2 + 2)[-1]) / math.pi
+    priced = []
+    check = analytic._check_memory
+    monkeypatch.setattr(analytic, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
+    analytic._kernel(spec, 1.0)  # lazy set-up and S_j, untraced
+    monkeypatch.setattr(analytic, "_TAILS", {})
+    tracemalloc.start()
+    try:
+        got, _ = analytic._kernel(spec, x_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == m
+    return priced[-1], peak
+
+
+@pytest.mark.parametrize("m", [2**18, 2**20])
+def test_kernel_price_bounds_the_traced_peak(monkeypatch, m):
+    # for b_n = n the count of terms below pi x_max that M is priced at is
+    # exact, so the price is tight there
+    est, peak = _kernel_priced_and_peak(monkeypatch, AP, m)
+    assert peak <= est <= 1.5 * peak
+
+
+@pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
+def test_kernel_price_covers_the_sieve(monkeypatch, spec):
+    est, peak = _kernel_priced_and_peak(monkeypatch, spec, 2**17)
+    assert peak <= est
 
 
 @pytest.mark.parametrize("spec", [PRIMES, AP], ids=lambda s: s.label())

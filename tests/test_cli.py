@@ -133,6 +133,8 @@ def test_sandwich_counts_wide_windows(capsys):
         (["density", "--eps", "nan"], "eps"),
         (["mc", "--n", "10", "--samples", "10", "--lo", "-0.1", "--hi", "0.1", "--eps", "nan"],
          "eps"),
+        (["mc", "--n", "10", "--samples", "10", "--lo", "-0.1", "--hi", "0.1", "--eps", "nan",
+          "--bins", "5"], "eps"),
         (["check", "--bound", "decay", "--n", "50", "--c-prime", "nan"], "c_prime"),
         (["check", "--bound", "decay", "--n", "50", "--alpha", "nan"], "a"),
         (["check", "--bound", "decay", "--n", "50", "--alpha", "inf"], "a"),
@@ -140,16 +142,18 @@ def test_sandwich_counts_wide_windows(capsys):
         (["check", "--bound", "exp", "--n", "10", "--x-max", "-5"], "x_max"),
         (["check", "--bound", "sandwich", "--n", "10", "--x-max", "0"], "x_max"),
     ],
-    ids=["density-eps", "mc-eps", "c-prime", "alpha-nan", "alpha-inf", "x-cap", "x-max-negative",
+    ids=["density-eps", "mc-eps", "mc-bins-eps", "c-prime", "alpha-nan", "alpha-inf", "x-cap", "x-max-negative",
          "x-max-zero"],
 )
 def test_bad_analytic_inputs_exit_2_at_once(capsys, monkeypatch, argv, name):
-    # refused before any kernel node or product is evaluated
+    # refused before any kernel node or product is evaluated, and before
+    # any Monte Carlo sample is drawn
     def evaluated(*args, **kwargs):
-        raise AssertionError("the kernel ran")
+        raise AssertionError("the kernel or the sampler ran")
 
     monkeypatch.setattr(analytic, "_kernel", evaluated)
     monkeypatch.setattr(analytic, "_rho_batch", evaluated)
+    monkeypatch.setattr(montecarlo, "_chunk_sums", evaluated)
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {name} must be ")

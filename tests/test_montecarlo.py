@@ -237,7 +237,7 @@ def test_memory_budget_is_a_parameter():
 
 def test_prediction_reads_memory_budget():
     # at n = 10 the sampler fits in 32 KiB; the prediction's kernel (M = 1024,
-    # priced at 64 KiB) does not, so the same budget must reach it
+    # priced at 80 KiB) does not, so the same budget must reach it
     cfg = SimulationConfig(spec=PRIMES, n=10, samples=10, seed=0, interval=(-0.1, 0.1))
     budget = 2.0**-15
     assert len(next(mc._iter_chunks(cfg, budget))) == 10
