@@ -16,19 +16,22 @@ the smallest encoding, which makes every result reproducible.
 ceil(n/2) terms and the rest each give a list of float64 half sums, 2^(n/2)
 per side for signs and 3^(n/2) per side for trits. Each list is built
 already sorted, one term at a time, by merging sorted runs
-(Horowitz-Sahni). A sweep over many prefix lengths grows the lists instead
-of rebuilding them: the left list of n extends that of every shorter
-prefix, and the right list of n = 2L is that of n = 2L - 1 plus one term.
-The queries target - (right half sum) come in ascending order and are
-binary-searched in the left list, one cache-sized block at a time. For a
-target of 0, c and -c have the same |sum|, so the left list keeps only the
-vectors whose first nonzero entry is + (and the zero vector), and the optima
-found are completed by their negations. The floats only filter: every pair
-within a proven rounding bound of the float optimum is re-scored in exact
-integers, and the optimum is picked from those. Every result is then
-checked once more against `evaluate_signs`. `enumerate_sums` walks all 2^n
-sums in exact integers. Caps on n and a memory estimate guard against
-runaway inputs.
+(Horowitz-Sahni). The right list leaves out its last two terms: each of
+their 4 (signs) or 9 (trits) coefficient choices shifts the sorted list,
+so the queries come from a list 4 or 9 times smaller, with the same floats
+as from the full one. A sweep over many prefix lengths grows the lists
+instead of rebuilding them: the left list of n extends that of every
+shorter prefix, and the right list of n = 2L is that of n = 2L - 1 plus
+one term. The queries target - (right half sum), for each shift, come in
+ascending order and are binary-searched in the left list, one cache-sized
+block at a time. For a target of 0, c and -c have the same |sum|, so the
+left list keeps only the vectors whose first nonzero entry is + (and the
+zero vector), and the optima found are completed by their negations. The
+floats only filter: every pair within a proven rounding bound of the float
+optimum is re-scored in exact integers, and the optimum is picked from
+those. Every result is then checked once more against `evaluate_signs`.
+`enumerate_sums` walks all 2^n sums in exact integers. Caps on n and a
+memory estimate guard against runaway inputs.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -71,22 +75,36 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # 8 + e. Growing a half peaks at its last merge, which holds the merged runs
 # with their encodings (8 + e), the int64 argsort order (8) and the sums
 # gathered through it (8): 24 + e; timsort's merge buffer, at most half an
-# order, is freed by then, and so is the state the merge extends. Matching
-# holds both halves and, for one block of at most `_BLOCK` queries, the
-# float64 queries, their int64 searchsorted positions and two float64
-# neighbour distances: 32 per query. A sweep grows the left half alone (the
-# right one is held only while the next prefix extends it), grows the right
-# half beside the held left, then matches, so with L left and R right
-# entries at its longest prefix it peaks at the largest of
-# (24 + e) L, (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 min(R, _BLOCK),
-# plus `_OBJECT_BYTES` for the Python objects beside them: the results so
-# far (under 1 KB per prefix), the exact lookup tables and the few queries
-# kept for the exact re-scoring, which are priced again with their pairs.
+# order, is freed by then, and so is the state the merge extends. The right
+# half holds all but its last `_SHIFTED` terms; `_meet` adds those as
+# shifts to one block of queries at a time. Matching holds both halves and,
+# for one block of at most `_BLOCK` queries, the float64 queries, their
+# int64 searchsorted positions and two float64 neighbour distances: 32 per
+# query. A sweep grows the left half alone (the right one is held only
+# while the next prefix extends it), grows the right half beside the held
+# left, then matches, so with L left and R right entries at its longest
+# prefix it peaks at the largest of (24 + e) L, (8 + e) L + (24 + e) R and
+# (8 + e) (L + R) + 32 min(R, _BLOCK), plus `_OBJECT_BYTES` for the Python
+# objects beside them: the results so far (under 1 KB per prefix), the
+# exact lookup tables and the few queries kept for the exact re-scoring,
+# which are priced again with their pairs. R is at most L / 2 at target 0
+# and L / 4 otherwise (L / 4.5 and L / 9 for trits), so the left half's
+# last merge sets the peak, except at n <= 4 and for signs at target 0 and
+# an even n <= 36, where R <= _BLOCK and matching does.
 _MERGE_BYTES = 24
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _OBJECT_BYTES = 2**17
 _BLOCK = 2**16  # queries per matching block in `_meet`
+# The right half's last terms that `_meet` applies as shifts of the queries
+# instead of merging them: the right half held is base^_SHIFTED times
+# smaller. Two is where the left half's last merge takes over the peak.
+# Measured with 1, 2 and 3 shifted terms, fresh processes on 2 cores: peak
+# RSS of `table1 --upto 40` 55.0, 48.4 and 47.9 MiB (79.0 merged), of
+# `minsum --n 48` 351, 255 and 255 MiB; the `table3 --upto 22` sweep took
+# 32.7, 33.8 and 47.0 ms (in-process medians of 14), `gap --n 30` 1.28,
+# 1.20 and 1.65 s.
+_SHIFTED = 2
 _GROUP = 5  # terms per exact lookup table in `_exact_sums`, at most 3^5 rows
 
 
@@ -368,6 +386,16 @@ def _sorted_half(x, digits, symmetric: bool, dtype):
     return half.sums, half.encs
 
 
+def _queries(t: float, sums: np.ndarray, shifts) -> np.ndarray:
+    """The queries fl(t - v) of the right sums `sums` under a shift: v adds
+    to each sum the c_i * x_i of every shifted term in `shifts` (floats, or
+    arrays beside `sums`) one at a time, in term order, so it is the float
+    that a right half grown over those terms holds."""
+    for cw in shifts:
+        sums = sums + cw
+    return np.subtract(t, sums)
+
+
 def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
     """The encodings of -c for the given encodings of c, over n entries."""
     base = len(digits)
@@ -387,7 +415,7 @@ def _price(n: int, digits, symmetric: bool):
     kept = _KEPT_BYTES + np.dtype(dtype).itemsize
     merge = _MERGE_BYTES + np.dtype(dtype).itemsize
     left = (base**half + 1) // 2 if symmetric else base**half
-    right = base ** (n - half)
+    right = base ** max(0, n - half - _SHIFTED)
     est = max(
         merge * left,
         kept * left + merge * right,
@@ -402,11 +430,12 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     optima of |sum_{i<=n} c_i * (den // b_i) - tau * den| by `_meet`.
 
     The halves grow along ns. The left half of n is its first ceil(n/2)
-    terms, so it extends the left half of every shorter prefix; the right
-    half of n = 2L is the right half of n = 2L - 1 plus one term. The right
-    half is held only while the next n extends it. Every prefix is priced
-    before any half is built, so a sweep that would outgrow the budget
-    stops before its first search.
+    terms, so it extends the left half of every shorter prefix. The right
+    half of n holds the rest but the last `_SHIFTED` terms, which `_meet`
+    applies as shifts; that of n = 2L is the right half of n = 2L - 1 plus
+    one term. The right half is held only while the next n extends it.
+    Every prefix is priced before any half is built, so a sweep that would
+    outgrow the budget stops before its first search.
     """
     if not ns:
         return
@@ -423,10 +452,12 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     # first term moved to the left half. Halves of interleaved terms (odd
     # positions left, even right) would only grow, but their encodings would
     # no longer follow term order, so the tie rules and the witnesses would
-    # need a permutation. Over the first 40 primes (ns = 1..40, tau = 0, 12
-    # alternating in-process runs on 2 cores) contiguous halves took 302 ms
-    # (median) and interleaved ones 257 ms, with the same minima and _meet
-    # at 156 and 161 ms.
+    # need a permutation. Without its shifted terms the right half is 4 (9
+    # for trits) times smaller: over the first 40 primes (ns = 1..40,
+    # tau = 0, best of 7 in-process runs on 2 cores) its builds from scratch
+    # took 10 ms and its extensions 9 ms of 186 ms, where merging every term
+    # took 35 and 45 ms of 210 ms. So interleaving could save at most those
+    # 19 ms.
     x = [1 / b for b in terms]
     left, right = _Half(digits, symmetric, dtype), None
     for i, n in enumerate(ns):
@@ -434,7 +465,7 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
         left.grow(x[left.terms:half])
         if right is None:
             right = _Half(digits, False, dtype)
-        right.grow(x[half + right.terms:n])
+        right.grow(x[half + right.terms:max(half, n - _SHIFTED)])
         den = math.lcm(math.lcm(*terms[:n]), tau.denominator)
         target = tau.numerator * (den // tau.denominator)
         yield n, den, *_meet(left, right, terms[:n], target, den, memory_gib, nonzero=nonzero)
@@ -447,7 +478,8 @@ def _meet(
 ):
     """Every exact optimum of |sum_i c_i * (den // b_i) - target| over the
     coefficient vectors c with entries in the halves' digits, the first
-    `left.terms` entries from `left` and the rest from `right`, leaving out
+    `left.terms` entries from `left`, the next `right.terms` from `right`
+    and the rest, the shifted terms, from every choice of digits, leaving out
     c = 0 when `nonzero` (which needs target 0, and 0 as digit 0 so that
     c = 0 is encoding 0). With a `symmetric` left half, whose target must
     be 0, every optimum S found is joined by -S.
@@ -468,7 +500,8 @@ def _meet(
     # the reachable range [-r, r], r = sum_i 1/b_i: past it every distance
     # shifts by one constant, so the optima stay, and float() cannot overflow.
     # A pair (k, j) is scored as |fl(a_k - q_j)|, with a_k and b_j the half
-    # sums of `_expand` (`_Half` computes them identically) and
+    # sums of `_expand` (`_Half` computes them identically, and `_queries`
+    # adds the shifted terms to the right sums as `_Half.grow` would) and
     # q_j = fl(t - b_j). Let R = r + |tau'| and u = 2^-53. The exact value of
     # every intermediate (a partial half sum, q_j, a_k - q_j) is at most R in
     # size, so while the error built up stays below R each rounded add errs
@@ -489,14 +522,27 @@ def _meet(
     err = 2 * ((2 * n + 5) * 2.0**-53 * (math.fsum(x) + abs(t)) + (n + 1) * 2.0**-1074)
 
     pad, a, b = left.pad, left.sums, right.sums
-    # query j is q_j = fl(t - b[last - j]): fl(t - b) falls as b rises, so
-    # the right sums read backwards give ascending queries, and searchsorted
-    # walks a forward
+    # The terms after both halves enter as shifts. Each of their coefficient
+    # vectors adds c_i * x_i to every right sum, one term at a time in term
+    # order, as `_Half.grow` would add those terms, so each shifted right sum
+    # is the float the fully grown right half holds, and each shift keeps
+    # the right sums sorted. Shift s adds the row shifts[s] to the right sums
+    # and codes[s] to their encodings; shift 0 takes digit 0 on every term.
+    tail = x[half + right.terms:]
+    choice = np.array(list(product(range(base), repeat=len(tail))), dtype=np.int64)
+    choice = choice.reshape(base ** len(tail), len(tail))
+    shifts = np.array(digits, dtype=float)[choice] * tail
+    codes = choice @ (base ** np.arange(right.terms, right.terms + len(tail), dtype=np.int64))
+    # query j of a shift is q_j = fl(t - v), v the shifted b[last - j]:
+    # fl(t - v) falls as v rises, so the right sums read backwards give
+    # ascending queries, and searchsorted walks a forward. Query j of shift
+    # s is number s * (last + 1) + j of all queries.
     last = len(b) - 1
     if nonzero:
-        # the zero vector, the left's zero with the right's zero, is left
-        # out: that query is q = t = 0 and the left zero sums to 0, so its
-        # best other partner is a neighbour of the left zero in a
+        # the zero vector, the left's zero with the right's zero under the
+        # zero shift, is left out: that query is q = t = 0 and the left zero
+        # sums to 0, so its best other partner is a neighbour of the left
+        # zero in a
         k0, j0 = int(left.encs.argmin()), last - int(right.encs.argmin())
         zero = min(abs(pad[k0]), abs(pad[k0 + 2]))
 
@@ -505,8 +551,8 @@ def _meet(
     # plus 2 * err; that limit only shrinks, so the final one, d + 2 * err,
     # is at most every block's, and the queries within it are all kept.
     limit, kept = np.inf, []
-    for lo in range(0, last + 1, _BLOCK):
-        q = np.subtract(t, b[last - lo::-1][:_BLOCK])
+    for s, lo in product(range(len(shifts)), range(0, last + 1, _BLOCK)):
+        q = _queries(t, b[last - lo::-1][:_BLOCK], shifts[s])
         # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on
         # one side or the other of q_j's insertion point pos: at
         # a[pos - 1] = pad[pos] or at a[pos] = pad[pos + 1]. The block's
@@ -524,11 +570,11 @@ def _meet(
         np.abs(far, out=far)
         np.minimum(near, far, out=near)
         del far, q
-        if nonzero and lo <= j0 < lo + len(near):
+        if nonzero and s == 0 and lo <= j0 < lo + len(near):
             near[j0 - lo] = zero
         limit = min(limit, near.min() + 2 * err)
         js = np.flatnonzero(near <= limit)
-        kept.append((js + lo, near[js]))
+        kept.append((js + (s * (last + 1) + lo), near[js]))
         del near
     js = np.concatenate([j[d <= limit] for j, d in kept])
     del kept
@@ -536,8 +582,9 @@ def _meet(
     # A pair scoring within limit has |a_k - q_j| <= limit / (1 - u); as
     # limit >= 2 * err > 28 u R exceeds the rounding u|q_j| <= u R of these
     # edges many times over, fl(q_j -+ 2 * limit) brackets every such a_k.
-    rj = last - js
-    q = np.subtract(t, b[rj])
+    sj, rj = np.divmod(js, last + 1)
+    rj = last - rj
+    q = _queries(t, b[rj], shifts[sj].T)
     lo = np.searchsorted(a, q - 2 * limit)
     hi = np.searchsorted(a, q + 2 * limit, side="right")
     counts = hi - lo
@@ -546,7 +593,7 @@ def _meet(
     kk = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     keep = np.abs(a[kk] - np.repeat(q, counts)) <= limit
     ka = left.encs[kk[keep]].astype(np.int64)
-    kb = right.encs[np.repeat(rj, counts)[keep]].astype(np.int64)
+    kb = right.encs[np.repeat(rj, counts)[keep]] + codes[np.repeat(sj, counts)[keep]]
     if nonzero:
         keep = (ka != 0) | (kb != 0)
         ka, kb = ka[keep], kb[keep]

@@ -633,19 +633,19 @@ def test_tail_sums_finite_sequence_is_exact():
 
 def test_tail_sums_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
-    p2, p4, p8 = (mpmath.primezeta(s) for s in (2, 4, 8))
-    want = {
-        (PRIMES, 2): p2,
-        (PRIMES, 4): p4,
-        (SequenceSpec.k_squarefree(2), 2): (p2 * p2 - p4) / 2,
-        (SequenceSpec.k_squarefree(2), 4): (p4 * p4 - p8) / 2,
-        (SequenceSpec.nonprimes(), 2): mpmath.zeta(2) - p2,
-        (SequenceSpec.arithmetic(3, 4), 2): mpmath.zeta(2, mpmath.mpf(3) / 4) / 16,
-        (SequenceSpec.arithmetic(3, 4), 4): mpmath.zeta(4, mpmath.mpf(3) / 4) / 256,
-    }
-    for (spec, j), value in want.items():
-        assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
+    with mpmath.workdps(30):
+        p2, p4, p8 = (mpmath.primezeta(s) for s in (2, 4, 8))
+        want = {
+            (PRIMES, 2): p2,
+            (PRIMES, 4): p4,
+            (SequenceSpec.k_squarefree(2), 2): (p2 * p2 - p4) / 2,
+            (SequenceSpec.k_squarefree(2), 4): (p4 * p4 - p8) / 2,
+            (SequenceSpec.nonprimes(), 2): mpmath.zeta(2) - p2,
+            (SequenceSpec.arithmetic(3, 4), 2): mpmath.zeta(2, mpmath.mpf(3) / 4) / 16,
+            (SequenceSpec.arithmetic(3, 4), 4): mpmath.zeta(4, mpmath.mpf(3) / 4) / 256,
+        }
+        for (spec, j), value in want.items():
+            assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
 
 
 

@@ -21,6 +21,7 @@ from harmsum.exact import (
     _check_memory,
     _expand,
     _Half,
+    _meet,
     _price,
     _sorted_half,
     decay_profile,
@@ -498,6 +499,79 @@ def test_small_blocks_keep_the_optima(monkeypatch):
         assert (gap.gap, gap.witness.trits) == brute_gap_witness(terms[:m])
 
 
+def test_shifted_queries_are_those_of_the_merged_half_bit_for_bit():
+    # the float filter's error bound counts one rounded add per term, so a
+    # shift adds its terms one at a time, never as one precombined offset
+    x = [1 / b for b in generate(SequenceSpec.nonprimes(), 9).terms]
+    t = 0.3
+    for digits in (SIGNS, TRITS):
+        base = len(digits)
+        sums, encs = _sorted_half(x, digits, False, np.int64)
+        merged = np.subtract(t, sums[np.argsort(encs)])
+        rest, rest_encs = _sorted_half(x[:7], digits, False, np.int64)
+        for k1, k2 in product(range(base), repeat=2):
+            q = exact._queries(t, rest, (digits[k1] * x[7], digits[k2] * x[8]))
+            want = merged[rest_encs + k1 * base**7 + k2 * base**8]
+            assert np.array_equal(q.view(np.int64), want.view(np.int64))
+
+
+def meet_with_shifts(terms, digits, tau, shifted):
+    """The optima of `_meet` over terms, as a set of (exact residual,
+    encoding), with the right half's last `shifted` terms applied as shifts
+    of the queries and the rest merged into it; and the distance of the
+    gap's zero query from the first query of the zero shift."""
+    n, half = len(terms), (len(terms) + 1) // 2
+    den = math.lcm(math.lcm(*terms), tau.denominator)
+    target = tau.numerator * (den // tau.denominator)
+    x = [1 / b for b in terms]
+    left = _Half(digits, tau == 0, np.int32)
+    left.grow(x[:half])
+    right = _Half(digits, False, np.int32)
+    right.grow(x[half:n - shifted])
+    nonzero = digits == TRITS and tau == 0
+    res, encs = _meet(left, right, terms, target, den, 1.0, nonzero=nonzero)
+    return set(zip(res.tolist(), encs.tolist())), len(right.encs) - 1 - int(right.encs.argmin())
+
+
+def random_meet_cases(rng, count):
+    """(terms, digits, tau) with 1..16 terms: signs and trits, each at
+    target 0 (the gap, for trits) and at a nonzero one."""
+    families = (
+        SequenceSpec.primes(), SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1),
+        SequenceSpec.arithmetic(rng.randint(1, 5), rng.randint(1, 6)),
+        SequenceSpec.k_squarefree(2),
+    )
+    cases = []
+    for k in range(count):
+        digits = (SIGNS, TRITS)[k % 2]
+        n = rng.randint(1, 16)
+        tau = Fraction(0) if k % 4 < 2 else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        cases.append((generate(rng.choice(families), n).terms, digits, tau))
+    return cases
+
+
+@pytest.mark.parametrize("block", [exact._BLOCK, 7])
+def test_shifted_right_terms_give_the_optima_of_merged_ones(monkeypatch, block):
+    # the sweep applies the right half's last two terms as shifts; with
+    # blocks of 7 a shift spans many blocks, and the gap's zero query lies
+    # past block 0 of the zero shift
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    rng = random.Random(1509)
+    cases = random_meet_cases(rng, 200)
+    cases += [((2,), SIGNS, Fraction(0)), ((1, 2), TRITS, Fraction(0)), ((2, 3, 5), SIGNS, Fraction(1, 3))]
+    late_zero = 0
+    for terms, digits, tau in cases:
+        n = len(terms)
+        merged, j0 = meet_with_shifts(terms, digits, tau, 0)
+        for shifted in range(1, min(2, n - (n + 1) // 2) + 1):
+            got, j0 = meet_with_shifts(terms, digits, tau, shifted)
+            assert got == merged, (terms, digits, tau, shifted)
+        late_zero += digits == TRITS and tau == 0 and n >= 4 and j0 >= block
+    assert sum(len(t) <= 3 for t, _, _ in cases) >= 20
+    if block == 7:
+        assert late_zero >= 10
+
+
 def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("a search ran")
@@ -522,8 +596,10 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
         (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True),
         (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False),
         (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True),
+        # the `exact` benchmark's sweep, whose peak is the left half's last merge
+        (lambda terms: min_signed_sums(terms, range(1, 41)), 40, SIGNS, True),
     ],
-    ids=["minsum-tau0", "minsum-tau1/3", "gap"],
+    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40"],
 )
 def test_memory_estimate_bounds_the_traced_peak(search, n, digits, symmetric):
     terms = generate(SequenceSpec.primes(), n)
@@ -585,7 +661,7 @@ def test_gap_memory_guard_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            min_gap(terms, force=True, cap=34, memory_gib=4)
+            min_gap(terms, force=True, cap=34, memory_gib=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
