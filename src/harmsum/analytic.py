@@ -8,8 +8,9 @@ keeps every x's factors in term order. One tail-corrected kernel,
 exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j the
 closed-form series of the family minus its first 1024 terms in 40-digit
 decimal, less each further dyadic block of terms summed in numpy
-double-double. Every node is bounded by the rest of the -log cos series
-plus a worst-case rounding term, which takes in the error bound of T_j.
+double-double. Every node is bounded by the rest of the -log cos series,
+as a relative error of at most 1, plus a worst-case rounding term, which
+takes in the error bound of T_j.
 `cosine_product_limit` (the `rho` subcommand) is that kernel at one node,
 with its bound; its doublings of M reuse T_j at the M before.
 
@@ -24,7 +25,8 @@ draw all their (x, delta) pairs first and evaluate them in one batch:
 |rho_N| from one `_rho_batch` call, the far counts and the near-multiple
 counts over blocks of pairs, the latter in closed form per term. The
 one-pair functions are the same code at a single pair. Terms of every
-form (list, tuple, SequenceTerms, array) go through one check, `_terms`.
+form (list, tuple, SequenceTerms, array) go through one check,
+`sequences._terms`, which serves the exact layer too.
 The kernel, the scans and the decay grid are priced against a
 `memory_gib` budget, MEMORY_GIB by default, before they allocate.
 """
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import CertificateError, DivergedTruncation, TruncationFailure
 from .sequences import (
     KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
-    SequenceTerms, count_up_to, terms_array,
+    _terms, count_up_to, terms_array,
 )
 from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _check_cap, _check_memory, _expand
 
@@ -99,25 +101,6 @@ class BoundCheckReport:
     passed: bool
     c_prime: float | None = None
     c_prime_defaulted: bool = False
-
-
-def _terms(seq) -> np.ndarray:
-    """The terms of a SequenceTerms, an array or any iterable as an int64
-    array, checked in numpy to be nonempty, integral, positive, strictly
-    increasing and below 2^63."""
-    if isinstance(seq, SequenceTerms):
-        seq = seq.terms
-    values = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq))
-    if values.ndim != 1 or not len(values):
-        raise ValueError("need at least one term")
-    if values.dtype.kind not in "iu":
-        values = values.astype(np.float64)
-        if not np.all((values == np.floor(values)) & (np.abs(values) < 2.0**63)):
-            raise ValueError("terms must be strictly increasing positive integers")
-    terms = values.astype(np.int64, copy=False)
-    if terms[0] < 1 or np.any(terms[1:] <= terms[:-1]):
-        raise ValueError("terms must be strictly increasing positive integers")
-    return terms
 
 
 def _finite(x: float) -> float:
@@ -741,12 +724,14 @@ def _kernel(
         expo = px**2 * (t2 / 2.0) + px**4 * (t4 / 12.0)
         values = _rho_batch(terms, xs) * np.exp(-expo)
         # truncation: rho = value * exp(-r), 0 <= r <= _C6 (pi x)^6 T_6, as each
-        # t = pi x / b_n past M is at most 1. Rounding, worst case (u = 2^-53):
-        # per factor 3u|t| from its argument, 8u from cos (4 ulp assumed) and u
-        # from the product; 11u relative in the exponent, which allows each T_j
-        # an error of u/2 beyond its rounding to float, e_j being the rest of
-        # its bound; 3u in exp and product
-        trunc = _C6 * px**6 * t6
+        # t = pi x / b_n past M is at most 1. r >= 0, as every term of
+        # -log cos t - t^2/2 - t^4/12 is positive for |t| <= 1, so the
+        # relative error 1 - exp(-r) is at most min(r, 1). Rounding, worst
+        # case (u = 2^-53): per factor 3u|t| from its argument, 8u from cos
+        # (4 ulp assumed) and u from the product; 11u relative in the
+        # exponent, which allows each T_j an error of u/2 beyond its rounding
+        # to float, e_j being the rest of its bound; 3u in exp and product
+        trunc = np.minimum(_C6 * px**6 * t6, 1.0)
         rounding = (9 * m + 3.0 * px * inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
         rounding += px**2 * (e2 / 2.0) + px**4 * (e4 / 12.0)
         return values, np.abs(values) * trunc + rounding * (1.0 + trunc), rounding

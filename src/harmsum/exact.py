@@ -46,7 +46,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapExceeded, CertificateError, RangeUnreachable, ResourceLimit
-from .sequences import SequenceSpec, SequenceTerms, count_up_to, generate
+from .sequences import SequenceSpec, SequenceTerms, _terms, count_up_to, generate
 
 MINSUM_CAP = 48
 MINSUM_CAP_FORCED = 60
@@ -223,18 +223,8 @@ class DecayProfile:
 
 
 def _as_terms(seq) -> tuple[int, ...]:
-    if isinstance(seq, SequenceTerms):
-        terms = seq.terms
-    else:
-        terms = tuple(int(b) for b in seq)
-    if not terms:
-        raise ValueError("need at least one term")
-    prev = 0
-    for b in terms:
-        if b <= prev:
-            raise ValueError("terms must be strictly increasing positive integers")
-        prev = b
-    return terms
+    """The checked terms of seq (see `sequences._terms`) as Python ints."""
+    return tuple(_terms(seq).tolist())
 
 
 def evaluate_signs(seq, signs) -> Fraction:

@@ -11,9 +11,11 @@ Supported kinds:
 * ``ap``          -- the arithmetic progression a, a+q, a+2q, ...
 * ``custom``      -- an explicit list of terms
 
-Sieved kinds are generated with a segmented sieve whose limit starts at a
-Landau-style estimate for the n-th k-almost-prime and doubles on shortfall.
-All terms must fit in 64 bits.
+Sieved kinds are generated with a segmented sieve, run in rounds: the
+first covers [0, n], as b_n >= n, and each later one resumes where the last
+stopped and reaches as far as the terms found so far put b_n. All terms
+must fit in 64 bits. `_terms` is the one check of a given list of terms,
+so the exact and the analytic layer accept and refuse the same lists.
 """
 
 from __future__ import annotations
@@ -141,6 +143,25 @@ class GrowthEnvelope:
     exponent: float     # log(b_n / n) / log(n)
 
 
+def _terms(seq) -> np.ndarray:
+    """The terms of a SequenceTerms, an array or any iterable as an int64
+    array, checked in numpy to be nonempty, integral, positive, strictly
+    increasing and below 2^63."""
+    if isinstance(seq, SequenceTerms):
+        seq = seq.terms
+    values = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq))
+    if values.ndim != 1 or not len(values):
+        raise ValueError("need at least one term")
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.float64)
+        if not np.all((values == np.floor(values)) & (np.abs(values) < 2.0**63)):
+            raise ValueError("terms must be strictly increasing positive integers")
+    terms = values.astype(np.int64, copy=False)
+    if terms[0] < 1 or np.any(terms[1:] <= terms[:-1]):
+        raise ValueError("terms must be strictly increasing positive integers")
+    return terms
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every 64-bit integer."""
     if n < 2:
@@ -181,124 +202,105 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _iter_prime_masks(hi: int, block: int = _BLOCK):
-    """Yield (lo, mask) with mask[i] = is_prime(lo + i), covering [0, hi)."""
-    base = _simple_sieve(math.isqrt(max(hi - 1, 0)))
-    base_list = [int(p) for p in base]
-    for lo in range(0, hi, block):
-        size = min(block, hi - lo)
+def _iter_prime_masks(lo: int, hi: int):
+    """Yield (start, mask) with mask[i] = is_prime(start + i), covering
+    [lo, hi) in blocks of _BLOCK."""
+    base_list = _simple_sieve(math.isqrt(max(hi - 1, 0))).tolist()
+    for start in range(lo, hi, _BLOCK):
+        size = min(_BLOCK, hi - start)
         mask = np.ones(size, dtype=bool)
-        if lo == 0:
-            mask[: min(2, size)] = False
+        mask[: max(0, 2 - start)] = False
         for p in base_list:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < lo + size:
-                mask[start - lo :: p] = False
-        yield lo, mask
+            first = max(p * p, ((start + p - 1) // p) * p)
+            if first < start + size:
+                mask[first - start :: p] = False
+        yield start, mask
 
 
-def _iter_nonprime_masks(hi: int):
-    """Yield (lo, mask) flagging 1 and the composites in [lo, lo+len)."""
-    for lo, mask in _iter_prime_masks(hi):
+def _iter_nonprime_masks(lo: int, hi: int):
+    """Yield (start, mask) flagging 1 and the composites in [lo, hi)."""
+    for start, mask in _iter_prime_masks(lo, hi):
         inv = ~mask
-        if lo == 0:
+        if start == 0:
             inv[0] = False  # 0 is not a term; 1 is
-        yield lo, inv
+        yield start, inv
 
 
-def _iter_almost_masks(hi: int, k: int, squarefree: bool, block: int = _BLOCK):
-    """Yield (lo, mask) flagging numbers in [lo, lo+len) with exactly k
+def _iter_almost_masks(lo: int, hi: int, k: int, squarefree: bool):
+    """Yield (start, mask) flagging the numbers in [lo, hi) with exactly k
     distinct prime factors (restricted to squarefree numbers if asked)."""
-    base = _simple_sieve(math.isqrt(max(hi - 1, 0)))
-    base_list = [int(p) for p in base]
-    for lo in range(0, hi, block):
-        size = min(block, hi - lo)
-        end = lo + size
+    base_list = _simple_sieve(math.isqrt(max(hi - 1, 0))).tolist()
+    for start in range(lo, hi, _BLOCK):
+        end = min(start + _BLOCK, hi)
+        size = end - start
         omega = np.zeros(size, dtype=np.uint8)
-        residual = np.arange(lo, end, dtype=np.int64)
+        residual = np.arange(start, end, dtype=np.int64)
         sf = np.ones(size, dtype=bool) if squarefree else None
         for p in base_list:
             # clamp first multiples to the power itself so the 0 slot of the
             # very first block cannot pin the loop
-            first = max(p, ((lo + p - 1) // p) * p)
+            first = max(p, ((start + p - 1) // p) * p)
             if first >= end:
                 continue
-            omega[first - lo :: p] += 1
+            omega[first - start :: p] += 1
             pe = p
             while True:
-                fe = max(pe, ((lo + pe - 1) // pe) * pe)
+                fe = max(pe, ((start + pe - 1) // pe) * pe)
                 if fe >= end:
                     break
-                residual[fe - lo :: pe] //= p
+                residual[fe - start :: pe] //= p
                 pe *= p
             if squarefree:
                 p2 = p * p
-                f2 = max(p2, ((lo + p2 - 1) // p2) * p2)
+                f2 = max(p2, ((start + p2 - 1) // p2) * p2)
                 if f2 < end:
-                    sf[f2 - lo :: p2] = False
+                    sf[f2 - start :: p2] = False
         # what is left after removing every base prime power is 1 or a single
         # prime larger than sqrt(hi-1), so it adds at most one distinct factor
         omega += (residual > 1).astype(np.uint8)
+        # 0 and 1 have no prime factor, and k >= 1
         mask = omega == k
         if squarefree:
             mask &= sf
-        if lo == 0:
-            mask[: min(2, size)] = False
-        yield lo, mask
-
-
-def _nth_prime_limit(n: int) -> int:
-    if n < 6:
-        return 15
-    ln = math.log(n)
-    return int(n * (ln + math.log(ln))) + 3
-
-
-def _landau_limit(n: int, k: int) -> int:
-    """Rough inverse of the Landau count t (loglog t)^(k-1) / ((k-1)! log t)."""
-    if k == 1:
-        return _nth_prime_limit(n)
-    t = float(max(64, 4 * n))
-    for _ in range(4):
-        lt = math.log(t)
-        llt = math.log(max(lt, 2.0))
-        t = max(64.0, n * math.factorial(k - 1) * lt / llt ** (k - 1))
-    return int(t) + 64
-
-
-def _collect_first_n_array(mask_iter_factory, n: int, limit: int) -> np.ndarray:
-    """Run a mask iterator with a doubling limit until n terms are found."""
-    while True:
-        if limit > MAX_TERM:
-            raise Overflow("sieve limit beyond 64-bit terms")
-        chunks: list[np.ndarray] = []
-        total = 0
-        for lo, mask in mask_iter_factory(limit):
-            idx = np.flatnonzero(mask)
-            if total + len(idx) >= n:
-                chunks.append((lo + idx[: n - total]).astype(np.int64))
-                return np.concatenate(chunks)
-            if len(idx):
-                chunks.append((lo + idx).astype(np.int64))
-                total += len(idx)
-        limit = min(limit * 2, MAX_TERM + 1)
+        yield start, mask
 
 
 def _sieve(spec: SequenceSpec):
-    """(masks, first_limit) for a sieved kind, else None: masks(hi) yields
-    the (lo, mask) blocks covering [0, hi), and first_limit(n) is where the
-    search for the first n terms starts."""
+    """For a sieved kind, masks(lo, hi) yielding the (start, mask) blocks
+    that cover [lo, hi); None for the other kinds."""
     if spec.kind == KIND_PRIMES:
-        return _iter_prime_masks, lambda n: _nth_prime_limit(n) + 1
+        return _iter_prime_masks
     if spec.kind in (KIND_PK, KIND_OMEGA):
-        squarefree = spec.kind == KIND_PK
-        return (
-            lambda hi: _iter_almost_masks(hi, spec.k, squarefree),
-            lambda n: _landau_limit(n, spec.k),
-        )
+        return lambda lo, hi: _iter_almost_masks(lo, hi, spec.k, spec.kind == KIND_PK)
     if spec.kind == KIND_NONPRIMES:
-        return _iter_nonprime_masks, lambda n: max(16, 2 * n)
+        return _iter_nonprime_masks
     return None
+
+
+def _first_n(masks, n: int) -> np.ndarray:
+    """The first n terms flagged by masks, sieved in rounds that each resume
+    where the last one stopped. b_n >= n for every sieved kind, so the first
+    round covers [0, n]. Each later round reaches a tenth past where the
+    terms found so far put b_n, their count taken to grow like x / log x as
+    the primes' does, or twice as far as the last round while none is
+    found. The reach stops at 2^63."""
+    chunks, total, lo, hi = [], 0, 0, n + 1
+    while True:
+        hi = min(hi, MAX_TERM + 1)
+        for start, mask in masks(lo, hi):
+            chunks.append(start + np.flatnonzero(mask)[: n - total])
+            total += len(chunks[-1])
+            if total == n:
+                return np.concatenate(chunks)
+        if hi > MAX_TERM:
+            raise Overflow(f"fewer than {n} terms below 2^63")
+        if total:
+            # b_n solves x / log x = (n / total) hi / log hi: one step of
+            # x = est log x / log hi from x = est
+            est = hi * n / total
+            lo, hi = hi, int(1.1 * est * math.log(est) / math.log(hi))
+        else:
+            lo, hi = hi, 2 * hi
 
 
 # -- public operations -----------------------------------------------------
@@ -321,10 +323,9 @@ def terms_array(spec: SequenceSpec, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    sieve = _sieve(spec)
-    if sieve is not None:
-        masks, first_limit = sieve
-        return _collect_first_n_array(masks, n, first_limit(n))
+    masks = _sieve(spec)
+    if masks is not None:
+        return _first_n(masks, n)
     if spec.kind == KIND_AP:
         last = spec.a + spec.q * (n - 1)
         if last > MAX_TERM:
@@ -341,10 +342,9 @@ def count_up_to(spec: SequenceSpec, t: int) -> int:
         raise Overflow("t does not fit in 64 bits")
     if t < 1:
         return 0
-    sieve = _sieve(spec)
-    if sieve is not None:
-        masks, _ = sieve
-        return sum(int(mask.sum()) for _, mask in masks(t + 1))
+    masks = _sieve(spec)
+    if masks is not None:
+        return sum(int(mask.sum()) for _, mask in masks(0, t + 1))
     if spec.kind == KIND_AP:
         return 0 if t < spec.a else (t - spec.a) // spec.q + 1
     return bisect_right(spec.values, t)

@@ -26,7 +26,10 @@ from harmsum.analytic import (
     smooth_bump_transform,
 )
 from harmsum.errors import CapExceeded, DivergedTruncation, ResourceLimit, TruncationFailure
-from harmsum.exact import ENUM_CAP
+from harmsum.exact import (
+    ENUM_CAP, decay_profile, enumerate_sums, evaluate_signs, min_gap, min_gaps, min_signed_sum,
+    min_signed_sums,
+)
 from harmsum.sequences import (
     KIND_AP, KIND_NONPRIMES, KIND_PK, KIND_PRIMES, SequenceSpec, generate, terms_array,
 )
@@ -107,6 +110,20 @@ def test_limit_bounds_hold_at_any_eps():
     assert loose.tail_bound <= 1e-6
     assert tight.tail_bound <= 1e-9
     assert abs(loose.value - tight.value) <= loose.tail_bound + tight.tail_bound
+
+
+def test_limit_truncation_bound_is_capped_at_one():
+    # at x = 1e6 the product underflows to 0 and C_6 (pi x)^6 T_6 is far
+    # above 1, so an uncapped bound doubled M only to shrink it; capped, the
+    # kernel's first M meets eps, and agrees with one of 4M within both bounds
+    x = 1e6
+    first, _ = analytic._kernel(PRIMES, x)
+    rv = cosine_product_limit(PRIMES, x, 1e-7)
+    assert rv.terms_used == first
+    m, kernel = analytic._kernel(PRIMES, x, 4 * first)
+    (value,), (bound,), _ = kernel(np.array([x]))
+    assert m == 4 * first
+    assert abs(value - rv.value) <= bound + rv.tail_bound
 
 
 def test_limit_finite_custom_is_exact():
@@ -301,8 +318,10 @@ def test_near_count_refuses_windows_beyond_int64():
          "array-fraction", "array-nan", "array-inf", "array-2d", "too-large", "uint64-wraps"],
 )
 def test_terms_validated_alike(bad):
-    # lists, tuples and arrays go through one check; an unchecked array of
-    # zeros used to give value=nan, and a decreasing one a passed scan
+    # lists, tuples and arrays go through one check, in the analytic and the
+    # exact layer alike; an unchecked array of zeros used to give value=nan,
+    # a decreasing one a passed scan, and int() in the exact layer made
+    # [2, 3.5] the terms [2, 3]
     for call in (
         lambda: cosine_product(bad, 1.0),
         lambda: count_far_from_integer(bad, 0.2, 1.0),
@@ -311,6 +330,13 @@ def test_terms_validated_alike(bad):
         lambda: exponential_bound_suite(bad, pairs=5),
         lambda: sandwich_suite(bad, pairs=5),
         lambda: expectation_identity(bad),
+        lambda: min_signed_sum(bad),
+        lambda: min_signed_sums(bad, [1]),
+        lambda: min_gap(bad),
+        lambda: min_gaps(bad, [1]),
+        lambda: evaluate_signs(bad, [1] * np.size(bad)),
+        lambda: enumerate_sums(bad),
+        lambda: decay_profile(bad),
     ):
         with pytest.raises(ValueError):
             call()

@@ -484,13 +484,14 @@ def test_sweeps_keep_the_order_of_the_lengths_asked_for():
 
 
 def test_small_blocks_keep_the_optima(monkeypatch):
-    # blocks of 7 queries run many blocks per search, and for the gap the
-    # right half's zero vector, whose query is replaced, lies past block 0
+    # blocks of 7 queries run many blocks per search, and for the gap at
+    # n = 14 the zero vector of the right half's base (its 5 terms before
+    # the 2 shifted ones), whose query is replaced, lies past block 0
     terms = generate(SequenceSpec.nonprimes(), 14).terms
     ns = list(range(1, 15))
     taus = (Fraction(0), Fraction(1, 3), Fraction(-7, 5))
     want = [min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)
-    right = _sorted_half([1 / b for b in terms[7:]], TRITS, False, np.int32)[1]
+    right = _sorted_half([1 / b for b in terms[7:12]], TRITS, False, np.int32)[1]
     assert len(right) - 1 - int(right.argmin()) >= 7
     monkeypatch.setattr(exact, "_BLOCK", 7)
     assert ([min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)) == want

@@ -1,7 +1,9 @@
 import math
+from bisect import bisect_right
 
 import pytest
 
+import harmsum.sequences as sequences
 from harmsum.errors import InvalidSpec, Overflow
 from harmsum.sequences import (
     SequenceSpec,
@@ -9,7 +11,15 @@ from harmsum.sequences import (
     generate,
     growth_envelope,
     is_prime,
+    terms_array,
 )
+
+SIEVED = [
+    SequenceSpec.primes(),
+    *(SequenceSpec.k_squarefree(k) for k in (1, 2, 3)),
+    *(SequenceSpec.k_distinct(k) for k in (1, 2, 3)),
+    SequenceSpec.nonprimes(),
+]
 
 
 def factorize(n):
@@ -24,6 +34,58 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def is_term(spec, m):
+    """Whether m >= 1 is a term of a sieved spec, by trial division."""
+    f = factorize(m)
+    prime = len(f) == 1 and sum(f.values()) == 1
+    if spec.kind == "primes":
+        return prime
+    if spec.kind == "nonprimes":
+        return not prime
+    return len(f) == spec.k and (spec.kind != "pk" or all(e == 1 for e in f.values()))
+
+
+@pytest.mark.parametrize("spec", SIEVED, ids=lambda s: s.label())
+def test_resumed_rounds_and_small_blocks_against_trial_division(monkeypatch, spec):
+    # blocks of 64 put many block edges in every round; each round must
+    # start where the last one stopped
+    upto = 3000
+    want = [m for m in range(1, upto + 1) if is_term(spec, m)]
+    monkeypatch.setattr(sequences, "_BLOCK", 64)
+    rounds = []
+    sieve = sequences._sieve
+
+    def spy(s):
+        masks = sieve(s)
+        return lambda lo, hi: (rounds.append((lo, hi)), masks(lo, hi))[1]
+
+    monkeypatch.setattr(sequences, "_sieve", spy)
+    most = 0
+    for n in sorted({1, 2, 3, 7, 40, len(want) // 3, len(want) // 2, len(want)}):
+        rounds.clear()
+        assert terms_array(spec, n).tolist() == want[:n]
+        assert rounds[0][0] == 0 and all(a[1] == b[0] for a, b in zip(rounds, rounds[1:]))
+        most = max(most, len(rounds))
+    assert most >= 2
+    for t in (0, 1, 2, 3, 63, 64, 65, 127, 128, 129, 1000, upto):
+        assert count_up_to(spec, t) == bisect_right(want, t)
+
+
+def test_published_prime_values():
+    # the 10^6-th prime and pi(10^7), independent tabulated values
+    assert terms_array(SequenceSpec.primes(), 10**6)[-1] == 15_485_863
+    assert count_up_to(SequenceSpec.primes(), 10**7) == 664_579
+
+
+def test_sieve_refuses_only_past_the_largest_term(monkeypatch):
+    # the reach stops at the largest allowed term, and the sieve refuses
+    # only once it has passed that term without n terms
+    monkeypatch.setattr(sequences, "MAX_TERM", 100)
+    assert terms_array(SequenceSpec.primes(), 25)[-1] == 97
+    with pytest.raises(Overflow):
+        terms_array(SequenceSpec.primes(), 26)
 
 
 def test_primes_known_prefix():
