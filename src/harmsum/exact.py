@@ -23,8 +23,9 @@ as from the full one. A sweep over many prefix lengths grows the lists
 instead of rebuilding them: the left list of n extends that of every
 shorter prefix, and the right list of n = 2L is that of n = 2L - 1 plus
 one term. The queries target - (right half sum), for each shift, come in
-ascending order and are binary-searched in the left list, one cache-sized
-block at a time. For a target of 0, c and -c have the same |sum|, so the
+ascending order, so a cache-sized block of them is ranked in the left list
+by merging it with the slice of that list it spans, the merge step of
+Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
 left list keeps only the vectors whose first nonzero entry is + (and the
 zero vector), and the optima found are completed by their negations. The
 floats only filter: every pair within a proven rounding bound of the float
@@ -76,24 +77,34 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # with their encodings (8 + e), the int64 argsort order (8) and the sums
 # gathered through it (8): 24 + e; timsort's merge buffer, at most half an
 # order, is freed by then, and so is the state the merge extends. The right
-# half holds all but its last `_SHIFTED` terms; `_meet` adds those as
-# shifts to one block of queries at a time. Matching holds both halves and,
-# for one block of at most `_BLOCK` queries, the float64 queries, their
-# int64 searchsorted positions and two float64 neighbour distances: 32 per
-# query. A sweep grows the left half alone (the right one is held only
-# while the next prefix extends it), grows the right half beside the held
-# left, then matches, so with L left and R right entries at its longest
-# prefix it peaks at the largest of (24 + e) L, (8 + e) L + (24 + e) R and
-# (8 + e) (L + R) + 32 min(R, _BLOCK), plus `_OBJECT_BYTES` for the Python
-# objects beside them: the results so far (under 1 KB per prefix), the
-# exact lookup tables and the few queries kept for the exact re-scoring,
-# which are priced again with their pairs. R is at most L / 2 at target 0
-# and L / 4 otherwise (L / 4.5 and L / 9 for trits), so the left half's
-# last merge sets the peak, except at n <= 4 and for signs at target 0 and
-# an even n <= 36, where R <= _BLOCK and matching does.
+# half holds all but its last `_SHIFTED` terms; `_meet` adds those as shifts
+# to one block of queries at a time. Matching holds both halves and one
+# block of m <= min(R, _BLOCK) queries (R right entries, below).
+# `_insertion_points` ranks a block by merges with slices of at most
+# w = max(m, _BLOCK / 16) left sums. The floor spares the short blocks of
+# small searches many small merges: without it the `table3 --upto 22` sweep
+# took 1.12 times as long as a binary search per query, with it 0.95 times
+# (paired medians of 61 in-process rounds on 2 cores). While it merges it
+# holds the float64 queries and their int64 insertion points so far (16 per
+# query) and, per merged value, the value and its int64 argsort order (16),
+# with timsort's buffer (8 per entry of the shorter run): at most
+# 32 m + 16 w. Then the queries, their insertion points and two float64
+# neighbour distances take 32 m. A sweep grows the left half alone (the
+# right one is held only while the next prefix extends it), grows the right
+# half beside the held left, then matches, so with L left and R right
+# entries at its longest prefix it peaks at the largest of (24 + e) L,
+# (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 m + 16 w, with
+# m = min(R, _BLOCK) and w at most L, plus `_OBJECT_BYTES` for the Python
+# objects beside them: the results so far (under 1 KB per prefix), the exact
+# lookup tables and the few queries kept for the exact re-scoring, which are
+# priced again with their pairs. R is at most L / 2 at target 0 and L / 4
+# otherwise (L / 4.5 and L / 9 for trits), so the left half's last merge
+# sets the peak, except at n <= 4 and for signs at target 0 and an even
+# n <= 38, where R <= 2 _BLOCK and matching does.
 _MERGE_BYTES = 24
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
+_SLICE_BYTES = 16
 _OBJECT_BYTES = 2**17
 _BLOCK = 2**16  # queries per matching block in `_meet`
 # The right half's last terms that `_meet` applies as shifts of the queries
@@ -381,14 +392,52 @@ def _queries(t: float, sums: np.ndarray, shifts) -> np.ndarray:
     to each sum the c_i * x_i of every shifted term in `shifts` (floats, or
     arrays beside `sums`) one at a time, in term order, so it is the float
     that a right half grown over those terms holds."""
-    for cw in shifts:
-        sums = sums + cw
-    return np.subtract(t, sums)
+    if not len(shifts):
+        return np.subtract(t, sums)
+    q = sums + shifts[0]
+    for cw in shifts[1:]:
+        q += cw
+    return np.subtract(t, q, out=q)
+
+
+def _insertion_points(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a, q) of the m ascending queries q, from stable merges.
+
+    A piece of the queries, from the next unmatched q_j on, is merged with
+    the slice of a that its insertion points span, from
+    first = searchsorted(a, q_j): one stable argsort of the two sorted runs,
+    which timsort merges in linear time. The queries come first, so a query
+    ties before an equal sum of a, and its merged index minus its index in
+    the piece counts the slice's sums below it: plus first, that is its
+    insertion point. A piece takes the rest of the queries if their slice
+    holds at most w = max(m, _BLOCK / 16) sums, else those below
+    a[first + w], and at least one; so no slice holds more than w sums
+    (that of a single query is empty), however far the queries spread.
+    """
+    m, pieces, j = len(q), [], 0
+    width = max(m, _BLOCK // 16)
+    while j < m:
+        first, end = np.searchsorted(a, q[[j, -1]])
+        k = m
+        if end - first > width:
+            k = j + max(1, int(np.searchsorted(q[j:], a[first + width])))
+            end = np.searchsorted(a, q[k - 1])
+        # the argsort order is freed before the positions are allocated,
+        # which lets them reuse its memory
+        queried = np.argsort(np.concatenate((q[j:k], a[first:end])), kind="stable") < k - j
+        pos = np.flatnonzero(queried)
+        del queried
+        pos -= np.arange(-first, k - j - first)
+        pieces.append(pos)
+        j = k
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
     """The encodings of -c for the given encodings of c, over n entries."""
     base = len(digits)
+    if base == 2:
+        return encs ^ ((1 << n) - 1)
     flip = np.array([digits.index(-c) for c in digits])
     out = np.zeros_like(encs)
     for i in range(n):
@@ -406,10 +455,12 @@ def _price(n: int, digits, symmetric: bool):
     merge = _MERGE_BYTES + np.dtype(dtype).itemsize
     left = (base**half + 1) // 2 if symmetric else base**half
     right = base ** max(0, n - half - _SHIFTED)
+    block = min(right, _BLOCK)
+    width = min(left, max(block, _BLOCK // 16))
     est = max(
         merge * left,
         kept * left + merge * right,
-        kept * (left + right) + _QUERY_BYTES * min(right, _BLOCK),
+        kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width,
     )
     return est + _OBJECT_BYTES, dtype
 
@@ -444,10 +495,9 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     # no longer follow term order, so the tie rules and the witnesses would
     # need a permutation. Without its shifted terms the right half is 4 (9
     # for trits) times smaller: over the first 40 primes (ns = 1..40,
-    # tau = 0, best of 7 in-process runs on 2 cores) its builds from scratch
-    # took 10 ms and its extensions 9 ms of 186 ms, where merging every term
-    # took 35 and 45 ms of 210 ms. So interleaving could save at most those
-    # 19 ms.
+    # tau = 0, best of 15 in-process runs on 2 cores) its builds from
+    # scratch took 10 ms and its extensions 8 ms of a 129 ms sweep. So
+    # interleaving could save at most those 18 ms.
     x = [1 / b for b in terms]
     left, right = _Half(digits, symmetric, dtype), None
     for i, n in enumerate(ns):
@@ -525,8 +575,8 @@ def _meet(
     codes = choice @ (base ** np.arange(right.terms, right.terms + len(tail), dtype=np.int64))
     # query j of a shift is q_j = fl(t - v), v the shifted b[last - j]:
     # fl(t - v) falls as v rises, so the right sums read backwards give
-    # ascending queries, and searchsorted walks a forward. Query j of shift
-    # s is number s * (last + 1) + j of all queries.
+    # ascending queries, each block of them one sorted run to merge with a.
+    # Query j of shift s is number s * (last + 1) + j of all queries.
     last = len(b) - 1
     if nonzero:
         # the zero vector, the left's zero with the right's zero under the
@@ -545,19 +595,15 @@ def _meet(
         q = _queries(t, b[last - lo::-1][:_BLOCK], shifts[s])
         # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on
         # one side or the other of q_j's insertion point pos: at
-        # a[pos - 1] = pad[pos] or at a[pos] = pad[pos + 1]. The block's
-        # insertion points lie between those of its first and last query,
-        # so each search runs in that slice of a.
-        first, end = np.searchsorted(a, (q[0], q[-1]))
-        pos = np.searchsorted(a[first:end], q)
-        pos += first
+        # a[pos - 1] = pad[pos] < q_j or at a[pos] = pad[pos + 1] >= q_j.
+        # Those signs are known, and fl(q - a) = -fl(a - q), so the two
+        # distances need no abs.
+        pos = _insertion_points(a, q)
         near = pad[pos]
-        near -= q
-        np.abs(near, out=near)
+        np.subtract(q, near, out=near)
         far = pad[1:][pos]
         del pos
         far -= q
-        np.abs(far, out=far)
         np.minimum(near, far, out=near)
         del far, q
         if nonzero and s == 0 and lo <= j0 < lo + len(near):
@@ -651,9 +697,9 @@ def min_signed_sum(
     """Minimize |sum_i s_i/b_i - tau| over all 2^n sign choices, exactly.
 
     Meet in the middle: the first ceil(n/2) terms and the rest are expanded
-    separately and matched through binary search, with floats as a filter
-    and exact integers deciding. Among optimal sign vectors the one with
-    the smallest encoding is returned.
+    separately into sorted lists and matched by merging them, with floats
+    as a filter and exact integers deciding. Among optimal sign vectors the
+    one with the smallest encoding is returned.
     """
     terms = _as_terms(seq)
     return min_signed_sums(

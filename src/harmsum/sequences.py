@@ -105,6 +105,16 @@ class SequenceSpec:
 
     @classmethod
     def custom(cls, values) -> "SequenceSpec":
+        """An explicit list of terms. A value that is not an exact integer
+        is refused, not truncated; integral floats such as 2.0 pass."""
+        values = tuple(values)
+        for v in values:
+            try:
+                exact = int(v) == v
+            except (TypeError, ValueError, OverflowError):
+                exact = False
+            if not exact:
+                raise InvalidSpec("custom terms must be integers")
         return cls(KIND_CUSTOM, values=tuple(int(v) for v in values))
 
     def label(self) -> str:

@@ -573,6 +573,85 @@ def test_shifted_right_terms_give_the_optima_of_merged_ones(monkeypatch, block):
         assert late_zero >= 10
 
 
+@pytest.mark.parametrize("block", [exact._BLOCK, 64, 7])
+def test_merged_insertion_points_equal_binary_search(monkeypatch, block):
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    rng = np.random.default_rng(1710)
+    # repeated sums, and queries that tie them, fall below and rise above
+    # every sum
+    a = np.sort(rng.integers(0, 40, 300)).astype(float)
+    ties = np.sort(rng.choice(a, 50))
+    cases = [
+        (a, ties),
+        (a, np.sort(np.concatenate((ties, [-5.0, -1.0, 0.0, 39.0, 40.0, 99.0])))),
+        (a, np.sort(rng.uniform(-3, 43, 1000))),
+        (a, np.array([-1.0, -0.5])),
+        (a, np.array([50.0, 60.0])),
+        (np.full(200, 3.0), np.array([2.0, 3.0, 3.0, 4.0])),
+        (a, a[[17]]),  # a single query, whose slice is empty
+        (a, np.array([0.5, 0.5])),  # an empty slice
+        (np.array([]), np.array([1.0, 2.0])),
+        (np.sort(rng.standard_normal(5000)), np.sort(rng.standard_normal(40))),
+    ]
+    for a, q in cases:
+        got = exact._insertion_points(a, q)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(a, q))
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_small_blocks_bound_every_merge(monkeypatch, block):
+    # with small blocks a block's queries span more left sums than it holds
+    # queries, so they are ranked in pieces; no merge may exceed 2 _BLOCK
+    # values, and the rows are those of the default block
+    terms = generate(SequenceSpec.primes(), 16).terms
+    ns = list(range(1, 17))
+
+    def searches():
+        return [min_signed_sums(terms, ns, tau) for tau in (0, Fraction(1, 3))], min_gaps(terms, ns[:14])
+
+    want = searches()
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    merges, spans = [], []
+    argsort, insertion_points = np.argsort, exact._insertion_points
+
+    def counted_argsort(x, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_insertion_points":
+            merges.append(len(x))
+        return argsort(x, *args, **kwargs)
+
+    def spanned(a, q):
+        first, end = np.searchsorted(a, (q[0], q[-1]))
+        spans.append(end - first)
+        return insertion_points(a, q)
+
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    monkeypatch.setattr(exact, "_insertion_points", spanned)
+    assert searches() == want
+    assert max(spans) > block and len(merges) > len(spans)
+    assert max(merges) <= 2 * block
+
+
+def test_negated_signs_in_closed_form_equal_the_digit_loop():
+    def negated_by_digits(encs, digits, n):
+        base = len(digits)
+        flip = np.array([digits.index(-c) for c in digits])
+        out = np.zeros_like(encs)
+        for i in range(n):
+            out += flip[encs // base**i % base] * base**i
+        return out
+
+    rng = np.random.default_rng(60)
+    for n in range(1, 61):
+        encs = rng.integers(0, 2**n, 50, dtype=np.int64)
+        encs[:2] = 0, 2**n - 1
+        got = exact._negated(encs, SIGNS, n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, negated_by_digits(encs, SIGNS, n))
+    trits = rng.integers(0, 3**20, 50, dtype=np.int64)
+    assert np.array_equal(exact._negated(trits, TRITS, 20), negated_by_digits(trits, TRITS, 20))
+
+
 def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("a search ran")
@@ -592,17 +671,21 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "search, n, digits, symmetric",
+    "search, n, digits, symmetric, block",
     [
-        (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True),
-        (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False),
-        (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True),
+        (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True, exact._BLOCK),
+        (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False, exact._BLOCK),
+        (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, exact._BLOCK),
         # the `exact` benchmark's sweep, whose peak is the left half's last merge
-        (lambda terms: min_signed_sums(terms, range(1, 41)), 40, SIGNS, True),
+        (lambda terms: min_signed_sums(terms, range(1, 41)), 40, SIGNS, True, exact._BLOCK),
+        # blocks whose queries span more left sums than they hold queries,
+        # so that they are ranked in pieces
+        (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, 64),
     ],
-    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40"],
+    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40", "gap-block64"],
 )
-def test_memory_estimate_bounds_the_traced_peak(search, n, digits, symmetric):
+def test_memory_estimate_bounds_the_traced_peak(monkeypatch, search, n, digits, symmetric, block):
+    monkeypatch.setattr(exact, "_BLOCK", block)
     terms = generate(SequenceSpec.primes(), n)
     search(terms)  # lazy imports and first-call set-up, untraced
     tracemalloc.start()

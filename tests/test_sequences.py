@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 import harmsum.sequences as sequences
@@ -196,6 +197,15 @@ def test_custom_sequence():
     assert count_up_to(spec, 5) == 2
     with pytest.raises(InvalidSpec):
         generate(spec, 4)
+
+
+def test_custom_refuses_values_that_are_not_exact_integers():
+    for bad in ([2, 3.5], [2.5], [2, "3"], [2, float("inf")], [2, float("nan")], np.array([2, 3.5])):
+        with pytest.raises(InvalidSpec, match="custom terms must be integers"):
+            SequenceSpec.custom(bad)
+    for good in ([2, 3], np.array([2, 3]), [2.0, 3], (np.int32(2), 3)):
+        spec = SequenceSpec.custom(good)
+        assert spec.values == (2, 3) and all(type(v) is int for v in spec.values)
 
 
 def test_spec_validation():
