@@ -93,19 +93,24 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # right one is held only while the next prefix extends it), grows the right
 # half beside the held left, then matches, so with L left and R right
 # entries at its longest prefix it peaks at the largest of (24 + e) L,
-# (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 m + 16 w, with
-# m = min(R, _BLOCK) and w at most L, plus `_OBJECT_BYTES` for the Python
-# objects beside them: the results so far (under 1 KB per prefix), the exact
-# lookup tables and the few queries kept for the exact re-scoring, which are
-# priced again with their pairs. R is at most L / 2 at target 0 and L / 4
-# otherwise (L / 4.5 and L / 9 for trits), so the left half's last merge
-# sets the peak, except at n <= 4 and for signs at target 0 and an even
-# n <= 38, where R <= 2 _BLOCK and matching does.
+# (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 m + 16 w + 448 k, with
+# m = min(R, _BLOCK), w at most L and k the blocks, one per shift and per
+# block of right sums: each block leaves a tuple of two small arrays in
+# `_meet`'s `kept` list, and joining them makes one more array per block,
+# with the list slots about 430 B a block under tracemalloc (numpy 2.4, a
+# few kept values each), which `_BLOCK_BYTES` rounds up. `_OBJECT_BYTES`
+# adds the other Python objects: the results so far (under 1 KB per
+# prefix), the exact lookup tables and the few queries kept for the exact
+# re-scoring, which are priced again with their pairs. R is at most L / 2
+# at target 0 and L / 4 otherwise (L / 4.5 and L / 9 for trits), so the
+# left half's last merge sets the peak, except at n <= 4 and for signs at
+# target 0 and an even n <= 38, where R <= 2 _BLOCK and matching does.
 _MERGE_BYTES = 24
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _SLICE_BYTES = 16
 _OBJECT_BYTES = 2**17
+_BLOCK_BYTES = 448
 _BLOCK = 2**16  # queries per matching block in `_meet`
 # The right half's last terms that `_meet` applies as shifts of the queries
 # instead of merging them: the right half held is base^_SHIFTED times
@@ -457,10 +462,12 @@ def _price(n: int, digits, symmetric: bool):
     right = base ** max(0, n - half - _SHIFTED)
     block = min(right, _BLOCK)
     width = min(left, max(block, _BLOCK // 16))
+    blocks = base ** min(_SHIFTED, n - half) * -(-right // _BLOCK)
     est = max(
         merge * left,
         kept * left + merge * right,
-        kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width,
+        kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
+        + _BLOCK_BYTES * blocks,
     )
     return est + _OBJECT_BYTES, dtype
 

@@ -7,13 +7,15 @@ so any chunking of the sample range reproduces identical draws. Bit i of
 byte k of a sample's raw words is the sign of term 8k + i (1 is +), so
 word w holds the signs of terms 64w to 64w + 63. A chunk is summed in
 tiles of at most 4,096 samples, whose vectors stay in cache (the `mc`
-benchmark job at N = 10^4 peaks at 49 MiB RSS): a tile's words are
-transposed to one row per word position, and byte k of a sample is looked
-up in a 256-entry table of the signed sums of its 8 terms. The 8 lookups
-of a word are added plainly, the word partials into the total with Kahan
-compensation, in the same order whatever the chunk or tile, so reports
-are bit-reproducible for a fixed seed. The moments are numpy pairwise
-sums per chunk, joined by math.fsum, within a stated bound of exact.
+benchmark job at N = 10^4 peaks at about 45 MiB RSS): a tile's words are
+drawn in pieces of at most 2^22 random bits, each transposed into the
+tile's buffer of one row per word position, and byte k of a sample is
+looked up in a 256-entry table of the signed sums of its 8 terms, built
+once per run. The 8 lookups of a word are added plainly, the word
+partials into the total with Kahan compensation, in the same order
+whatever the chunk, tile or piece, so reports are bit-reproducible for a
+fixed seed. The moments are numpy pairwise sums per chunk, joined by
+math.fsum, within a stated bound of exact.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
 CHUNK = 1 << 16  # samples per internal chunk; counter addressing makes draws chunk-invariant
-_TILE = 1 << 12  # samples per tile, fewer where their raw words pass 2^26 bits (8 MiB)
+_TILE = 1 << 12  # samples per tile, fewer where their words pass 2^26 bits (8 MiB)
+_PIECE = 1 << 22  # random bits a tile draws at a time (512 KiB), at least one sample's
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,10 @@ def _tile_samples(blocks: int, count: int) -> int:
     return max(1, min(count, _TILE, (1 << 26) // (256 * blocks)))
 
 
+def _piece_samples(blocks: int, tile: int) -> int:
+    return max(1, min(tile, _PIECE // (256 * blocks)))
+
+
 def _byte_tables(inv_terms: np.ndarray) -> np.ndarray:
     """T[k, v] = sum_i (2 bit_i(v) - 1) / b_{8k+i} over i < 8, with 1/b
     zero-padded to a multiple of 8 terms so a partial last byte adds 0."""
@@ -91,15 +98,19 @@ def _byte_tables(inv_terms: np.ndarray) -> np.ndarray:
     return np.einsum("vi,ki->kv", signs, padded.reshape(nbytes, 8), optimize=False)
 
 
-def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    """X values for samples [start, start+count), independent of chunking."""
+def _chunk_sums(
+    inv_terms: np.ndarray, seed: int, start: int, count: int, tables: np.ndarray | None = None
+) -> np.ndarray:
+    """X values for samples [start, start+count), independent of chunking;
+    tables, if given, are _byte_tables(inv_terms)."""
     n = len(inv_terms)
     nbytes = -(-n // 8)
     nwords = -(-n // 64)
     blocks = _blocks_per_sample(n)
     bg = np.random.Philox(key=seed)
     bg.advance(start * blocks)
-    tables = _byte_tables(inv_terms)
+    if tables is None:
+        tables = _byte_tables(inv_terms)
     out = np.empty(count)
     s = _tile_samples(blocks, count)
     # a tile's words, one row per word position: byte i of word w of sample
@@ -108,10 +119,14 @@ def _chunk_sums(inv_terms: np.ndarray, seed: int, start: int, count: int) -> np.
     words = np.empty((nwords, s), dtype=np.uint64)
     signs = words.view(np.uint8)
     acc = np.empty((5, s))
+    p = _piece_samples(blocks, s)
     for r in range(0, count, s):
         k = min(s, count - r)
-        # the Philox stream runs on from tile to tile: the chunk's draws
-        words[:, :k] = bg.random_raw(k * 4 * blocks).reshape(k, 4 * blocks)[:, :nwords].T
+        # the Philox stream runs on from piece to piece and tile to tile:
+        # the chunk's draws, each piece transposed into its columns
+        for a in range(0, k, p):
+            m = min(p, k - a)
+            words[:, a : a + m] = bg.random_raw(m * 4 * blocks).reshape(m, 4 * blocks)[:, :nwords].T
         acc[:2, :k] = 0.0
         total, comp, part, buf, t = acc[:, :k]
         for w in range(nwords):
@@ -137,21 +152,25 @@ def _iter_chunks(config: SimulationConfig, memory_gib: float):
     # simulate's pairwise partials, so this cap keeps the moments' bits
     cap = max(1024, (1 << 28) // (256 * blocks))
     # Price the run before allocating: the tables (2 KiB per byte position),
-    # 1/b and its padded copy; per sample of the largest chunk, its output and
-    # the consumer's three float64-sized vectors from the last chunk (at most:
-    # histogram's values, mask and bin indices); per sample of one tile, its
-    # raw and transposed words, five accumulators and take's index copy.
+    # built once per run, 1/b and its padded copy; per sample of the largest
+    # chunk, its output and the consumer's three float64-sized vectors from
+    # the last chunk (at most: histogram's values, mask and bin indices); per
+    # sample of one tile, its transposed words, five accumulators and take's
+    # index copy; per sample of one piece, its raw words.
     largest = min(CHUNK, cap, config.samples)
     tile = _tile_samples(blocks, largest)
+    piece = _piece_samples(blocks, tile)
     _check_memory(
-        2048 * nbytes + 128 * nbytes + 32 * largest + tile * (32 * blocks + 8 * nwords + 48),
+        2048 * nbytes + 128 * nbytes + 32 * largest + tile * (8 * nwords + 48)
+        + piece * 32 * blocks,
         memory_gib,
     )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
+    tables = _byte_tables(inv)
     done = 0
     while done < config.samples:
         c = min(CHUNK, cap, config.samples - done)
-        yield _chunk_sums(inv, config.seed, done, c)
+        yield _chunk_sums(inv, config.seed, done, c, tables)
         done += c
 
 

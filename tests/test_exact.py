@@ -681,8 +681,11 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
         # blocks whose queries span more left sums than they hold queries,
         # so that they are ranked in pieces
         (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, 64),
+        # 2,817 blocks, each of which leaves its kept queries behind until
+        # the last one is matched
+        (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, 7),
     ],
-    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40", "gap-block64"],
+    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40", "gap-block64", "gap-block7"],
 )
 def test_memory_estimate_bounds_the_traced_peak(monkeypatch, search, n, digits, symmetric, block):
     monkeypatch.setattr(exact, "_BLOCK", block)

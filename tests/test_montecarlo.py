@@ -105,6 +105,34 @@ def test_chunk_sums_split_at_tile_edges(n):
     assert np.array_equal(np.concatenate(parts), mc._chunk_sums(inv, seed, start, count))
 
 
+@pytest.mark.parametrize("n", [1, 65, 513, 10_000])
+def test_draw_pieces_change_no_bit(monkeypatch, n):
+    # a tile's words are drawn in pieces as the Philox stream runs on, so
+    # pieces of 1 sample, of 3 (which do not divide the tile) and of a whole
+    # tile or more give the default output bit for bit, from an odd start
+    inv = 1.0 / terms_array(PRIMES, n).astype(np.float64)
+    blocks = mc._blocks_per_sample(n)
+    tile = mc._tile_samples(blocks, mc.CHUNK)
+    seed, start, count = 31, 9, tile + 5
+    default = mc._chunk_sums(inv, seed, start, count)
+    for bits, piece in [(256 * blocks, 1), (3 * 256 * blocks, 3), (1 << 40, tile)]:
+        monkeypatch.setattr(mc, "_PIECE", bits)
+        assert mc._piece_samples(blocks, tile) == piece
+        assert np.array_equal(mc._chunk_sums(inv, seed, start, count), default)
+
+
+def test_byte_tables_are_built_once_per_run(monkeypatch):
+    built, sums = [], []
+    tables, chunk_sums = mc._byte_tables, mc._chunk_sums
+    monkeypatch.setattr(mc, "_byte_tables", lambda inv: (built.append(len(inv)), tables(inv))[1])
+    monkeypatch.setattr(mc, "_chunk_sums", lambda *args: (sums.append(args[3]), chunk_sums(*args))[1])
+    monkeypatch.setattr(mc, "CHUNK", 1000)
+    cfg = SimulationConfig(spec=PRIMES, n=70, samples=2500, seed=3, interval=(-0.2, 0.2))
+    simulate(cfg, eps=1e-6)
+    assert sums == [1000, 1000, 500]
+    assert built == [70]
+
+
 @pytest.mark.parametrize("chunk", [mc.CHUNK, 1111])
 def test_moments_within_stated_bound(monkeypatch, chunk):
     # simulate's docstring: with u = 2^-53 and g(k) = ku / (1 - ku), the mean
@@ -139,6 +167,27 @@ def test_memory_estimate_covers_the_peak(monkeypatch):
     check = mc._check_memory
     monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
     cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=30_000, seed=0, interval=(-0.1, 0.1))
+    mc._chunk_sums(np.ones(1), 0, 0, 1)
+    tracemalloc.start()
+    try:
+        simulate(cfg, eps=1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert priced and peak <= priced[-1] <= 1.5 * peak
+
+
+def test_memory_estimate_covers_the_peak_where_pieces_are_smaller_than_tiles(monkeypatch):
+    # at n = 10^5 a tile is capped at 670 samples by its 2^26-bit word
+    # buffer and a piece holds 41; the price must still cover simulate's
+    # traced peak, within half again
+    priced = []
+    check = mc._check_memory
+    monkeypatch.setattr(mc, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
+    cfg = SimulationConfig(spec=PRIMES, n=10**5, samples=3000, seed=0, interval=(-0.1, 0.1))
+    blocks = mc._blocks_per_sample(cfg.n)
+    tile = mc._tile_samples(blocks, cfg.samples)
+    assert (tile, mc._piece_samples(blocks, tile)) == (670, 41)
     mc._chunk_sums(np.ones(1), 0, 0, 1)
     tracemalloc.start()
     try:
