@@ -54,7 +54,8 @@ DENSITY_U_CAP = 4096.0
 DENSITY_TOL = 1e-12        # the transforms never work to a looser tolerance
 FLOAT_SLACK = 1e-9
 
-_BLOCK = 1024              # factors and xs per block of _rho_batch: 8 MiB
+_BLOCK = 256               # xs per block of _rho_batch
+_ENTRIES = 2**16           # float64 entries per block of _rho_batch and the scans: 512 KiB
 # sum_{k>=3} a_k over the series -log cos t = sum_k a_k t^(2k): every a_k is
 # positive, so the remainder after t^4/12 is at most _C6 t^6 for |t| <= 1
 _C6 = -math.log(math.cos(1.0)) - 0.5 - 1.0 / 12.0
@@ -135,16 +136,29 @@ def _rho_batch(terms: np.ndarray, xs) -> np.ndarray:
     terms = np.asarray(terms, dtype=np.float64)
     px = np.pi * np.asarray(xs, dtype=np.float64)
     out = np.ones(len(px))
-    buf = np.empty((min(len(terms), _BLOCK) + 1) * min(len(px), _BLOCK))
+    buf = np.empty(_batch_entries(len(terms), len(px)))
+    rows = _batch_rows(min(len(px), _BLOCK))
     for c in range(0, len(px), _BLOCK):
         p, prod = px[c : c + _BLOCK], out[c : c + _BLOCK]
-        for i in range(0, len(terms), _BLOCK):
-            t = terms[i : i + _BLOCK, None]
+        for i in range(0, len(terms), rows):
+            t = terms[i : i + rows, None]
             block = buf[: (len(t) + 1) * len(p)].reshape(len(t) + 1, len(p))
             block[0] = prod
             np.cos(np.divide(p, t, out=block[1:]), out=block[1:])
             np.multiply.reduce(block, axis=0, out=prod)
     return out
+
+
+def _batch_rows(cols: int) -> int:
+    """Factor rows per _rho_batch block of cols xs: with the product row
+    they fill _ENTRIES entries, so a block of few xs takes many terms."""
+    return max(1, _ENTRIES // max(cols, 1) - 1)
+
+
+def _batch_entries(n: int, count: int) -> int:
+    """Entries of the block _rho_batch reuses for n terms and count xs."""
+    cols = min(count, _BLOCK)
+    return (min(n, _batch_rows(cols)) + 1) * cols
 
 
 def cosine_product_limit(
@@ -180,8 +194,8 @@ def cosine_product_limit(
 
 
 def _rows(width: int) -> int:
-    """Pairs per block of the counts, so a block holds about _BLOCK^2 entries."""
-    return max(1, _BLOCK * _BLOCK // width)
+    """Pairs per block of the counts, so a block holds about _ENTRIES entries."""
+    return max(1, _ENTRIES // width)
 
 
 def _far_counts(terms: np.ndarray, deltas: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -278,7 +292,7 @@ def _scan(holds, seq, pairs: int, seed: int, x_max: float, memory_gib: float) ->
         raise ValueError(f"x_max must be finite and positive, got {x_max}")
     n = len(terms)
     _check_memory(
-        72 * pairs + 24 * min(pairs, _rows(n)) * n + 16 * min(pairs, _BLOCK) * min(n, _BLOCK),
+        72 * pairs + 24 * min(pairs, _rows(n)) * n + 16 * _batch_entries(n, pairs),
         memory_gib,
     )
     rng = np.random.default_rng(seed)
@@ -333,7 +347,7 @@ def check_decay(
             raise ValueError(f"{name} must be finite, got {value}")
     if a < 0 or grid < 1:
         raise ValueError("need a >= 0 and grid >= 1")
-    _check_memory(48 * grid + 16 * min(grid, _BLOCK) * min(n, _BLOCK), memory_gib)
+    _check_memory(48 * grid + 16 * _batch_entries(n, grid), memory_gib)
     x_lo = float(n)
     try:
         x_hi = min(x_cap, math.exp(cp * math.log(n) ** 2))
@@ -405,7 +419,10 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
     # blocks. The node count is still a float here, so a tiny step is
     # refused before it becomes an int.
     _check_memory(
-        max(25 * 2 ** len(terms), 64 * (x_max / step + 2) + 16 * _BLOCK * min(len(terms), _BLOCK)),
+        max(
+            25 * 2 ** len(terms),
+            64 * (x_max / step + 2) + 16 * _batch_entries(len(terms), _BLOCK),
+        ),
         MEMORY_GIB,
     )
     exact = float(np.mean(smooth_bump(_expand(1.0 / terms, SIGNS))))

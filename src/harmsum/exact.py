@@ -16,16 +16,17 @@ the smallest encoding, which makes every result reproducible.
 ceil(n/2) terms and the rest each give a list of float64 half sums, 2^(n/2)
 per side for signs and 3^(n/2) per side for trits. Each list is built
 already sorted, one term at a time, by merging sorted runs
-(Horowitz-Sahni). The right list leaves out its last two terms: each of
-their 4 (signs) or 9 (trits) coefficient choices shifts the sorted list,
-so the queries come from a list 4 or 9 times smaller, with the same floats
-as from the full one. A sweep over many prefix lengths grows the lists
-instead of rebuilding them: the left list of n extends that of every
-shorter prefix, and the right list of n = 2L is that of n = 2L - 1 plus
-one term. The queries target - (right half sum), for each shift, come in
-ascending order, so a cache-sized block of them is ranked in the left list
-by merging it with the slice of that list it spans, the merge step of
-Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
+(Horowitz-Sahni) in cache-sized chunks, each written straight into the new
+list, so no merge holds a full-length order. The right list leaves out its
+last two terms: each of their 4 (signs) or 9 (trits) coefficient choices
+shifts the sorted list, so the queries come from a list 4 or 9 times
+smaller, with the same floats as from the full one. A sweep over many
+prefix lengths grows the lists instead of rebuilding them: the left list
+of n extends that of every shorter prefix, and the right list of n = 2L is
+that of n = 2L - 1 plus one term. The queries target - (right half sum),
+for each shift, come in ascending order, so a cache-sized block of them is
+ranked in the left list by merging it with the slice of that list it
+spans, the merge step of Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
 left list keeps only the vectors whose first nonzero entry is + (and the
 zero vector), and the optima found are completed by their negations. The
 floats only filter: every pair within a proven rounding bound of the float
@@ -73,14 +74,17 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
 # Bytes per entry, where e is the size of one encoding: 4 while they fit
 # int32, else 8. A held half keeps its float64 sums and their encodings:
-# 8 + e. Growing a half peaks at its last merge, which holds the merged runs
-# with their encodings (8 + e), the int64 argsort order (8) and the sums
-# gathered through it (8): 24 + e; timsort's merge buffer, at most half an
-# order, is freed by then, and so is the state the merge extends. The right
-# half holds all but its last `_SHIFTED` terms; `_meet` adds those as shifts
-# to one block of queries at a time. Matching holds both halves and one
-# block of m <= min(R, _BLOCK) queries (R right entries, below).
-# `_insertion_points` ranks a block by merges with slices of at most
+# 8 + e. Growing a half from L' to L entries peaks in its last `_merge`,
+# which holds the old half, (8 + e) L', as the source of its runs, the new
+# one, (8 + e) L, which it fills a chunk at a time, and one chunk of
+# c = min(L, _CHUNK) entries: their values and encodings, their int64
+# argsort order and timsort's buffer (at most half an order, not seen by
+# tracemalloc): (20 + e) c. L' is about L / 2 for signs and L / 3 for
+# trits, so a large merge takes about 18 B per new entry for signs and 16
+# for trits. The right half holds all but its last `_SHIFTED` terms;
+# `_meet` adds those as shifts to one block of queries at a time. Matching holds both
+# halves and one block of m <= min(R, _BLOCK) queries (R right entries,
+# below). `_insertion_points` ranks a block by merges with slices of at most
 # w = max(m, _BLOCK / 16) left sums. The floor spares the short blocks of
 # small searches many small merges: without it the `table3 --upto 22` sweep
 # took 1.12 times as long as a binary search per query, with it 0.95 times
@@ -88,30 +92,35 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # holds the float64 queries and their int64 insertion points so far (16 per
 # query) and, per merged value, the value and its int64 argsort order (16),
 # with timsort's buffer (8 per entry of the shorter run): at most
-# 32 m + 16 w. Then the queries, their insertion points and two float64
-# neighbour distances take 32 m. A sweep grows the left half alone (the
+# 32 m + 16 w. Then the queries, their insertion points, two float64
+# neighbour distances and the merges' reused buffer take 40 m + 8 w, no
+# more, as w >= m. A sweep grows the left half alone (the
 # right one is held only while the next prefix extends it), grows the right
-# half beside the held left, then matches, so with L left and R right
-# entries at its longest prefix it peaks at the largest of (24 + e) L,
-# (8 + e) L + (24 + e) R and (8 + e) (L + R) + 32 m + 16 w + 448 k, with
-# m = min(R, _BLOCK), w at most L and k the blocks, one per shift and per
-# block of right sums: each block leaves a tuple of two small arrays in
-# `_meet`'s `kept` list, and joining them makes one more array per block,
-# with the list slots about 430 B a block under tracemalloc (numpy 2.4, a
-# few kept values each), which `_BLOCK_BYTES` rounds up. `_OBJECT_BYTES`
-# adds the other Python objects: the results so far (under 1 KB per
-# prefix), the exact lookup tables and the few queries kept for the exact
-# re-scoring, which are priced again with their pairs. R is at most L / 2
-# at target 0 and L / 4 otherwise (L / 4.5 and L / 9 for trits), so the
-# left half's last merge sets the peak, except at n <= 4 and for signs at
-# target 0 and an even n <= 38, where R <= 2 _BLOCK and matching does.
-_MERGE_BYTES = 24
+# half beside the held left, then matches. With L left and R right entries
+# at its longest prefix, and L' and R' at one term fewer, it peaks at the
+# largest of (8 + e) (L + L') + (20 + e) min(L, _CHUNK),
+# (8 + e) (L + R + R') + (20 + e) min(R, _CHUNK) and
+# (8 + e) (L + R) + 32 m + 16 w + 448 k, with m = min(R, _BLOCK), w at most
+# L and k the blocks, one per shift and per block of right sums: each block
+# leaves a tuple of two small arrays in `_meet`'s `kept` list, and joining
+# them makes one more array per block, with the list slots about 430 B a
+# block under tracemalloc (numpy 2.4, a few kept values each), which
+# `_BLOCK_BYTES` rounds up. `_OBJECT_BYTES` adds the other Python objects:
+# the results so far (under 1 KB per prefix), the exact lookup tables and
+# the few queries kept for the exact re-scoring, which are priced again
+# with their pairs. R is at most L / 2 at target 0 and L / 4 otherwise
+# (L / 4.5 and L / 9 for trits). So the left half's last merge sets the
+# peak of most large searches, the right half's that of signs at target 0
+# and an even n >= 42, where R = L / 2, and matching that of small ones,
+# whose block and chunk outweigh the halves (`table1 --upto 40` among them).
+_CHUNK_BYTES = 20
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _SLICE_BYTES = 16
 _OBJECT_BYTES = 2**17
 _BLOCK_BYTES = 448
 _BLOCK = 2**16  # queries per matching block in `_meet`
+_CHUNK = 2**16  # entries per sorted chunk of `_merge`
 # The right half's last terms that `_meet` applies as shifts of the queries
 # instead of merging them: the right half held is base^_SHIFTED times
 # smaller. Two is where the left half's last merge takes over the peak.
@@ -325,8 +334,8 @@ class _Half:
     terms so far.
 
     Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
-    sorted list gives one sorted run per digit, and numpy's stable argsort
-    (timsort) merges those runs in linear time. Every sum takes the same
+    sorted list gives one sorted run per digit, and `_merge` merges those
+    runs stably, one cache-sized chunk at a time. Every sum takes the same
     rounded additions, in the same order, as in `_expand`, so the values are
     bit-identical to its, and a half grown in steps equals one grown at
     once. When `symmetric`, only the vectors whose first nonzero entry is +
@@ -349,8 +358,8 @@ class _Half:
         base = len(self.digits)
         dtype = self.encs.dtype
         for w in x:
-            # the runs hold the last references to the old arrays, which are
-            # freed before the merge
+            # the runs hold the last references to the old arrays, which the
+            # merge reads until its last chunk
             sums, encs = self.sums, self.encs
             self.pad = self.encs = None
             # when symmetric, a negative digit skips the zero vector so far,
@@ -366,23 +375,61 @@ class _Half:
                     runs.append((sums[z + 1:], c * w, encs[z + 1:], code))
                 else:
                     runs.append((sums, c * w, encs, code))
-            size = sum(len(v) for v, *_ in runs)
-            merged, codes = np.empty(size), np.empty(size, dtype)
-            lo = 0
-            for v, cw, e, code in runs:
-                np.add(v, cw, out=merged[lo:lo + len(v)])
-                np.add(e, code, out=codes[lo:lo + len(v)])
-                lo += len(v)
-            del runs, sums, encs, v, e
-            order = np.argsort(merged, kind="stable")
-            self.pad = np.empty(size + 2)
-            self.pad[0], self.pad[-1] = -np.inf, np.inf
-            # mode="clip" writes straight into `out`; "raise" would buffer it
-            np.take(merged, order, out=self.sums, mode="clip")
-            del merged
-            self.encs = codes[order]
-            del codes, order
+            del sums, encs
+            self.pad, self.encs = _merge(runs, dtype)
             self.terms += 1
+
+
+def _merge(runs, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(pad, encodings) of the runs (v, cw, e, code), each of whose values
+    fl(v + cw) ascend, merged stably: in the order of a stable argsort of
+    their values concatenated, the run of each value carrying the encodings
+    e + code. `pad` holds the values between a -inf and a +inf sentinel.
+
+    The merge writes chunks of at most max(_CHUNK, len(runs)) entries
+    straight into the two output arrays, so it never holds a full-length
+    order. Entries are ordered by (value, run, index), the stable order.
+    Let s = _CHUNK // len(runs), at least 1. A chunk ends before the pivot,
+    the least of the run entries s past each run's head in that order (none
+    once every run has s or fewer left). Each run gives the chunk its
+    entries below the pivot: those of a smaller value, and those of the
+    pivot's value in an earlier run or before the pivot in its own. They
+    lie within s of the run's head, and the pivot's run gives s, so a chunk
+    takes at least one entry and at most s from each run. One small stable
+    argsort of its pieces, concatenated in run order, orders it. Every value
+    is the float fl(v + cw) that an argsort of the whole runs would see, so
+    the result is bit-identical to that one.
+    """
+    size = sum(len(v) for v, *_ in runs)
+    pad, out = np.empty(size + 2), np.empty(size, dtype)
+    pad[0], pad[-1] = -np.inf, np.inf
+    step = max(1, _CHUNK // len(runs))
+    room = min(size, step * len(runs))
+    vals, codes = np.empty(room), np.empty(room, dtype)
+    heads, done = [0] * len(runs), 0
+    while done < size:
+        pivot, first = math.inf, len(runs)
+        for r, (v, cw, _, _) in enumerate(runs):
+            if heads[r] + step < len(v):
+                value = float(v[heads[r] + step]) + cw
+                if value < pivot:
+                    pivot, first = value, r
+        m = 0
+        for r, (v, cw, e, code) in enumerate(runs):
+            h = heads[r]
+            window = vals[m:m + min(step, len(v) - h)]
+            np.add(v[h:h + len(window)], cw, out=window)
+            cut = int(np.searchsorted(window, pivot, "right" if r <= first else "left"))
+            np.add(e[h:h + cut], code, out=codes[m:m + cut])
+            heads[r] += cut
+            m += cut
+        order = np.argsort(vals[:m], kind="stable")
+        # mode="clip" writes straight into `out`; "raise" would buffer it
+        np.take(vals[:m], order, out=pad[1 + done:1 + done + m], mode="clip")
+        np.take(codes[:m], order, out=out[done:done + m], mode="clip")
+        del order  # before the next chunk's order is allocated
+        done += m
+    return pad, out
 
 
 def _sorted_half(x, digits, symmetric: bool, dtype):
@@ -392,20 +439,21 @@ def _sorted_half(x, digits, symmetric: bool, dtype):
     return half.sums, half.encs
 
 
-def _queries(t: float, sums: np.ndarray, shifts) -> np.ndarray:
+def _queries(t: float, sums: np.ndarray, shifts, out=None) -> np.ndarray:
     """The queries fl(t - v) of the right sums `sums` under a shift: v adds
     to each sum the c_i * x_i of every shifted term in `shifts` (floats, or
     arrays beside `sums`) one at a time, in term order, so it is the float
-    that a right half grown over those terms holds."""
+    that a right half grown over those terms holds. They are written into
+    `out` if given."""
     if not len(shifts):
-        return np.subtract(t, sums)
-    q = sums + shifts[0]
+        return np.subtract(t, sums, out=out)
+    q = np.add(sums, shifts[0], out=out)
     for cw in shifts[1:]:
         q += cw
     return np.subtract(t, q, out=q)
 
 
-def _insertion_points(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _insertion_points(a: np.ndarray, q: np.ndarray, buf=None) -> np.ndarray:
     """np.searchsorted(a, q) of the m ascending queries q, from stable merges.
 
     A piece of the queries, from the next unmatched q_j on, is merged with
@@ -418,6 +466,8 @@ def _insertion_points(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     holds at most w = max(m, _BLOCK / 16) sums, else those below
     a[first + w], and at least one; so no slice holds more than w sums
     (that of a single query is empty), however far the queries spread.
+    A piece's two runs are joined in `buf`, if given, of at least m + w
+    entries.
     """
     m, pieces, j = len(q), [], 0
     width = max(m, _BLOCK // 16)
@@ -429,7 +479,8 @@ def _insertion_points(a: np.ndarray, q: np.ndarray) -> np.ndarray:
             end = np.searchsorted(a, q[k - 1])
         # the argsort order is freed before the positions are allocated,
         # which lets them reuse its memory
-        queried = np.argsort(np.concatenate((q[j:k], a[first:end])), kind="stable") < k - j
+        both = None if buf is None else buf[:k - j + end - first]
+        queried = np.argsort(np.concatenate((q[j:k], a[first:end]), out=both), kind="stable") < k - j
         pos = np.flatnonzero(queried)
         del queried
         pos -= np.arange(-first, k - j - first)
@@ -457,15 +508,26 @@ def _price(n: int, digits, symmetric: bool):
     half = (n + 1) // 2
     dtype = np.int32 if base**half <= 2**31 else np.int64
     kept = _KEPT_BYTES + np.dtype(dtype).itemsize
-    merge = _MERGE_BYTES + np.dtype(dtype).itemsize
-    left = (base**half + 1) // 2 if symmetric else base**half
-    right = base ** max(0, n - half - _SHIFTED)
+    chunk = _CHUNK_BYTES + np.dtype(dtype).itemsize
+
+    def size(terms: int, symmetric: bool) -> int:
+        return (base**terms + 1) // 2 if symmetric else base**terms
+
+    def merge(terms: int, symmetric: bool) -> int:
+        """The last merge of a half grown to `terms` terms, 0 if none."""
+        if not terms:
+            return 0
+        new = size(terms, symmetric)
+        return kept * (new + size(terms - 1, symmetric)) + chunk * min(new, _CHUNK)
+
+    rest = max(0, n - half - _SHIFTED)
+    left, right = size(half, symmetric), size(rest, False)
     block = min(right, _BLOCK)
     width = min(left, max(block, _BLOCK // 16))
     blocks = base ** min(_SHIFTED, n - half) * -(-right // _BLOCK)
     est = max(
-        merge * left,
-        kept * left + merge * right,
+        merge(half, symmetric),
+        kept * left + merge(rest, False),
         kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
         + _BLOCK_BYTES * blocks,
     )
@@ -597,15 +659,24 @@ def _meet(
     # keeps its queries within the running limit, the least distance so far
     # plus 2 * err; that limit only shrinks, so the final one, d + 2 * err,
     # is at most every block's, and the queries within it are all kept.
+    # Every block reuses one buffer for its queries and one for the runs its
+    # merges join. Allocated afresh per block, these arrays of up to 1 MiB
+    # went back to the system and were faulted in again each time, unless
+    # earlier, larger frees had raised glibc's dynamic mmap threshold: the
+    # `table1 --upto 40` sweep took 7,800 more page faults and 11% longer
+    # in fresh processes.
     limit, kept = np.inf, []
+    room = min(last + 1, _BLOCK)
+    qbuf, joined = np.empty(room), np.empty(room + max(room, _BLOCK // 16))
     for s, lo in product(range(len(shifts)), range(0, last + 1, _BLOCK)):
-        q = _queries(t, b[last - lo::-1][:_BLOCK], shifts[s])
+        right_sums = b[last - lo::-1][:_BLOCK]
+        q = _queries(t, right_sums, shifts[s], qbuf[:len(right_sums)])
         # fl(a_k - q_j) is monotone in a_k, so the best a_k for q_j sits on
         # one side or the other of q_j's insertion point pos: at
         # a[pos - 1] = pad[pos] < q_j or at a[pos] = pad[pos + 1] >= q_j.
         # Those signs are known, and fl(q - a) = -fl(a - q), so the two
         # distances need no abs.
-        pos = _insertion_points(a, q)
+        pos = _insertion_points(a, q, joined)
         near = pad[pos]
         np.subtract(q, near, out=near)
         far = pad[1:][pos]

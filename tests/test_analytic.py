@@ -762,6 +762,27 @@ def test_double_double_sums_within_their_bounds():
             assert abs(got - exact) <= Decimal(analytic._DD_REL) * exact
 
 
+@pytest.mark.parametrize(
+    "n, counts",
+    [
+        # 256 xs to a block, 255 factor rows with the product row
+        (255, (255, 256, 257, 513)),
+        (256, (256, 257)),
+        # one or two xs take blocks of 65,535 and 32,767 factors
+        (32767, (2, 3)),
+        (32768, (2,)),
+        (65535, (1,)),
+        (65536, (1, 2)),
+    ],
+)
+def test_rho_batch_matches_the_per_row_product_across_block_edges(n, counts):
+    terms = terms_array(AP, n)
+    rng = np.random.default_rng(n)
+    for count in counts:
+        xs = rng.uniform(-60.0, 60.0, count)
+        assert np.array_equal(analytic._rho_batch(terms, xs), _rho_per_row(terms, xs))
+
+
 def _kernel_priced_and_peak(monkeypatch, spec, m):
     """(price, traced peak) of a fresh _kernel call whose M is m, the first
     x_max that needs it; its tail sums are recomputed."""

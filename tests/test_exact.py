@@ -436,6 +436,33 @@ def test_resumed_half_equals_one_built_at_once():
             assert half.pad[0] == -np.inf and half.pad[-1] == np.inf
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_chunked_merges_equal_one_merge_at_once(monkeypatch, chunk):
+    # colliding terms give tied sums; with chunks of one entry every run
+    # entry is a pivot in turn, so ties fall on pivots, and a tie keeps the
+    # order of the runs. A chunk larger than every half is one stable
+    # argsort of the runs concatenated
+    families = (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1))
+    for spec, digits, symmetric in product(families, (SIGNS, TRITS), (False, True)):
+        x = [1 / b for b in generate(spec, 12 if digits == SIGNS else 8).terms]
+        monkeypatch.setattr(exact, "_CHUNK", 2**30)
+        want = _Half(digits, symmetric, np.int32)
+        want.grow(x)
+        assert np.any(want.sums[1:] == want.sums[:-1])
+        monkeypatch.setattr(exact, "_CHUNK", chunk)
+        got = _Half(digits, symmetric, np.int32)
+        for lo, hi in ((0, 5), (5, 6), (6, len(x))):
+            got.grow(x[lo:hi])
+        assert np.array_equal(got.pad.view(np.int64), want.pad.view(np.int64))
+        assert np.array_equal(got.encs, want.encs)
+
+
+def test_price_reaches_gap_36_and_minsum_56_in_the_default_budget():
+    budget = 3.9 * 2**30
+    assert _price(36, TRITS, True)[0] <= budget < _price(37, TRITS, True)[0]
+    assert _price(56, SIGNS, True)[0] <= budget < _price(57, SIGNS, True)[0]
+
+
 def random_sweep(rng):
     """Colliding terms, at most 16, with a non-contiguous list of prefix
     lengths that holds both members of some pairs 2L - 1, 2L."""
@@ -597,6 +624,9 @@ def test_merged_insertion_points_equal_binary_search(monkeypatch, block):
         got = exact._insertion_points(a, q)
         assert got.dtype == np.intp
         assert np.array_equal(got, np.searchsorted(a, q))
+        # the runs of each piece joined in a reused buffer of m + w entries
+        buf = np.full(len(q) + max(len(q), block // 16), np.nan)
+        assert np.array_equal(exact._insertion_points(a, q, buf), got)
 
 
 @pytest.mark.parametrize("block", [7, 64])
@@ -620,10 +650,10 @@ def test_small_blocks_bound_every_merge(monkeypatch, block):
             merges.append(len(x))
         return argsort(x, *args, **kwargs)
 
-    def spanned(a, q):
+    def spanned(a, q, *buf):
         first, end = np.searchsorted(a, (q[0], q[-1]))
         spans.append(end - first)
-        return insertion_points(a, q)
+        return insertion_points(a, q, *buf)
 
     monkeypatch.setattr(np, "argsort", counted_argsort)
     monkeypatch.setattr(exact, "_insertion_points", spanned)
@@ -676,7 +706,7 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
         (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True, exact._BLOCK),
         (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False, exact._BLOCK),
         (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, exact._BLOCK),
-        # the `exact` benchmark's sweep, whose peak is the left half's last merge
+        # the `exact` benchmark's sweep, whose largest priced phase is matching
         (lambda terms: min_signed_sums(terms, range(1, 41)), 40, SIGNS, True, exact._BLOCK),
         # blocks whose queries span more left sums than they hold queries,
         # so that they are ranked in pieces
@@ -744,11 +774,12 @@ def test_certificates_survive_optimize_flag():
 
 
 def test_gap_memory_guard_refuses_before_allocating():
+    # the gap at N = 34 is priced at 0.96 GiB, over a 0.5 GiB budget
     terms = generate(SequenceSpec.primes(), 34)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            min_gap(terms, force=True, cap=34, memory_gib=1)
+            min_gap(terms, force=True, cap=34, memory_gib=0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
