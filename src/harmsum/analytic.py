@@ -406,7 +406,7 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
     against MEMORY_GIB before either allocates.
     """
     terms = _terms(seq).astype(np.float64)
-    _check_cap(len(terms), None, ENUM_CAP, ENUM_CAP, False)
+    _check_cap(len(terms), ENUM_CAP)
     if not (0.0 < x_max < math.inf and 0.0 < step < math.inf):
         raise ValueError(f"x_max and step must be finite and positive, got {x_max} and {step}")
     # Float outcomes, each within N u sum 1/b of exact (u = 2^-53: the

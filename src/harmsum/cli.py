@@ -40,7 +40,9 @@ from .errors import (
     TruncationFailure,
 )
 from .exact import (
+    GAP_CAP,
     MEMORY_GIB,
+    MINSUM_CAP,
     decay_profile,
     min_gap,
     min_gaps,
@@ -153,11 +155,7 @@ def cmd_minsum(args) -> int:
     spec = _spec_from_args(args)
     tau = parse_exact(args.tau)
     res = min_signed_sum(
-        generate(spec, args.n),
-        tau,
-        cap=args.minsum_cap,
-        force=args.force,
-        memory_gib=args.memory_gib,
+        generate(spec, args.n), tau, cap=args.minsum_cap, memory_gib=args.memory_gib
     )
     _emit_pairs(args.emit, _search_pairs(res), bfile_row=(res.n, res.scaled_num))
     return 0
@@ -165,9 +163,7 @@ def cmd_minsum(args) -> int:
 
 def cmd_gap(args) -> int:
     spec = _spec_from_args(args)
-    res = min_gap(
-        generate(spec, args.n), cap=args.gap_cap, force=args.force, memory_gib=args.memory_gib
-    )
+    res = min_gap(generate(spec, args.n), cap=args.gap_cap, memory_gib=args.memory_gib)
     pairs = [
         ("n", res.n),
         ("scaled_num", str(res.scaled_num)),
@@ -183,7 +179,6 @@ def cmd_table1(args) -> int:
         generate(SequenceSpec.primes(), args.upto),
         range(1, args.upto + 1),
         cap=args.minsum_cap,
-        force=args.force,
         memory_gib=args.memory_gib,
     )
     rows = [(res.n, str(res.scaled_num)) for res in results]
@@ -196,7 +191,6 @@ def cmd_table3(args) -> int:
         generate(SequenceSpec.primes(), args.upto),
         range(1, args.upto + 1),
         cap=args.gap_cap,
-        force=args.force,
         memory_gib=args.memory_gib,
     )
     rows = [(res.n, str(res.scaled_num)) for res in results]
@@ -213,7 +207,6 @@ def cmd_decay(args) -> int:
         range(args.lo, args.hi + 1),
         tau,
         cap=args.minsum_cap,
-        force=args.force,
         memory_gib=args.memory_gib,
     )
     rows = [
@@ -248,9 +241,7 @@ def cmd_decay(args) -> int:
 
 def cmd_two_stage(args) -> int:
     tau = parse_exact(args.tau)
-    res = two_stage_for_n(
-        args.n, tau, cap=args.minsum_cap, force=args.force, memory_gib=args.memory_gib
-    )
+    res = two_stage_for_n(args.n, tau, cap=args.minsum_cap, memory_gib=args.memory_gib)
     pairs = [
         ("tau", str(tau)),
         ("refined_target", str(res.refined_target)),
@@ -387,8 +378,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", choices=EMITS, default="tsv", help="output format")
     p.add_argument(
         "--force", action="store_true",
-        help="lift the default size caps "
-        "(read by minsum, gap, table1, table3, decay and two-stage)",
+        help="lift the default size caps, so that the memory budget and the 64-bit "
+        "encodings bound N (read by minsum, gap, table1, table3, decay and two-stage)",
     )
     p.add_argument(
         "--minsum-cap", type=_positive_int,
@@ -505,6 +496,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
+    # an explicit cap wins over --force, which lifts the default
+    lifted = math.inf if args.force else None
+    args.minsum_cap = args.minsum_cap or lifted or MINSUM_CAP
+    args.gap_cap = args.gap_cap or lifted or GAP_CAP
     try:
         return args.func(args)
     except (InvalidSpec, Overflow, RangeUnreachable, ValueError, ZeroDivisionError) as exc:

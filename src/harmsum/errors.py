@@ -18,7 +18,8 @@ class Overflow(HarmsumError):
 
 
 class CapExceeded(HarmsumError):
-    """Requested N is above the configured cap for this operation."""
+    """Requested N is above the cap for this operation, or too large for
+    the 64-bit encodings of the exact searches."""
 
 
 class CertificateError(HarmsumError):

@@ -32,8 +32,8 @@ zero vector), and the optima found are completed by their negations. The
 floats only filter: every pair within a proven rounding bound of the float
 optimum is re-scored in exact integers, and the optimum is picked from
 those. Every result is then checked once more against `evaluate_signs`.
-`enumerate_sums` walks all 2^n sums in exact integers. Caps on n and a
-memory estimate guard against runaway inputs.
+`enumerate_sums` walks all 2^n sums in exact integers. A cap on n, the
+64-bit encodings and a memory estimate bound every search.
 """
 
 from __future__ import annotations
@@ -51,9 +51,7 @@ from .errors import CapExceeded, CertificateError, RangeUnreachable, ResourceLim
 from .sequences import SequenceSpec, SequenceTerms, _terms, count_up_to, generate
 
 MINSUM_CAP = 48
-MINSUM_CAP_FORCED = 60
 GAP_CAP = 26
-GAP_CAP_FORCED = 30
 ENUM_CAP = 24
 
 
@@ -269,10 +267,9 @@ def evaluate_signs(seq, signs) -> Fraction:
     return Fraction(num, den)
 
 
-def _check_cap(n: int, cap: int | None, default: int, forced: int, force: bool) -> None:
-    limit = cap if cap is not None else (forced if force else default)
-    if n > limit:
-        raise CapExceeded(f"n={n} exceeds the cap of {limit}")
+def _check_cap(n: int, cap: float) -> None:
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the cap of {cap}")
 
 
 def _check_memory(est: int, memory_gib: float) -> None:
@@ -503,8 +500,11 @@ def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
 
 def _price(n: int, digits, symmetric: bool):
     """(bytes, encoding dtype) of a sweep whose longest prefix is n: the
-    largest of its three phases at n, as the memory model above sets out."""
+    largest of its three phases at n, as the memory model above sets out.
+    A prefix whose full encodings would not fit int64 is refused."""
     base = len(digits)
+    if base**n > 2**63:
+        raise CapExceeded(f"n={n} does not fit the 64-bit encodings")
     half = (n + 1) // 2
     dtype = np.int32 if base**half <= 2**31 else np.int64
     kept = _KEPT_BYTES + np.dtype(dtype).itemsize
@@ -534,7 +534,7 @@ def _price(n: int, digits, symmetric: bool):
     return est + _OBJECT_BYTES, dtype
 
 
-def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False):
+def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, nonzero=False):
     """For each n of the ascending prefix lengths ns, yield (n, den,
     residuals, encodings): den = lcm(b_1..b_n, denominator of tau), and the
     optima of |sum_{i<=n} c_i * (den // b_i) - tau * den| by `_meet`.
@@ -544,8 +544,8 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     half of n holds the rest but the last `_SHIFTED` terms, which `_meet`
     applies as shifts; that of n = 2L is the right half of n = 2L - 1 plus
     one term. The right half is held only while the next n extends it.
-    Every prefix is priced before any half is built, so a sweep that would
-    outgrow the budget stops before its first search.
+    Every prefix is checked against the cap and priced before any half is
+    built, so a sweep that either refuses stops before its first search.
     """
     if not ns:
         return
@@ -554,6 +554,8 @@ def _sweep(terms, ns, digits, tau: Fraction, memory_gib: float, *, nonzero=False
     # other c has such a -c, so the optima S found on that side give every
     # optimum as S and -S.
     symmetric = tau == 0
+    for m in ns:
+        _check_cap(m, cap)
     for m in ns:
         est, dtype = _price(m, digits, symmetric)
         _check_memory(est, memory_gib)
@@ -736,8 +738,7 @@ def min_signed_sums(
     ns: Iterable[int],
     tau=0,
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = MINSUM_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> list[SearchResult]:
     """`min_signed_sum` of every prefix of seq whose length is in ns, one
@@ -745,16 +746,13 @@ def min_signed_sums(
 
     One sweep over the ascending lengths serves them all: the sorted halves
     of each prefix grow into those of the next. Every length is checked
-    against the cap and priced before any search.
+    against the cap (math.inf lifts it) and priced before any search.
     """
     terms = _as_terms(seq)
     ns = _prefix_lengths(ns, len(terms))
     tau = Fraction(tau)
-    todo = sorted(set(ns))
-    for m in todo:
-        _check_cap(m, cap, MINSUM_CAP, MINSUM_CAP_FORCED, force)
     found = {}
-    for n, den, res, encs in _sweep(terms, todo, SIGNS, tau, memory_gib):
+    for n, den, res, encs in _sweep(terms, sorted(set(ns)), SIGNS, tau, cap, memory_gib):
         best = abs(res[0])
         witness = SignVector(int(encs.min()), n)
         value = Fraction(best, den)
@@ -768,8 +766,7 @@ def min_signed_sum(
     seq,
     tau=0,
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = MINSUM_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> SearchResult:
     """Minimize |sum_i s_i/b_i - tau| over all 2^n sign choices, exactly.
@@ -780,9 +777,7 @@ def min_signed_sum(
     one with the smallest encoding is returned.
     """
     terms = _as_terms(seq)
-    return min_signed_sums(
-        terms, [len(terms)], tau, cap=cap, force=force, memory_gib=memory_gib
-    )[0]
+    return min_signed_sums(terms, [len(terms)], tau, cap=cap, memory_gib=memory_gib)[0]
 
 
 def _scaled_sums(terms: tuple[int, ...], memory_gib: float) -> tuple[int, list[int]]:
@@ -792,7 +787,7 @@ def _scaled_sums(terms: tuple[int, ...], memory_gib: float) -> tuple[int, list[i
 
 
 def enumerate_sums(
-    seq, *, cap: int | None = None, memory_gib: float = MEMORY_GIB
+    seq, *, cap: float = ENUM_CAP, memory_gib: float = MEMORY_GIB
 ) -> tuple[int, list[tuple[int, SignVector]]]:
     """All 2^n signed sums, scaled by den = lcm(terms).
 
@@ -801,7 +796,7 @@ def enumerate_sums(
     """
     terms = _as_terms(seq)
     n = len(terms)
-    _check_cap(n, cap, ENUM_CAP, ENUM_CAP, False)
+    _check_cap(n, cap)
     den, sums = _scaled_sums(terms, memory_gib)
     order = sorted(range(len(sums)), key=sums.__getitem__)
     return den, [(sums[enc], SignVector(enc, n)) for enc in order]
@@ -811,19 +806,16 @@ def min_gaps(
     seq,
     ns: Iterable[int],
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = GAP_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> list[GapResult]:
     """`min_gap` of every prefix of seq whose length is in ns, one result
     per entry of ns, in its order, from one sweep as in `min_signed_sums`."""
     terms = _as_terms(seq)
     ns = _prefix_lengths(ns, len(terms))
-    todo = sorted(set(ns))
-    for m in todo:
-        _check_cap(m, cap, GAP_CAP, GAP_CAP_FORCED, force)
     found = {}
-    for n, den, res, encs in _sweep(terms, todo, TRITS, Fraction(0), memory_gib, nonzero=True):
+    sweep = _sweep(terms, sorted(set(ns)), TRITS, Fraction(0), cap, memory_gib, nonzero=True)
+    for n, den, res, encs in sweep:
         best = abs(res[0])
         # the optima come as pairs e, -e, so those with a sum >= 0 are all of
         # them, oriented (a zero sum keeps both)
@@ -839,8 +831,7 @@ def min_gaps(
 def min_gap(
     seq,
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = GAP_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> GapResult:
     """Smallest |sum_i e_i/b_i| over nonzero e in {-1,0,+1}^n.
@@ -851,7 +842,7 @@ def min_gap(
     and -e), then take the smallest base-3 encoding.
     """
     terms = _as_terms(seq)
-    return min_gaps(terms, [len(terms)], cap=cap, force=force, memory_gib=memory_gib)[0]
+    return min_gaps(terms, [len(terms)], cap=cap, memory_gib=memory_gib)[0]
 
 
 def two_stage_approx(
@@ -859,8 +850,7 @@ def two_stage_approx(
     prime_seq,
     tau=0,
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = MINSUM_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> TwoStageResult:
     """Approximate tau on the composite terms, then chase the overshoot on
@@ -878,16 +868,14 @@ def two_stage_approx(
         raise RangeUnreachable(
             f"|tau| = {abs(tau)} exceeds the first-stage range {reach}"
         )
-    first = min_signed_sum(comp, tau, cap=cap, force=force, memory_gib=memory_gib)
+    first = min_signed_sum(comp, tau, cap=cap, memory_gib=memory_gib)
     achieved = evaluate_signs(comp, first.witness)
     refined = achieved - tau
     if abs(refined) > 1:
         raise CertificateError(f"refined target {refined} lies outside [-1, 1]")
     primes = tuple(prime_seq.terms if isinstance(prime_seq, SequenceTerms) else prime_seq)
     if primes:
-        second = min_signed_sum(
-            primes, refined, cap=cap, force=force, memory_gib=memory_gib
-        )
+        second = min_signed_sum(primes, refined, cap=cap, memory_gib=memory_gib)
     else:
         # no second stage available; the residual is the refined target itself
         second = SearchResult(
@@ -904,8 +892,7 @@ def two_stage_for_n(
     n: int,
     tau=0,
     *,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = MINSUM_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> TwoStageResult:
     """Two-stage approximation over {1..n}: the n - pi(n) nonprime terms
@@ -917,7 +904,7 @@ def two_stage_for_n(
     primes = (
         generate(SequenceSpec.primes(), n_primes) if n_primes else SequenceTerms(SequenceSpec.primes(), ())
     )
-    return two_stage_approx(comp, primes, tau, cap=cap, force=force, memory_gib=memory_gib)
+    return two_stage_approx(comp, primes, tau, cap=cap, memory_gib=memory_gib)
 
 
 def decay_profile(
@@ -926,8 +913,7 @@ def decay_profile(
     tau=0,
     *,
     k: int | None = None,
-    cap: int | None = None,
-    force: bool = False,
+    cap: float = MINSUM_CAP,
     memory_gib: float = MEMORY_GIB,
 ) -> DecayProfile:
     """Minimal signed sums along prefixes, with reference decay curves.
@@ -952,7 +938,7 @@ def decay_profile(
             ref_log_sq=-math.log(res.n) ** 2,
             ref_power=-float(res.n) ** (1.0 / (2 * k + 1)),
         )
-        for res in min_signed_sums(terms, ns, tau, cap=cap, force=force, memory_gib=memory_gib)
+        for res in min_signed_sums(terms, ns, tau, cap=cap, memory_gib=memory_gib)
     ]
     xs = [math.log(r.n) ** 2 for r in rows if r.value > 0]
     ys = [r.log_value for r in rows if r.value > 0]

@@ -242,7 +242,7 @@ def exhaustive_probability(
     """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors;
     n is capped at ENUM_CAP and the enumeration priced against memory_gib
     (default MEMORY_GIB)."""
-    _check_cap(config.n, None, ENUM_CAP, ENUM_CAP, False)
+    _check_cap(config.n, ENUM_CAP)
     terms = [int(t) for t in terms_array(config.spec, config.n)]
     den, sums = _scaled_sums(terms, MEMORY_GIB if memory_gib is None else memory_gib)
     lo, hi = config.interval

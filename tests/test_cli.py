@@ -241,6 +241,20 @@ def test_cap_and_truncation_exit_codes(capsys):
     assert "rounding" in err
 
 
+def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a half was built")
+
+    monkeypatch.setattr(exact, "_merge", built)
+    code, out, err = run(capsys, ["gap", "--n", "40", "--gap-cap", "40", "--memory-gib", "1000"])
+    assert (code, out) == (3, "") and "64-bit encodings" in err
+    code, out, err = run(capsys, ["gap", "--n", "31", "--force", "--memory-gib", "0.01"])
+    assert (code, out) == (3, "") and "budget" in err
+    # an explicit cap wins over --force
+    code, out, err = run(capsys, ["gap", "--n", "27", "--force", "--gap-cap", "26"])
+    assert (code, out, err) == (3, "", "error: n=27 exceeds the cap of 26\n")
+
+
 @pytest.mark.parametrize(
     "argv, n, cap",
     [

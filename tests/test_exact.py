@@ -463,6 +463,32 @@ def test_price_reaches_gap_36_and_minsum_56_in_the_default_budget():
     assert _price(56, SIGNS, True)[0] <= budget < _price(57, SIGNS, True)[0]
 
 
+def _unbuilt(*args):
+    raise AssertionError("a half was built")
+
+
+def test_64_bit_encodings_bound_an_explicit_cap(monkeypatch):
+    # 3^40 and 2^64 full encodings would wrap int64; priced at 35 and 56 GiB,
+    # these are refused before any half is built
+    monkeypatch.setattr(exact, "_merge", _unbuilt)
+    primes = generate(SequenceSpec.primes(), 64).terms
+    with pytest.raises(CapExceeded, match="64-bit encodings"):
+        min_gap(primes[:40], cap=40, memory_gib=1e6)
+    with pytest.raises(CapExceeded, match="64-bit encodings"):
+        min_signed_sum(primes[:64], cap=64, memory_gib=1e6)
+    # the largest sizes int64 holds are still priced, at least at the
+    # float64 sums and int64 encodings of their left half
+    for n, digits, left in ((39, TRITS, (3**20 + 1) // 2), (63, SIGNS, 2**31)):
+        est, dtype = _price(n, digits, True)
+        assert dtype is np.int64 and est >= 16 * left
+
+
+def test_budget_bounds_a_lifted_cap(monkeypatch):
+    monkeypatch.setattr(exact, "_merge", _unbuilt)
+    with pytest.raises(ResourceLimit):
+        min_gap(generate(SequenceSpec.primes(), 31), cap=math.inf, memory_gib=0.01)
+
+
 def random_sweep(rng):
     """Colliding terms, at most 16, with a non-contiguous list of prefix
     lengths that holds both members of some pairs 2L - 1, 2L."""
@@ -779,7 +805,7 @@ def test_gap_memory_guard_refuses_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            min_gap(terms, force=True, cap=34, memory_gib=0.5)
+            min_gap(terms, cap=34, memory_gib=0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
