@@ -6,11 +6,11 @@ precision, each block of terms by xs in one numpy multiply.reduce that
 keeps every x's factors in term order. One tail-corrected kernel,
 `_kernel`, evaluates the limit rho(x): it multiplies M >= 1024 factors by
 exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j the
-closed-form series of the family minus its first 1024 terms in 40-digit
-decimal, less each further dyadic block of terms summed in numpy
-double-double. Every node is bounded by the rest of the -log cos series,
-as a relative error of at most 1, plus a worst-case rounding term, which
-takes in the error bound of T_j.
+closed-form series of the family minus its first 1024 terms, both summed
+in integer fixed point and rounded once to 40-digit decimals, less each
+further dyadic block of terms summed in numpy double-double. Every node is
+bounded by the rest of the -log cos series, as a relative error of at most
+1, plus a worst-case rounding term, which takes in the error bound of T_j.
 `cosine_product_limit` (the `rho` subcommand) is that kernel at one node,
 with its bound; its doublings of M reuse T_j at the M before.
 
@@ -441,16 +441,18 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
 # -- tail sums ---------------------------------------------------------------
 #
 # T_j(m) = sum_{n>m} b_n^-j for j = 2, 4. Past the first KERNEL_M terms it
-# is the full series S_j = sum_n b_n^-j minus that head, both in 40-digit
-# decimal arithmetic, so the difference keeps full float precision however
-# small the tail: S_4 - head cancels about 18 digits for the primes at
-# M = 2^16, which a double-double head would not survive. Each further
-# dyadic block sum_{M<n<=2M} b_n^-j is summed in numpy double-double, its
-# value converted exactly to decimal and subtracted there, so T_j(2M)
-# reuses T_j(M). Nothing here runs at import.
+# is the full series S_j = sum_n b_n^-j minus that head. Both are summed in
+# Python-int fixed point, each term floored once at a scale of 2^bits with
+# bits >= _K, and rounded once to a 40-digit decimal, so the difference
+# keeps full float precision however small the tail: S_4 - head cancels
+# about 18 digits for the primes at M = 2^16, which a double-double head
+# would not survive. Each further dyadic block sum_{M<n<=2M} b_n^-j is
+# summed in numpy double-double, its value converted exactly to decimal and
+# subtracted there, so T_j(2M) reuses T_j(M). Nothing here runs at import.
 
 _DEC = decimal.Context(prec=40)
 _WIDE = decimal.Context(prec=60)
+_K = 200                   # fraction bits, at least, of the fixed-point sums
 
 # B_2, B_4, ..., B_30 as (numerator, denominator)
 _BERNOULLI = (
@@ -460,24 +462,42 @@ _BERNOULLI = (
 )
 
 
-def _hurwitz(s: int, z: Decimal) -> Decimal:
-    """zeta(s, z) = sum_{i>=0} (z + i)^-s for integer s >= 2 and z > 0.
-    For s >= 40 the terms with z + i < 14 directly: every later one is below
-    14^-40 and all of them below 2e-46. Otherwise 32 terms directly and the
-    rest by the Euler-Maclaurin (polygamma) asymptotic series at w = z + 32,
-    whose 16th omitted term is below 1e-40."""
-    with decimal.localcontext(_DEC):
-        if s >= 40:
-            return sum((z + i) ** -s for i in range(max(1, 14 - int(z))))
-        head = sum((z + i) ** -s for i in range(32))
-        w = z + 32
-        tail = w ** (1 - s) / (s - 1) + w ** -s / 2
-        rising = Decimal(s)  # s (s+1) ... (s+2k-2)
-        for k, (num, den) in enumerate(_BERNOULLI, 1):
-            coef = Decimal(num) / (den * math.factorial(2 * k))
-            tail += coef * rising * w ** (1 - s - 2 * k)
-            rising *= (s + 2 * k - 1) * (s + 2 * k)
-        return head + tail
+def _decimal(value: int, bits: int) -> Decimal:
+    """value 2^-bits, rounded once to 40 digits."""
+    return _DEC.divide(Decimal(value), Decimal(1 << bits))
+
+
+def _fixed_hurwitz(s: int, a: int, q: int, bits: int) -> int:
+    """2^bits zeta(s, a/q), zeta(s, z) = sum_{i>=0} (z + i)^-s, for integer
+    s >= 2 and a, q >= 1. Each term is one floor division of integers, so
+    within a unit of 2^-bits. For s >= 40 the terms with z + i < 14
+    directly: every later one is below 14^-40 and all of them below 2e-46.
+    Otherwise 32 terms directly and the rest by the Euler-Maclaurin
+    (polygamma) asymptotic series at w = z + 32, whose 16th omitted term is
+    below 1e-40; its coefficients B_2k/(2k)! are exact rationals. So 49
+    units at most, plus that term."""
+    scale = q**s << bits
+    if s >= 40:
+        return sum(scale // (a + i * q) ** s for i in range(max(1, 14 - a // q)))
+    total = sum(scale // (a + i * q) ** s for i in range(32))
+    w = a + 32 * q  # z + 32 = w / q
+    total += (q ** (s - 1) << bits) // ((s - 1) * w ** (s - 1))
+    total += scale // (2 * w**s)
+    rising = s  # s (s+1) ... (s+2k-2)
+    for k, (num, den) in enumerate(_BERNOULLI, 1):
+        e = s + 2 * k - 1  # the term is B_2k/(2k)! rising w^-e
+        total += (num * rising * q**e << bits) // (den * math.factorial(2 * k) * w**e)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return total
+
+
+def _hurwitz(s: int, a: int, q: int = 1) -> Decimal:
+    """zeta(s, a/q) to 40 digits, from _fixed_hurwitz at bits = _K +
+    s * bitlength(a // q): a/q < 2^bitlength(a // q), so the leading term
+    (a/q)^-s alone is above 2^(_K - bits), and the fixed-point error is
+    below 2^-194 relative."""
+    bits = _K + s * (a // q).bit_length()
+    return _decimal(_fixed_hurwitz(s, a, q, bits), bits)
 
 
 def _mobius(k: int) -> int:
@@ -492,21 +512,40 @@ def _mobius(k: int) -> int:
     return -result if k > 1 else result
 
 
+def _log_zeta(s: int, bits: int) -> int:
+    """2^bits log zeta(s) = 2^bits log(1 + x), x = zeta(s, 2), for s >= 2.
+    Once s >= 16, x < 2^-15 and log(1 + x) is its alternating series in
+    fixed point: each power and term floored once, the powers' errors
+    shrinking by 2^-15 a step, within 2 units a term. Below that, at 60
+    digits, so within 1e-60."""
+    x = _fixed_hurwitz(s, 2, 1, bits)
+    if s < 16:
+        with decimal.localcontext(_WIDE):
+            return int(_WIDE.ln(1 + Decimal(x) / (1 << bits)) * (1 << bits))
+    total, power, n = 0, x, 1
+    while power:
+        total += power // n if n % 2 else -(power // n)
+        power = power * x >> bits
+        n += 1
+    return total
+
+
 @lru_cache(maxsize=None)
 def _prime_zeta(s: int) -> Decimal:
     """P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks) (Froberg,
-    BIT 8, 1968); log zeta(ks) < 2^(1-ks), so terms past ks = 140 are
-    below 1e-42. log(1 + zeta(ks, 2)) is taken at 60 digits, so it keeps 40
-    significant digits however small zeta(ks, 2) is, and so does P(s)."""
-    with decimal.localcontext(_DEC):
-        total = Decimal(0)
-        k = 1
-        while k == 1 or k * s < 140:
-            mu = _mobius(k)
-            if mu:
-                total += mu * _WIDE.ln(_WIDE.add(1, _hurwitz(k * s, Decimal(2)))) / k
-            k += 1
-        return total
+    BIT 8, 1968), to 40 digits; log zeta(ks) < 2^(1-ks), so terms past
+    ks = 140 are below 1e-42. The sum is in fixed point at bits = _K + s,
+    as P(s) > 2^-s: each log within 1e-60 or a few dozen units, and each
+    division by k floored once."""
+    bits = _K + s
+    total = 0
+    k = 1
+    while k == 1 or k * s < 140:
+        mu = _mobius(k)
+        if mu:
+            total += mu * (_log_zeta(k * s, bits) // k)
+        k += 1
+    return _decimal(total, bits)
 
 
 def _elementary(k: int, power_sums: list[Decimal]) -> Decimal:
@@ -537,15 +576,20 @@ def _series(spec: SequenceSpec, j: int) -> Decimal:
                 sums.append(total)
             return _elementary(spec.k, sums)
         if spec.kind == KIND_NONPRIMES:  # 1 and the composites: zeta(j) - P(j)
-            return 1 + _hurwitz(j, Decimal(2)) - _prime_zeta(j)
+            return 1 + _hurwitz(j, 2) - _prime_zeta(j)
         if spec.kind == KIND_AP:  # q^-j zeta(j, a/q)
-            return _hurwitz(j, Decimal(spec.a) / spec.q) / Decimal(spec.q) ** j
+            return _hurwitz(j, spec.a, spec.q) / Decimal(spec.q) ** j
         return _power_sum(spec.values, j)
 
 
 def _power_sum(terms, j: int) -> Decimal:
-    with decimal.localcontext(_DEC):
-        return sum(Decimal(int(b)) ** -j for b in terms)
+    """sum b^-j over the positive integers b of terms, to 40 digits, within
+    1e-39 relative. In fixed point at bits = _K + j * bitlength(max b): each
+    b^-j is at least 2^(_K - bits), so its one floor division errs by below
+    2^-200 relative, as does the sum, which is rounded once to 40 digits."""
+    bits = _K + j * max(terms, default=1).bit_length()
+    one = 1 << bits
+    return _decimal(sum(one // b**j for b in terms), bits)
 
 
 # Double-double arithmetic (Dekker 1971; Ogita, Rump & Oishi, SIAM J. Sci.
@@ -650,10 +694,11 @@ def _tail_decimals(spec: SequenceSpec, terms: np.ndarray) -> list[tuple[Decimal,
     """[(T_2(m), its error bound), (T_4(m), its error bound)] past the
     m = len(terms) first terms of spec.
 
-    A finite sequence sums its tail directly. Otherwise S_j (within 1e-38,
-    checked against mpmath) minus the 40-digit head, each term and addition
-    within 5e-40 relative, when m <= KERNEL_M. Past that, T_j(m) is the
-    T_j of the largest KERNEL_M 2^i below m minus the block after it."""
+    A finite sequence sums its tail directly, within 1e-39 relative
+    (`_power_sum`). Otherwise S_j (within 1e-38, checked against mpmath)
+    minus the head (within 1e-39 relative), the difference rounded once to
+    40 digits, when m <= KERNEL_M. Past that, T_j(m) is the T_j of the
+    largest KERNEL_M 2^i below m minus the block after it."""
     m = len(terms)
     key = (spec, KERNEL_M, m)
     if key not in _TAILS:

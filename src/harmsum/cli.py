@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -361,117 +362,113 @@ def cmd_mc(args) -> int:
     return 0
 
 
-def _add_seq_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kind",
-        choices=("primes", "pk", "omega-k", "nonprimes", "ap", "custom"),
-        default="primes",
-        help="denominator sequence family",
-    )
-    p.add_argument("--k", type=_positive_int, help="prime-factor count for pk / omega-k")
-    p.add_argument("--a", type=_positive_int, default=1, help="first term for --kind ap")
-    p.add_argument("--q", type=_positive_int, default=1, help="common difference for --kind ap")
-    p.add_argument("--values", help="comma separated terms for --kind custom")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--emit", choices=EMITS, default="tsv", help="output format")
-    p.add_argument(
-        "--force", action="store_true",
-        help="lift the default size caps, so that the memory budget and the 64-bit "
+# flags as (name, add_argument keywords), added in order after the _COMMON ones
+_COMMON = (
+    ("--emit", {"choices": EMITS, "help": "output format"}),
+    ("--force", {
+        "action": "store_true",
+        "help": "lift the default size caps, so that the memory budget and the 64-bit "
         "encodings bound N (read by minsum, gap, table1, table3, decay and two-stage)",
-    )
-    p.add_argument(
-        "--minsum-cap", type=_positive_int,
-        help="override the minimum-search cap (read by minsum, table1, decay and two-stage)",
-    )
-    p.add_argument(
-        "--gap-cap", type=_positive_int,
-        help="override the gap-search cap (read by gap and table3)",
-    )
-    p.add_argument(
-        "--memory-gib", type=_budget_gib, default=MEMORY_GIB,
-        help="memory budget in GiB (default: half of physical memory)",
-    )
+    }),
+    ("--minsum-cap", {
+        "type": _positive_int,
+        "help": "override the minimum-search cap (read by minsum, table1, decay and two-stage)",
+    }),
+    ("--gap-cap", {
+        "type": _positive_int, "help": "override the gap-search cap (read by gap and table3)",
+    }),
+    ("--memory-gib", {
+        "type": _budget_gib, "default": MEMORY_GIB,
+        "help": "memory budget in GiB (default: half of physical memory)",
+    }),
+)
+_FAMILY = (
+    ("--kind", {
+        "choices": ("primes", "pk", "omega-k", "nonprimes", "ap", "custom"),
+        "default": "primes", "help": "denominator sequence family",
+    }),
+    ("--k", {"type": _positive_int, "help": "prime-factor count for pk / omega-k"}),
+    ("--a", {"type": _positive_int, "default": 1, "help": "first term for --kind ap"}),
+    ("--q", {"type": _positive_int, "default": 1, "help": "common difference for --kind ap"}),
+    ("--values", {"help": "comma separated terms for --kind custom"}),
+)
+_N = ("--n", {"type": _positive_int, "required": True})
+_UPTO = ("--upto", {"type": _positive_int, "required": True})
+_TAU = ("--tau", {"default": "0"})
+_SEED = ("--seed", {"type": _uint64, "default": 0})
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(NamedTuple):
+    name: str
+    func: Callable
+    help: str
+    flags: tuple = ()
+    emit: str = "tsv"  # the default --emit
+
+
+_COMMANDS = (
+    _Command("seq", cmd_seq, "emit the first n terms of a sequence", _FAMILY + (_N,)),
+    _Command("minsum", cmd_minsum, "exact minimal |signed sum - tau|", _FAMILY + (
+        _N, ("--tau", {"default": "0", "help": "target as an exact fraction, e.g. 1/3"}),
+    )),
+    _Command("gap", cmd_gap, "exact minimal nonzero |three-valued sum|", _FAMILY + (_N,)),
+    _Command("table1", cmd_table1, "scaled minima over prime prefixes 1..upto", (_UPTO,)),
+    _Command("table3", cmd_table3, "scaled minimal gaps over prime prefixes 1..upto", (_UPTO,)),
+    _Command("decay", cmd_decay, "minimum decay profile with reference curves", _FAMILY + (
+        ("--lo", {"type": _positive_int, "required": True}),
+        ("--hi", {"type": _positive_int, "required": True}),
+        _TAU,
+    )),
+    _Command("two-stage", cmd_two_stage, "composite-then-prime refinement over {1..n}", (_N, _TAU)),
+    _Command("rho", cmd_rho, "cosine-product kernel, finite or limiting", _FAMILY + (
+        ("--n", {"type": _positive_int, "help": "factor count for the finite kernel"}),
+        ("--x", {"type": float, "required": True}),
+        ("--eps", {"type": float, "help": "tail tolerance for the limit"}),
+    )),
+    _Command("density", cmd_density, "limiting density of the random signed sum", _FAMILY + (
+        ("--x", {"type": float, "default": 0.0}),
+        ("--eps", {"type": float, "default": 1e-8}),
+        ("--grid", {"help": "lo:hi:steps sweep instead of a single point"}),
+    )),
+    _Command("check", cmd_check, "finite-range inequality scans", _FAMILY + (
+        ("--bound", {"choices": ("exp", "sandwich", "decay"), "required": True}),
+        _N,
+        ("--pairs", {"type": _positive_int, "default": 1000}),
+        _SEED,
+        ("--x-max", {"type": float, "default": 1000.0}),
+        ("--alpha", {"type": float, "default": 1.0, "help": "decay exponent"}),
+        ("--grid", {"type": _positive_int, "default": 200}),
+        ("--c-prime", {"type": float, "help": "decay range constant"}),
+        ("--x-cap", {"type": float, "default": 1e6}),
+    ), emit="json"),
+    _Command("mc", cmd_mc, "Monte Carlo comparison with the limiting density", _FAMILY + (
+        _N,
+        ("--samples", {"type": _positive_int, "required": True}),
+        _SEED,
+        ("--lo", {"type": float, "required": True}),
+        ("--hi", {"type": float, "required": True}),
+        ("--bins", {"type": _positive_int}),
+        ("--eps", {"type": float, "default": 1e-8}),
+    )),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one: main builds only the subcommand it runs. The usage line lists every
+    subcommand either way, so help and usage errors read the same."""
     parser = argparse.ArgumentParser(
         prog="harmsum",
         description="Exact minimal signed harmonic sums and their limiting density.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        _add_common_flags(p)
-        return p
-
-    p = add("seq", cmd_seq, "emit the first n terms of a sequence")
-    _add_seq_flags(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-
-    p = add("minsum", cmd_minsum, "exact minimal |signed sum - tau|")
-    _add_seq_flags(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--tau", default="0", help="target as an exact fraction, e.g. 1/3")
-
-    p = add("gap", cmd_gap, "exact minimal nonzero |three-valued sum|")
-    _add_seq_flags(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-
-    p = add("table1", cmd_table1, "scaled minima over prime prefixes 1..upto")
-    p.add_argument("--upto", type=_positive_int, required=True)
-
-    p = add("table3", cmd_table3, "scaled minimal gaps over prime prefixes 1..upto")
-    p.add_argument("--upto", type=_positive_int, required=True)
-
-    p = add("decay", cmd_decay, "minimum decay profile with reference curves")
-    _add_seq_flags(p)
-    p.add_argument("--lo", type=_positive_int, required=True)
-    p.add_argument("--hi", type=_positive_int, required=True)
-    p.add_argument("--tau", default="0")
-
-    p = add("two-stage", cmd_two_stage, "composite-then-prime refinement over {1..n}")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--tau", default="0")
-
-    p = add("rho", cmd_rho, "cosine-product kernel, finite or limiting")
-    _add_seq_flags(p)
-    p.add_argument("--n", type=_positive_int, help="factor count for the finite kernel")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--eps", type=float, help="tail tolerance for the limit")
-
-    p = add("density", cmd_density, "limiting density of the random signed sum")
-    _add_seq_flags(p)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--grid", help="lo:hi:steps sweep instead of a single point")
-
-    p = add("check", cmd_check, "finite-range inequality scans")
-    _add_seq_flags(p)
-    p.add_argument("--bound", choices=("exp", "sandwich", "decay"), required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--pairs", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--x-max", type=float, default=1000.0)
-    p.add_argument("--alpha", type=float, default=1.0, help="decay exponent")
-    p.add_argument("--grid", type=_positive_int, default=200)
-    p.add_argument("--c-prime", type=float, help="decay range constant")
-    p.add_argument("--x-cap", type=float, default=1e6)
-    p.set_defaults(emit="json")
-
-    p = add("mc", cmd_mc, "Monte Carlo comparison with the limiting density")
-    _add_seq_flags(p)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
-    p.add_argument("--seed", type=_uint64, default=0)
-    p.add_argument("--lo", type=float, required=True)
-    p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--bins", type=_positive_int)
-    p.add_argument("--eps", type=float, default=1e-8)
-
+    chosen = [c for c in _COMMANDS if c.name == command]
+    metavar = "{" + ",".join(c.name for c in _COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for c in chosen or _COMMANDS:
+        p = sub.add_parser(c.name, help=c.help)
+        for flag, kwargs in _COMMON + c.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=c.func, emit=c.emit)
     return parser
 
 
@@ -491,9 +488,10 @@ def _glue_negative_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
     # an explicit cap wins over --force, which lifts the default

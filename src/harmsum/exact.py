@@ -429,13 +429,6 @@ def _merge(runs, dtype) -> tuple[np.ndarray, np.ndarray]:
     return pad, out
 
 
-def _sorted_half(x, digits, symmetric: bool, dtype):
-    """(sums, encodings) of a `_Half` grown over the terms x from none."""
-    half = _Half(digits, symmetric, dtype)
-    half.grow(x)
-    return half.sums, half.encs
-
-
 def _queries(t: float, sums: np.ndarray, shifts, out=None) -> np.ndarray:
     """The queries fl(t - v) of the right sums `sums` under a shift: v adds
     to each sum the c_i * x_i of every shifted term in `shifts` (floats, or

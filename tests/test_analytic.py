@@ -674,6 +674,45 @@ def test_tail_sums_against_mpmath():
             assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
 
 
+@pytest.mark.parametrize(
+    "s, a, q",
+    # z = a/q with no terminating decimal, on both sides of the direct-sum
+    # switch at s = 40, and a z below 1, where zeta(s, z) is large
+    [(2, 1, 1), (4, 2, 1), (2, 1, 3), (4, 2, 7), (3, 7, 2), (39, 3, 4), (40, 2, 1),
+     (40, 1, 3), (41, 27, 2), (57, 5, 3), (139, 2, 1)],
+)
+def test_hurwitz_at_rational_z_against_mpmath(s, a, q):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        want = Decimal(mpmath.nstr(mpmath.zeta(s, mpmath.mpf(a) / q), 50))
+    assert abs(analytic._hurwitz(s, a, q) - want) <= Decimal("1e-38") * max(1, want)
+
+
+@pytest.mark.parametrize("s", [14, 15, 16, 17, 24, 39])
+def test_log_zeta_on_both_sides_of_the_series_switch(s):
+    # log(1 + x) of the fixed-point x = zeta(s, 2): below s = 16 by a
+    # 60-digit decimal log, from 16 on by its alternating series in fixed
+    # point; x itself errs by up to 1e-40 from the Euler-Maclaurin cut
+    mpmath = pytest.importorskip("mpmath")
+    bits = analytic._K + 16
+    x = Fraction(analytic._fixed_hurwitz(s, 2, 1, bits), 2**bits)
+    with mpmath.workdps(80):
+        want = Fraction(mpmath.nstr(mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator), 75))
+    assert abs(Fraction(analytic._log_zeta(s, bits), 2**bits) - want) <= Fraction(1, 10**58)
+
+
+def test_power_sum_within_its_bound():
+    # 40 digits, within 1e-39 relative of the exact sum, for terms up to 2^63
+    rng = np.random.default_rng(11)
+    lists = [[1], [2**63 - 1], [3, 3, 7], list(range(1, 200))]
+    lists += [rng.integers(1, 2**int(e), int(n)).tolist()
+              for e, n in zip(rng.integers(2, 64, 20), rng.integers(1, 60, 20))]
+    for terms in lists:
+        for j in (2, 4):
+            exact = sum(Fraction(1, b**j) for b in terms)
+            assert abs(Fraction(analytic._power_sum(terms, j)) - exact) <= exact / 10**39
+    assert analytic._power_sum([], 2) == 0
+
 
 def test_bernoulli_constants_match_the_recurrence():
     b = [Fraction(1)]

@@ -1,12 +1,16 @@
+import ast
+import contextlib
+import io
 import json
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from harmsum import analytic, exact, montecarlo
-from harmsum.cli import build_parser, main
+from harmsum.cli import _COMMANDS, _glue_negative_values, build_parser, main
 
 BFILE_LINE = re.compile(r"^\d+ -?\d+$")
 
@@ -402,3 +406,49 @@ def test_density_refuses_non_finite_x(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def _argv_lists() -> list[list[str]]:
+    """Every list of string literals in this file that starts with a
+    subcommand, and every README example."""
+    names = {c.name for c in _COMMANDS}
+    lists = [
+        [e.value for e in node.elts]
+        for node in ast.walk(ast.parse(Path(__file__).read_text()))
+        if isinstance(node, ast.List) and node.elts
+        and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+        and node.elts[0].value in names
+    ]
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lists += [shlex.split(line)[2:] for line in readme.read_text().splitlines()
+              if line.startswith("$ harmsum ")]
+    return lists
+
+
+def _parse(parser, argv):
+    """(the namespace's repr, so nan reads equal, or the exit code; stdout;
+    stderr) of parse_args."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", [c.name for c in _COMMANDS])
+def test_one_subcommand_parser_reads_as_the_full_one(name):
+    # main builds only the subcommand that argv names; each argv must parse
+    # to the same namespace, and help and usage errors print the same bytes
+    argvs = [a for a in _argv_lists() if a[0] == name]
+    assert argvs
+    argvs += [
+        [name, "--help"], [name], [name, "--bogus"], [name, "extra"], [name, "--emit", "xml"],
+        [name, "--memory-gib"], [name, "--memory-gib", "0"], [name, "--n", "0"],
+    ]
+    for argv in map(_glue_negative_values, argvs):
+        assert _parse(build_parser(name), argv) == _parse(build_parser(), argv), argv
+    other = "seq" if name != "seq" else "mc"
+    code, _, err = _parse(build_parser(name), [other, "--n", "3"])
+    assert code == 2 and "invalid choice" in err

@@ -23,7 +23,6 @@ from harmsum.exact import (
     _Half,
     _meet,
     _price,
-    _sorted_half,
     decay_profile,
     enumerate_sums,
     evaluate_signs,
@@ -38,6 +37,13 @@ from harmsum.exact import (
 from harmsum.sequences import SequenceSpec, generate
 
 PRIMES = generate(SequenceSpec.primes(), 25).terms
+
+
+def _sorted_half(x, digits, symmetric: bool, dtype):
+    """(sums, encodings) of a `_Half` grown over the terms x from none."""
+    half = _Half(digits, symmetric, dtype)
+    half.grow(x)
+    return half.sums, half.encs
 
 
 def brute_minsum(terms, tau):
