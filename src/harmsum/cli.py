@@ -5,7 +5,8 @@ published-table reproductions, the cosine-product kernel and its limit,
 the limiting density, finite-range inequality scans, and Monte Carlo
 comparison. Output formats: tsv (default, '#'-prefixed header), json
 (canonical key order, big integers as decimal strings), and bfile
-("index value" pairs, no header).
+("index value" pairs, no header), offered only where every value is an
+integer; argparse refuses a format a subcommand does not offer.
 
 Exit codes: 0 success, 2 usage or domain error, 3 cap or resource limit,
 4 numerical truncation failure.
@@ -34,8 +35,6 @@ from .analytic import (
 from .errors import (
     CapExceeded,
     DivergedTruncation,
-    InvalidSpec,
-    Overflow,
     RangeUnreachable,
     ResourceLimit,
     TruncationFailure,
@@ -107,8 +106,6 @@ def _emit_pairs(emit: str, pairs, bfile_row=None) -> None:
     if emit == "json":
         print(json.dumps(dict(pairs)))
     elif emit == "bfile":
-        if bfile_row is None:
-            raise ValueError("bfile output is not available for this subcommand")
         print(f"{bfile_row[0]} {bfile_row[1]}")
     else:
         for key, value in pairs:
@@ -120,8 +117,6 @@ def _emit_table(emit: str, header, rows, json_key: str, bfile_cols=None) -> None
     if emit == "json":
         print(json.dumps({json_key: [dict(zip(header, r)) for r in rows]}))
     elif emit == "bfile":
-        if bfile_cols is None:
-            raise ValueError("bfile output is not available for this subcommand")
         i, j = bfile_cols
         for r in rows:
             print(f"{r[i]} {r[j]}")
@@ -364,7 +359,6 @@ def cmd_mc(args) -> int:
 
 # flags as (name, add_argument keywords), added in order after the _COMMON ones
 _COMMON = (
-    ("--emit", {"choices": EMITS, "help": "output format"}),
     ("--force", {
         "action": "store_true",
         "help": "lift the default size caps, so that the memory budget and the 64-bit "
@@ -403,17 +397,19 @@ class _Command(NamedTuple):
     func: Callable
     help: str
     flags: tuple = ()
+    emits: tuple = ("tsv", "json")  # the --emit choices: bfile only for integer values
     emit: str = "tsv"  # the default --emit
 
 
 _COMMANDS = (
-    _Command("seq", cmd_seq, "emit the first n terms of a sequence", _FAMILY + (_N,)),
+    _Command("seq", cmd_seq, "emit the first n terms of a sequence", _FAMILY + (_N,), EMITS),
     _Command("minsum", cmd_minsum, "exact minimal |signed sum - tau|", _FAMILY + (
         _N, ("--tau", {"default": "0", "help": "target as an exact fraction, e.g. 1/3"}),
-    )),
-    _Command("gap", cmd_gap, "exact minimal nonzero |three-valued sum|", _FAMILY + (_N,)),
-    _Command("table1", cmd_table1, "scaled minima over prime prefixes 1..upto", (_UPTO,)),
-    _Command("table3", cmd_table3, "scaled minimal gaps over prime prefixes 1..upto", (_UPTO,)),
+    ), EMITS),
+    _Command("gap", cmd_gap, "exact minimal nonzero |three-valued sum|", _FAMILY + (_N,), EMITS),
+    _Command("table1", cmd_table1, "scaled minima over prime prefixes 1..upto", (_UPTO,), EMITS),
+    _Command("table3", cmd_table3, "scaled minimal gaps over prime prefixes 1..upto", (_UPTO,),
+             EMITS),
     _Command("decay", cmd_decay, "minimum decay profile with reference curves", _FAMILY + (
         ("--lo", {"type": _positive_int, "required": True}),
         ("--hi", {"type": _positive_int, "required": True}),
@@ -466,6 +462,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for c in chosen or _COMMANDS:
         p = sub.add_parser(c.name, help=c.help)
+        p.add_argument("--emit", choices=c.emits, help="output format")
         for flag, kwargs in _COMMON + c.flags:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=c.func, emit=c.emit)
@@ -500,7 +497,7 @@ def main(argv=None) -> int:
     args.gap_cap = args.gap_cap or lifted or GAP_CAP
     try:
         return args.func(args)
-    except (InvalidSpec, Overflow, RangeUnreachable, ValueError, ZeroDivisionError) as exc:
+    except (RangeUnreachable, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapExceeded, ResourceLimit) as exc:

@@ -9,12 +9,12 @@ class HarmsumError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidSpec(HarmsumError):
-    """A sequence specification that cannot describe a valid sequence."""
+class InvalidSpec(HarmsumError, ValueError):
+    """A sequence specification or list of terms that describes no valid sequence."""
 
 
-class Overflow(HarmsumError):
-    """A generated term would not fit in 64 bits."""
+class Overflow(HarmsumError, ValueError):
+    """A term, generated or given, would not fit in 64 bits."""
 
 
 class CapExceeded(HarmsumError):

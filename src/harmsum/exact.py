@@ -55,17 +55,18 @@ GAP_CAP = 26
 ENUM_CAP = 24
 
 
-def _half_physical_memory_gib() -> float:
-    """Half of the machine's physical memory in GiB; 8.0 where the
-    platform does not report it."""
+def _physical_memory_gib() -> float | None:
+    """The machine's physical memory in GiB; None where the platform does
+    not report it."""
     try:
         total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         total = 0
-    return total / 2**31 if total > 0 else 8.0
+    return total / 2**30 if total > 0 else None
 
 
-MEMORY_GIB = _half_physical_memory_gib()  # default budget of every memory check
+PHYSICAL_GIB = _physical_memory_gib()  # no estimate above it runs, whatever the budget
+MEMORY_GIB = PHYSICAL_GIB / 2 if PHYSICAL_GIB else 8.0  # default budget of every memory check
 
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
@@ -273,19 +274,19 @@ def _check_cap(n: int, cap: float) -> None:
 
 
 def _check_memory(est: int, memory_gib: float) -> None:
-    """Refuse an estimated allocation of `est` bytes above the budget, and
-    a NaN budget, which no comparison would catch."""
+    """Refuse an estimated allocation of `est` bytes above the budget or
+    above physical memory, where the platform reports it, and a NaN budget,
+    which no comparison would catch."""
     if math.isnan(memory_gib):
         raise ValueError("the memory budget is NaN GiB")
-    if est > memory_gib * 2**30:
-        gib = est / 2**30
-        # the fewest significant digits that still show gib above the budget
-        p = next(
-            (p for p in range(2, 17) if float(f"{gib:.{p}g}") > float(f"{memory_gib:.{p}g}")), 17
-        )
-        raise ResourceLimit(
-            f"estimated {gib:.{p}g} GiB exceeds the {memory_gib:.{p}g} GiB budget"
-        )
+    for limit, name in ((memory_gib, "budget"), (PHYSICAL_GIB, "of physical memory")):
+        if limit is not None and est > limit * 2**30:
+            gib = est / 2**30
+            # the fewest significant digits that still show gib above the limit
+            p = next(
+                (p for p in range(2, 17) if float(f"{gib:.{p}g}") > float(f"{limit:.{p}g}")), 17
+            )
+            raise ResourceLimit(f"estimated {gib:.{p}g} GiB exceeds the {limit:.{p}g} GiB {name}")
 
 
 def _int_bytes(den: int) -> int:

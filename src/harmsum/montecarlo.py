@@ -15,7 +15,8 @@ once per run. The 8 lookups of a word are added plainly, the word
 partials into the total with Kahan compensation, in the same order
 whatever the chunk, tile or piece, so reports are bit-reproducible for a
 fixed seed. The moments are numpy pairwise sums per chunk, joined by
-math.fsum, within a stated bound of exact.
+math.fsum, within a stated bound of exact. `simulate` and `histogram`
+price the sampler, then predict, then draw, so a refusal draws nothing.
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ def _chunk_sums(
 
 
 def _iter_chunks(config: SimulationConfig, memory_gib: float):
+    """Price the run and build its tables now; return the generator of its chunks."""
     nbytes = -(-config.n // 8)
     nwords = -(-config.n // 64)
     blocks = _blocks_per_sample(config.n)
@@ -167,11 +169,9 @@ def _iter_chunks(config: SimulationConfig, memory_gib: float):
     )
     inv = 1.0 / terms_array(config.spec, config.n).astype(np.float64)
     tables = _byte_tables(inv)
-    done = 0
-    while done < config.samples:
-        c = min(CHUNK, cap, config.samples - done)
-        yield _chunk_sums(inv, config.seed, done, c, tables)
-        done += c
+    step = min(CHUNK, cap)
+    return (_chunk_sums(inv, config.seed, done, min(step, config.samples - done), tables)
+            for done in range(0, config.samples, step))
 
 
 def simulate(
@@ -186,21 +186,20 @@ def simulate(
     sample_mean is within g(35) * sum |x_j| / m of their exact mean, and
     sample_variance within 4 g(35) * sum x_j^2 / (m - 1) of their exact
     sample variance."""
-    if not eps > 0:  # before any sampling, not after it
-        raise ValueError("eps must be positive")
     budget = MEMORY_GIB if memory_gib is None else memory_gib
     lo, hi = config.interval
+    chunks = _iter_chunks(config, budget)
+    predicted = interval_probability(config.spec, lo, hi, eps, memory_gib=budget)
     hits = 0
     sum_parts: list[float] = []
     sq_parts: list[float] = []
-    for vals in _iter_chunks(config, budget):
+    for vals in chunks:
         hits += int(np.count_nonzero((vals >= lo) & (vals < hi)))
         sum_parts.append(float(np.add.reduce(vals)))
         sq_parts.append(float(np.add.reduce(np.square(vals, out=vals))))
     m = config.samples
     p = hits / m
     se = math.sqrt(p * (1.0 - p) / m)
-    predicted = interval_probability(config.spec, lo, hi, eps, memory_gib=budget)
     diff = p - predicted
     if se > 0.0:
         z = diff / se
@@ -262,22 +261,22 @@ def histogram(
     after multiplying by the bin width."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     lo, hi = config.interval
     width = (hi - lo) / bins
     budget = MEMORY_GIB if memory_gib is None else memory_gib
+    chunks = _iter_chunks(config, budget)
+    centers = lo + width * (np.arange(bins) + 0.5)
+    expected = densities(config.spec, centers, eps, memory_gib=budget)
     counts = np.zeros(bins, dtype=np.int64)
-    for vals in _iter_chunks(config, budget):
+    for vals in chunks:
         ok = (vals >= lo) & (vals < hi)
         # (x - lo) / width lies in [0, bins] for x in [lo, hi), and rounds up
         # to bins for some x just below hi, which belongs to the top bin
         idx = np.floor((vals[ok] - lo) / width).astype(np.int64)
         counts += np.bincount(np.minimum(idx, bins - 1, out=idx), minlength=bins)
     in_range = int(counts.sum())
-    centers = lo + width * (np.arange(bins) + 0.5)
     rows = []
-    for count, sample in zip(counts, densities(config.spec, centers, eps, memory_gib=budget)):
+    for count, sample in zip(counts, expected):
         emp = count / (in_range * width) if in_range else 0.0
         rows.append(HistogramRow(center=sample.x, empirical=float(emp), expected=sample.g))
     return rows

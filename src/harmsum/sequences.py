@@ -14,8 +14,8 @@ Supported kinds:
 Sieved kinds are generated with a segmented sieve, run in rounds: the
 first covers [0, n], as b_n >= n, and each later one resumes where the last
 stopped and reaches as far as the terms found so far put b_n. All terms
-must fit in 64 bits. `_terms` is the one check of a given list of terms,
-so the exact and the analytic layer accept and refuse the same lists.
+must fit in 64 bits. `_terms` is the one check of a given list of terms, so
+custom specs and the exact and analytic layers accept the same lists.
 """
 
 from __future__ import annotations
@@ -66,18 +66,8 @@ class SequenceSpec:
             if self.a is None or self.q is None or self.a < 1 or self.q < 1:
                 raise InvalidSpec("arithmetic progression needs a >= 1 and q >= 1")
         if self.kind == KIND_CUSTOM:
-            vals = self.values
-            if not vals:
-                raise InvalidSpec("custom sequence needs at least one term")
-            prev = 0
-            for v in vals:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidSpec("custom terms must be integers")
-                if v < 1 or v <= prev:
-                    raise InvalidSpec("custom terms must be strictly increasing and >= 1")
-                if v > MAX_TERM:
-                    raise Overflow(f"term {v} does not fit in 64 bits")
-                prev = v
+            values = () if self.values is None else self.values
+            object.__setattr__(self, "values", tuple(_terms(values).tolist()))
 
     # -- constructors ------------------------------------------------------
 
@@ -105,17 +95,9 @@ class SequenceSpec:
 
     @classmethod
     def custom(cls, values) -> "SequenceSpec":
-        """An explicit list of terms. A value that is not an exact integer
-        is refused, not truncated; integral floats such as 2.0 pass."""
-        values = tuple(values)
-        for v in values:
-            try:
-                exact = int(v) == v
-            except (TypeError, ValueError, OverflowError):
-                exact = False
-            if not exact:
-                raise InvalidSpec("custom terms must be integers")
-        return cls(KIND_CUSTOM, values=tuple(int(v) for v in values))
+        """An explicit list of terms, checked by `_terms` and kept as a
+        tuple of Python ints; integral floats such as 2.0 pass."""
+        return cls(KIND_CUSTOM, values=values)
 
     def label(self) -> str:
         if self.kind == KIND_PK:
@@ -155,21 +137,39 @@ class GrowthEnvelope:
 
 def _terms(seq) -> np.ndarray:
     """The terms of a SequenceTerms, an array or any iterable as an int64
-    array, checked in numpy to be nonempty, integral, positive, strictly
-    increasing and below 2^63."""
+    array, checked to be nonempty, integral, positive, strictly increasing
+    and below 2^63: in numpy where numpy reads them as integers, else
+    value by value, so no value is rounded through float64."""
     if isinstance(seq, SequenceTerms):
         seq = seq.terms
-    values = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq))
-    if values.ndim != 1 or not len(values):
-        raise ValueError("need at least one term")
-    if values.dtype.kind not in "iu":
-        values = values.astype(np.float64)
-        if not np.all((values == np.floor(values)) & (np.abs(values) < 2.0**63)):
-            raise ValueError("terms must be strictly increasing positive integers")
-    terms = values.astype(np.int64, copy=False)
+    if not isinstance(seq, np.ndarray):
+        seq = list(seq)
+    values = np.asarray(seq)
+    if values.ndim == 1 and values.dtype.kind in "iu":
+        if len(values) and values.max() > MAX_TERM:
+            raise Overflow(f"term {values.max()} does not fit in 64 bits")
+        terms = values.astype(np.int64, copy=False)
+    else:
+        values = seq.tolist() if isinstance(seq, np.ndarray) else seq
+        terms = np.array([_integer(v) for v in values], dtype=np.int64)
+    if not len(terms):
+        raise InvalidSpec("need at least one term")
     if terms[0] < 1 or np.any(terms[1:] <= terms[:-1]):
-        raise ValueError("terms must be strictly increasing positive integers")
+        raise InvalidSpec("terms must be strictly increasing positive integers")
     return terms
+
+
+def _integer(v) -> int:
+    """v as an int, if it equals one (a string equals none) that fits in 64 bits."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise InvalidSpec("custom terms must be integers")
+    if not -MAX_TERM - 1 <= i <= MAX_TERM:
+        raise Overflow(f"term {i} does not fit in 64 bits")
+    return i
 
 
 def is_prime(n: int) -> bool:

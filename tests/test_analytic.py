@@ -31,7 +31,7 @@ from harmsum.exact import (
     min_signed_sums,
 )
 from harmsum.sequences import (
-    KIND_AP, KIND_NONPRIMES, KIND_PK, KIND_PRIMES, SequenceSpec, generate, terms_array,
+    KIND_AP, KIND_NONPRIMES, KIND_PK, KIND_PRIMES, SequenceSpec, _terms, generate, terms_array,
 )
 
 PRIMES = SequenceSpec.primes()
@@ -313,9 +313,10 @@ def test_near_count_refuses_windows_beyond_int64():
     "bad",
     [[], [3, 2], (0, 1), [2, 2], np.array([0.0]), np.array([5.0, 3.0, -2.0]),
      np.array([2.5, 3.0]), np.array([2.0, math.nan]), np.array([2.0, math.inf]),
-     np.array([[2, 3]]), [2, 2**63], np.array([2, 2**63], dtype=np.uint64)],
+     np.array([[2, 3]]), [2, 2**63], np.array([2, 2**63], dtype=np.uint64), [2, "3"]],
     ids=["empty", "decreasing", "zero", "repeat", "array-zero", "array-decreasing",
-         "array-fraction", "array-nan", "array-inf", "array-2d", "too-large", "uint64-wraps"],
+         "array-fraction", "array-nan", "array-inf", "array-2d", "too-large", "uint64-wraps",
+         "string"],
 )
 def test_terms_validated_alike(bad):
     # lists, tuples and arrays go through one check, in the analytic and the
@@ -355,6 +356,17 @@ def test_terms_forms_agree():
             exponential_bound_suite(seq, pairs=20).violations,
         ))
     assert len(got) == 1
+
+
+def test_terms_are_never_rounded_through_float64():
+    # 2^53 + 1 has no float64: rounded through float64 it would be 2^53,
+    # and the search would return, and certify, the minimum of another list
+    big = 2**53 + 1
+    assert _terms([2.0, big]).tolist() == [2, big]
+    assert evaluate_signs([2.0, big], [1, -1]) == Fraction(1, 2) - Fraction(1, big)
+    res = min_signed_sum([2.0, big])
+    assert res.den == 2 * big
+    assert res.value == Fraction(1, 2) - Fraction(1, big)
 
 
 def test_sigma_minus():

@@ -257,6 +257,11 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     # an explicit cap wins over --force
     code, out, err = run(capsys, ["gap", "--n", "27", "--force", "--gap-cap", "26"])
     assert (code, out, err) == (3, "", "error: n=27 exceeds the cap of 26\n")
+    # on a 16 GiB machine physical memory bounds any budget: the gap at
+    # N = 39 is priced at 34.6 GiB
+    monkeypatch.setattr(exact, "PHYSICAL_GIB", 16.0)
+    code, out, err = run(capsys, ["gap", "--n", "39", "--force", "--memory-gib", "1000"])
+    assert (code, out, err) == (3, "", "error: estimated 35 GiB exceeds the 16 GiB of physical memory\n")
 
 
 @pytest.mark.parametrize(
@@ -284,14 +289,37 @@ def test_over_cap_sweeps_exit_before_any_search(capsys, monkeypatch, argv, n, ca
         ["check", "--bound", "exp", "--n", "10", "--pairs", "5"],
         ["decay", "--lo", "4", "--hi", "8"],
         ["two-stage", "--n", "6"],
+        ["rho", "--x", "0.5", "--eps", "1e-8"],
+        ["mc", "--n", "10", "--samples", "10", "--lo", "-0.1", "--hi", "0.1"],
     ],
-    ids=["density", "check", "decay", "two-stage"],
+    ids=["density", "check", "decay", "two-stage", "rho", "mc"],
 )
-def test_bfile_unavailable(capsys, argv):
+def test_bfile_unavailable(capsys, monkeypatch, argv):
+    # refused by the parser, before any search, kernel or draw
+    def ran(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(exact, "_meet", ran)
+    monkeypatch.setattr(analytic, "_kernel", ran)
+    monkeypatch.setattr(montecarlo, "_chunk_sums", ran)
     code, out, err = run(capsys, argv + ["--emit", "bfile"])
     assert code == 2
     assert "bfile" in err
     assert out == ""
+
+
+def test_mc_prediction_refuses_before_any_draw(capsys, monkeypatch):
+    # the kernel of three terms never decays below eps, so the prediction
+    # fails; it runs before the sampler draws anything
+    def drawn(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(montecarlo, "_chunk_sums", drawn)
+    argv = ["mc", "--kind", "custom", "--values", "2,3,5", "--n", "3", "--samples", "20000000",
+            "--lo", "-0.1", "--hi", "0.1", "--eps", "1e-6"]
+    for extra in ([], ["--bins", "4"]):
+        code, out, err = run(capsys, argv + extra)
+        assert (code, out) == (4, "") and "kernel envelope" in err
 
 
 def test_tsv_layouts(capsys):

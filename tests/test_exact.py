@@ -770,6 +770,20 @@ def test_memory_refusal_shows_the_estimate_above_the_budget():
         _check_memory(int(4.2 * 2**30), 3.9)
 
 
+def test_memory_check_refuses_estimates_above_physical_memory(monkeypatch):
+    # whatever the budget; where the platform reports no physical memory,
+    # the budget alone decides
+    assert exact.MEMORY_GIB == (exact.PHYSICAL_GIB / 2 if exact.PHYSICAL_GIB else 8.0)
+    monkeypatch.setattr(exact, "PHYSICAL_GIB", 16.0)
+    with pytest.raises(ResourceLimit, match=r"estimated 17 GiB exceeds the 16 GiB of physical memory"):
+        _check_memory(17 * 2**30, 1000.0)
+    with pytest.raises(ResourceLimit, match="budget"):
+        _check_memory(17 * 2**30, 10.0)
+    _check_memory(16 * 2**30, 1000.0)
+    monkeypatch.setattr(exact, "PHYSICAL_GIB", None)
+    _check_memory(17 * 2**30, 1000.0)
+
+
 CERTIFICATE_SCRIPT = """
 from fractions import Fraction
 from types import SimpleNamespace
