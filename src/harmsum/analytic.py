@@ -745,14 +745,16 @@ def _tail_sums(spec: SequenceSpec, terms: np.ndarray):
 
 
 def _kernel(
-    spec: SequenceSpec, x_max: float, least: int = 0, memory_gib: float = MEMORY_GIB
+    spec: SequenceSpec, x_max: float, least: int = 0, memory_gib: float = MEMORY_GIB,
+    built=(0, None),
 ):
     """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i, and at
     least `least`, with pi x_max <= b_{M+1} (or every term of a finite
     sequence), priced against memory_gib before any sieve runs: kernel(xs)
     is (values, bounds, rounding), a value being the product of the first M
     factors times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12) and rounding the
-    rounding part of its bound."""
+    rounding part of its bound. The kernel depends on M alone, so `built`,
+    an (M, kernel) of an earlier call, is returned if M is its M."""
     cap = len(spec.values) if spec.kind == KIND_CUSTOM else math.inf
 
     def size(count: int) -> int:
@@ -774,6 +776,8 @@ def _kernel(
     chunk = min(_DD_CHUNK, max(0, most - KERNEL_M))
     _check_memory(per_term * most + 40 * KERNEL_M + 136 * chunk, memory_gib)
     m = size(count_up_to(spec, below))
+    if m == built[0]:
+        return built
     ints = terms_array(spec, m)
     (t2, t4), (e2, e4) = _tail_sums(spec, ints)
     terms = ints.astype(np.float64)
@@ -828,14 +832,14 @@ def _grid(spec: SequenceSpec, eps: float, h: float, memory_gib: float) -> _Grid:
     that doubles from DENSITY_U until the envelope, at the 65 nodes cut/128
     apart on [cut/2, cut], is below min(eps, DENSITY_TOL). Those nodes do
     not depend on h, so the cut, M (from the largest node, 2 cut) and each
-    node's value are the same for every request. A doubling evaluates only
-    the new nodes, unless M grows with it."""
+    node's value are the same for every request. A doubling builds the
+    kernel, and evaluates every node, only when M grows with it."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     tol = min(eps, DENSITY_TOL)
-    cut, m, values, bounds = DENSITY_U, 0, np.empty(0), np.empty(0)
+    cut, m, kernel, values, bounds = DENSITY_U, 0, None, np.empty(0), np.empty(0)
     while cut <= DENSITY_U_CAP:
-        wider, kernel = _kernel(spec, 2.0 * cut, memory_gib=memory_gib)
+        wider, kernel = _kernel(spec, 2.0 * cut, memory_gib=memory_gib, built=(m, kernel))
         keep = len(values) if wider == m else 0
         m = wider
         more, more_bounds, _ = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))

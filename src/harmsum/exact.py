@@ -15,18 +15,17 @@ the smallest encoding, which makes every result reproducible.
 `min_signed_sum` and `min_gap` are the one-prefix case of each: the first
 ceil(n/2) terms and the rest each give a list of float64 half sums, 2^(n/2)
 per side for signs and 3^(n/2) per side for trits. Each list is built
-already sorted, one term at a time, by merging sorted runs
-(Horowitz-Sahni) in cache-sized chunks, each written straight into the new
-list, so no merge holds a full-length order. The right list leaves out its
-last two terms: each of their 4 (signs) or 9 (trits) coefficient choices
-shifts the sorted list, so the queries come from a list 4 or 9 times
-smaller, with the same floats as from the full one. A sweep over many
-prefix lengths grows the lists instead of rebuilding them: the left list
-of n extends that of every shorter prefix, and the right list of n = 2L is
-that of n = 2L - 1 plus one term. The queries target - (right half sum),
-for each shift, come in ascending order, so a cache-sized block of them is
-ranked in the left list by merging it with the slice of that list it
-spans, the merge step of Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
+already sorted, one term at a time, in place: the entries held move to the
+tail of a buffer sized for the longest prefix, and their sorted runs
+(Horowitz-Sahni) are merged into its front in cache-sized chunks. The right
+list leaves out its last two terms: each of their 4 (signs) or 9 (trits)
+coefficient choices shifts the sorted list, so the queries come from a list
+4 or 9 times smaller, with the same floats as from the full one. A sweep
+over many prefix lengths grows the lists instead of rebuilding them
+(`_sweep`). The queries target - (right half sum), for each shift, come in
+ascending order, so a cache-sized block of them is ranked in the left list
+by merging it with the slice of that list it spans, the merge step of
+Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
 left list keeps only the vectors whose first nonzero entry is + (and the
 zero vector), and the optima found are completed by their negations. The
 floats only filter: every pair within a proven rounding bound of the float
@@ -72,33 +71,29 @@ SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
 # Bytes per entry, where e is the size of one encoding: 4 while they fit
-# int32, else 8. A held half keeps its float64 sums and their encodings:
-# 8 + e. Growing a half from L' to L entries peaks in its last `_merge`,
-# which holds the old half, (8 + e) L', as the source of its runs, the new
-# one, (8 + e) L, which it fills a chunk at a time, and one chunk of
-# c = min(L, _CHUNK) entries: their values and encodings, their int64
-# argsort order and timsort's buffer (at most half an order, not seen by
-# tracemalloc): (20 + e) c. L' is about L / 2 for signs and L / 3 for
-# trits, so a large merge takes about 18 B per new entry for signs and 16
-# for trits. The right half holds all but its last `_SHIFTED` terms;
-# `_meet` adds those as shifts to one block of queries at a time. Matching holds both
-# halves and one block of m <= min(R, _BLOCK) queries (R right entries,
-# below). `_insertion_points` ranks a block by merges with slices of at most
-# w = max(m, _BLOCK / 16) left sums. The floor spares the short blocks of
-# small searches many small merges: without it the `table3 --upto 22` sweep
-# took 1.12 times as long as a binary search per query, with it 0.95 times
-# (paired medians of 61 in-process rounds on 2 cores). While it merges it
-# holds the float64 queries and their int64 insertion points so far (16 per
-# query) and, per merged value, the value and its int64 argsort order (16),
-# with timsort's buffer (8 per entry of the shorter run): at most
-# 32 m + 16 w. Then the queries, their insertion points, two float64
-# neighbour distances and the merges' reused buffer take 40 m + 8 w, no
-# more, as w >= m. A sweep grows the left half alone (the
-# right one is held only while the next prefix extends it), grows the right
-# half beside the held left, then matches. With L left and R right entries
-# at its longest prefix, and L' and R' at one term fewer, it peaks at the
-# largest of (8 + e) (L + L') + (20 + e) min(L, _CHUNK),
-# (8 + e) (L + R + R') + (20 + e) min(R, _CHUNK) and
+# int32, else 8. A half keeps its float64 sums and their encodings, 8 + e,
+# in buffers sized once per sweep, and grows in place: a merge adds one
+# chunk of c = min(L, _CHUNK) entries, L the half's: their values and
+# encodings, their int64 argsort order and timsort's buffer (at most half an
+# order, not seen by tracemalloc), (20 + e) c. The right half holds all but
+# its last `_SHIFTED` terms; `_meet` adds those as shifts to one block of
+# queries at a time. Matching holds both halves and one block of
+# m <= min(R, _BLOCK) queries (R right entries). `_insertion_points` ranks a
+# block by merges with slices of at most w = max(m, _BLOCK / 4) left sums.
+# The floor spares the short blocks of small searches many small merges:
+# without it the `table3 --upto 22` sweep took 1.12 times as long as a
+# binary search per query, with a floor of 4,096 0.95 times (paired medians
+# of 61 in-process rounds on 2 cores). While it merges it holds the float64
+# queries and their int64 insertion points so far (16 per query) and, per
+# merged value, the value and its int64 argsort order (16), with timsort's
+# buffer (8 per entry of the shorter run): at most 32 m + 16 w. Then the
+# queries, their insertion points, two float64 neighbour distances and the
+# merges' reused buffer take 40 m + 8 w, no more, as w >= m. A sweep grows
+# the left half alone (the right one is held only while the next prefix
+# extends it), grows the right half beside the held left, then matches. With
+# L left and R right entries at its longest prefix, it peaks at the largest
+# of (8 + e) L + (20 + e) min(L, _CHUNK),
+# (8 + e) (L + R) + (20 + e) min(R, _CHUNK) and
 # (8 + e) (L + R) + 32 m + 16 w + 448 k, with m = min(R, _BLOCK), w at most
 # L and k the blocks, one per shift and per block of right sums: each block
 # leaves a tuple of two small arrays in `_meet`'s `kept` list, and joining
@@ -107,27 +102,20 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # `_BLOCK_BYTES` rounds up. `_OBJECT_BYTES` adds the other Python objects:
 # the results so far (under 1 KB per prefix), the exact lookup tables and
 # the few queries kept for the exact re-scoring, which are priced again
-# with their pairs. R is at most L / 2 at target 0 and L / 4 otherwise
-# (L / 4.5 and L / 9 for trits). So the left half's last merge sets the
-# peak of most large searches, the right half's that of signs at target 0
-# and an even n >= 42, where R = L / 2, and matching that of small ones,
-# whose block and chunk outweigh the halves (`table1 --upto 40` among them).
+# with their pairs. Matching sets the peak of almost every search.
 _CHUNK_BYTES = 20
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _SLICE_BYTES = 16
 _OBJECT_BYTES = 2**17
 _BLOCK_BYTES = 448
-_BLOCK = 2**16  # queries per matching block in `_meet`
-_CHUNK = 2**16  # entries per sorted chunk of `_merge`
+_BLOCK = 2**14  # queries per matching block in `_meet`
+_CHUNK = 2**15  # entries per sorted chunk of `_merge`
 # The right half's last terms that `_meet` applies as shifts of the queries
 # instead of merging them: the right half held is base^_SHIFTED times
-# smaller. Two is where the left half's last merge takes over the peak.
-# Measured with 1, 2 and 3 shifted terms, fresh processes on 2 cores: peak
-# RSS of `table1 --upto 40` 55.0, 48.4 and 47.9 MiB (79.0 merged), of
-# `minsum --n 48` 351, 255 and 255 MiB; the `table3 --upto 22` sweep took
-# 32.7, 33.8 and 47.0 ms (in-process medians of 14), `gap --n 30` 1.28,
-# 1.20 and 1.65 s.
+# smaller. With 1, 2 and 3 shifted terms (2 cores) the `table3 --upto 22`
+# sweep took 32.7, 33.8 and 47.0 ms (in-process medians of 14),
+# `gap --n 30` 1.28, 1.20 and 1.65 s.
 _SHIFTED = 2
 _GROUP = 5  # terms per exact lookup table in `_exact_sums`, at most 3^5 rows
 
@@ -329,7 +317,7 @@ class _Half:
     """One side of the search, grown a term at a time: the float sums of its
     coefficient vectors in ascending order, held in `pad` between a -inf
     and a +inf sentinel, the encodings of those vectors, and the number of
-    terms so far.
+    terms so far, at the front of buffers of `capacity` entries.
 
     Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
     sorted list gives one sorted run per digit, and `_merge` merges those
@@ -340,55 +328,68 @@ class _Half:
     are kept, and the zero vector, whose encoding is 0.
     """
 
-    def __init__(self, digits, symmetric: bool, dtype):
+    def __init__(self, digits, symmetric: bool, dtype, capacity: int):
         self.digits = digits
         self.symmetric = symmetric
-        self.pad = np.array([-np.inf, 0.0, np.inf])
-        self.encs = np.zeros(1, dtype)
+        self.buf = np.empty(capacity + 2)
+        self.codes = np.empty(capacity, dtype)
+        self.buf[:3] = -np.inf, 0.0, np.inf
+        self.codes[0] = 0
+        self.size = 1
         self.terms = 0
 
     @property
+    def pad(self) -> np.ndarray:
+        return self.buf[:self.size + 2]
+
+    @property
     def sums(self) -> np.ndarray:
-        return self.pad[1:-1]
+        return self.buf[1:self.size + 1]
+
+    @property
+    def encs(self) -> np.ndarray:
+        return self.codes[:self.size]
 
     def grow(self, x) -> None:
         """Add the terms x after those held."""
         base = len(self.digits)
-        dtype = self.encs.dtype
         for w in x:
-            # the runs hold the last references to the old arrays, which the
-            # merge reads until its last chunk
-            sums, encs = self.sums, self.encs
-            self.pad = self.encs = None
+            m = self.size
             # when symmetric, a negative digit skips the zero vector so far,
             # the one of encoding 0 if held: the slices around it, one after
             # the other, still make one sorted run
-            z = int(encs.argmin())
-            skip = self.symmetric and encs[z] == 0
+            z = int(self.encs.argmin())
+            skip = self.symmetric and self.codes[z] == 0
+            size = base * m - skip * sum(c < 0 for c in self.digits)
+            # the held entries move to the tail, which the runs read while
+            # the merge fills the front
+            t = size - m
+            np.copyto(self.buf[1 + t:1 + size], self.buf[1:1 + m])
+            np.copyto(self.codes[t:size], self.codes[:m])
             runs = []
             for k, c in enumerate(self.digits):
                 code = k * base**self.terms
                 if skip and c < 0:
-                    runs.append((sums[:z], c * w, encs[:z], code))
-                    runs.append((sums[z + 1:], c * w, encs[z + 1:], code))
+                    runs += [(t, t + z, c * w, code), (t + z + 1, t + m, c * w, code)]
                 else:
-                    runs.append((sums, c * w, encs, code))
-            del sums, encs
-            self.pad, self.encs = _merge(runs, dtype)
+                    runs.append((t, t + m, c * w, code))
+            _merge(self.buf[1:], self.codes, runs)
+            self.buf[size + 1] = np.inf
+            self.size = size
             self.terms += 1
 
 
-def _merge(runs, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(pad, encodings) of the runs (v, cw, e, code), each of whose values
-    fl(v + cw) ascend, merged stably: in the order of a stable argsort of
-    their values concatenated, the run of each value carrying the encodings
-    e + code. `pad` holds the values between a -inf and a +inf sentinel.
+def _merge(sums, encs, runs) -> None:
+    """Merge the runs (lo, hi, cw, code) stably into the front of `sums`
+    and `encs`: run r holds the ascending values fl(v + cw), v in
+    sums[lo:hi], with the encodings encs[lo:hi] + code, and the merged order
+    is that of a stable argsort of the runs' values concatenated.
 
     The merge writes chunks of at most max(_CHUNK, len(runs)) entries
-    straight into the two output arrays, so it never holds a full-length
-    order. Entries are ordered by (value, run, index), the stable order.
-    Let s = _CHUNK // len(runs), at least 1. A chunk ends before the pivot,
-    the least of the run entries s past each run's head in that order (none
+    straight into place, so it never holds a full-length order. Entries are
+    ordered by (value, run, index), the stable order. Let
+    s = _CHUNK // len(runs), at least 1. A chunk ends before the pivot, the
+    least of the run entries s past each run's head in that order (none
     once every run has s or fewer left). Each run gives the chunk its
     entries below the pivot: those of a smaller value, and those of the
     pivot's value in an earlier run or before the pivot in its own. They
@@ -397,37 +398,40 @@ def _merge(runs, dtype) -> tuple[np.ndarray, np.ndarray]:
     argsort of its pieces, concatenated in run order, orders it. Every value
     is the float fl(v + cw) that an argsort of the whole runs would see, so
     the result is bit-identical to that one.
+
+    The runs may lie where the merge writes, as `_Half.grow` places them: a
+    chunk is read whole before it is written, and one whose writes would
+    reach the first unread entry of a run is refused with a RuntimeError.
     """
-    size = sum(len(v) for v, *_ in runs)
-    pad, out = np.empty(size + 2), np.empty(size, dtype)
-    pad[0], pad[-1] = -np.inf, np.inf
+    size = sum(hi - lo for lo, hi, _, _ in runs)
     step = max(1, _CHUNK // len(runs))
     room = min(size, step * len(runs))
-    vals, codes = np.empty(room), np.empty(room, dtype)
-    heads, done = [0] * len(runs), 0
+    vals, codes = np.empty(room), np.empty(room, encs.dtype)
+    heads, done = [lo for lo, _, _, _ in runs], 0
     while done < size:
         pivot, first = math.inf, len(runs)
-        for r, (v, cw, _, _) in enumerate(runs):
-            if heads[r] + step < len(v):
-                value = float(v[heads[r] + step]) + cw
+        for r, (_, hi, cw, _) in enumerate(runs):
+            if heads[r] + step < hi:
+                value = float(sums[heads[r] + step]) + cw
                 if value < pivot:
                     pivot, first = value, r
         m = 0
-        for r, (v, cw, e, code) in enumerate(runs):
+        for r, (_, hi, cw, code) in enumerate(runs):
             h = heads[r]
-            window = vals[m:m + min(step, len(v) - h)]
-            np.add(v[h:h + len(window)], cw, out=window)
+            window = vals[m:m + min(step, hi - h)]
+            np.add(sums[h:h + len(window)], cw, out=window)
             cut = int(np.searchsorted(window, pivot, "right" if r <= first else "left"))
-            np.add(e[h:h + cut], code, out=codes[m:m + cut])
+            np.add(encs[h:h + cut], code, out=codes[m:m + cut])
             heads[r] += cut
             m += cut
+        if any(h < hi and done + m > h for h, (_, hi, _, _) in zip(heads, runs)):
+            raise RuntimeError("a merge chunk would overwrite entries not yet merged")
         order = np.argsort(vals[:m], kind="stable")
-        # mode="clip" writes straight into `out`; "raise" would buffer it
-        np.take(vals[:m], order, out=pad[1 + done:1 + done + m], mode="clip")
-        np.take(codes[:m], order, out=out[done:done + m], mode="clip")
+        # mode="clip" writes straight into place; "raise" would buffer it
+        np.take(vals[:m], order, out=sums[done:done + m], mode="clip")
+        np.take(codes[:m], order, out=encs[done:done + m], mode="clip")
         del order  # before the next chunk's order is allocated
         done += m
-    return pad, out
 
 
 def _queries(t: float, sums: np.ndarray, shifts, out=None) -> np.ndarray:
@@ -454,14 +458,14 @@ def _insertion_points(a: np.ndarray, q: np.ndarray, buf=None) -> np.ndarray:
     ties before an equal sum of a, and its merged index minus its index in
     the piece counts the slice's sums below it: plus first, that is its
     insertion point. A piece takes the rest of the queries if their slice
-    holds at most w = max(m, _BLOCK / 16) sums, else those below
+    holds at most w = max(m, _BLOCK / 4) sums, else those below
     a[first + w], and at least one; so no slice holds more than w sums
     (that of a single query is empty), however far the queries spread.
     A piece's two runs are joined in `buf`, if given, of at least m + w
     entries.
     """
     m, pieces, j = len(q), [], 0
-    width = max(m, _BLOCK // 16)
+    width = max(m, _BLOCK // 4)
     while j < m:
         first, end = np.searchsorted(a, q[[j, -1]])
         k = m
@@ -492,6 +496,14 @@ def _negated(encs: np.ndarray, digits, n: int) -> np.ndarray:
     return out
 
 
+def _entries(n: int, base: int, symmetric: bool) -> tuple[int, int]:
+    """The entries of the left and right halves of a prefix of n terms, the
+    right one without its shifted terms."""
+    half = (n + 1) // 2
+    left = (base**half + 1) // 2 if symmetric else base**half
+    return left, base ** max(0, n - half - _SHIFTED)
+
+
 def _price(n: int, digits, symmetric: bool):
     """(bytes, encoding dtype) of a sweep whose longest prefix is n: the
     largest of its three phases at n, as the memory model above sets out.
@@ -503,25 +515,13 @@ def _price(n: int, digits, symmetric: bool):
     dtype = np.int32 if base**half <= 2**31 else np.int64
     kept = _KEPT_BYTES + np.dtype(dtype).itemsize
     chunk = _CHUNK_BYTES + np.dtype(dtype).itemsize
-
-    def size(terms: int, symmetric: bool) -> int:
-        return (base**terms + 1) // 2 if symmetric else base**terms
-
-    def merge(terms: int, symmetric: bool) -> int:
-        """The last merge of a half grown to `terms` terms, 0 if none."""
-        if not terms:
-            return 0
-        new = size(terms, symmetric)
-        return kept * (new + size(terms - 1, symmetric)) + chunk * min(new, _CHUNK)
-
-    rest = max(0, n - half - _SHIFTED)
-    left, right = size(half, symmetric), size(rest, False)
+    left, right = _entries(n, base, symmetric)
     block = min(right, _BLOCK)
-    width = min(left, max(block, _BLOCK // 16))
+    width = min(left, max(block, _BLOCK // 4))
     blocks = base ** min(_SHIFTED, n - half) * -(-right // _BLOCK)
     est = max(
-        merge(half, symmetric),
-        kept * left + merge(rest, False),
+        kept * left + chunk * min(left, _CHUNK),
+        kept * (left + right) + chunk * min(right, _CHUNK),
         kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
         + _BLOCK_BYTES * blocks,
     )
@@ -537,9 +537,10 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
     terms, so it extends the left half of every shorter prefix. The right
     half of n holds the rest but the last `_SHIFTED` terms, which `_meet`
     applies as shifts; that of n = 2L is the right half of n = 2L - 1 plus
-    one term. The right half is held only while the next n extends it.
-    Every prefix is checked against the cap and priced before any half is
-    built, so a sweep that either refuses stops before its first search.
+    one term. The right half is held only while the next n extends it. Both
+    grow in buffers sized for the longest prefix. Every prefix is checked
+    against the cap and priced before any half is built, so a sweep that
+    either refuses stops before its first search.
     """
     if not ns:
         return
@@ -555,21 +556,19 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
         _check_memory(est, memory_gib)
     # dtype is now that of the longest prefix, which fits every shorter one.
     # The right half of an odd n = 2L + 1 is built again from scratch, as its
-    # first term moved to the left half. Halves of interleaved terms (odd
-    # positions left, even right) would only grow, but their encodings would
-    # no longer follow term order, so the tie rules and the witnesses would
-    # need a permutation. Without its shifted terms the right half is 4 (9
-    # for trits) times smaller: over the first 40 primes (ns = 1..40,
-    # tau = 0, best of 15 in-process runs on 2 cores) its builds from
-    # scratch took 10 ms and its extensions 8 ms of a 129 ms sweep. So
-    # interleaving could save at most those 18 ms.
+    # first term moved to the left half. Halves of interleaved terms would
+    # only grow, but their encodings would not follow term order, which the
+    # tie rules and witnesses need. Over the first 40 primes (ns = 1..40,
+    # tau = 0, best of 15 in-process runs on 2 cores) the right half's builds
+    # took 10 ms and its extensions 8 ms of a 129 ms sweep.
     x = [1 / b for b in terms]
-    left, right = _Half(digits, symmetric, dtype), None
+    most_left, most_right = _entries(ns[-1], len(digits), symmetric)
+    left, right = _Half(digits, symmetric, dtype, most_left), None
     for i, n in enumerate(ns):
         half = (n + 1) // 2
         left.grow(x[left.terms:half])
         if right is None:
-            right = _Half(digits, False, dtype)
+            right = _Half(digits, False, dtype, most_right)
         right.grow(x[half + right.terms:max(half, n - _SHIFTED)])
         den = math.lcm(math.lcm(*terms[:n]), tau.denominator)
         target = tau.numerator * (den // tau.denominator)
@@ -656,14 +655,13 @@ def _meet(
     # plus 2 * err; that limit only shrinks, so the final one, d + 2 * err,
     # is at most every block's, and the queries within it are all kept.
     # Every block reuses one buffer for its queries and one for the runs its
-    # merges join. Allocated afresh per block, these arrays of up to 1 MiB
-    # went back to the system and were faulted in again each time, unless
-    # earlier, larger frees had raised glibc's dynamic mmap threshold: the
-    # `table1 --upto 40` sweep took 7,800 more page faults and 11% longer
-    # in fresh processes.
+    # merges join. Allocated afresh per block, these arrays went back to the
+    # system and were faulted in again each time, unless earlier, larger
+    # frees had raised glibc's dynamic mmap threshold: the `table1 --upto 40`
+    # sweep took 7,800 more page faults and 11% longer in fresh processes.
     limit, kept = np.inf, []
     room = min(last + 1, _BLOCK)
-    qbuf, joined = np.empty(room), np.empty(room + max(room, _BLOCK // 16))
+    qbuf, joined = np.empty(room), np.empty(room + max(room, _BLOCK // 4))
     for s, lo in product(range(len(shifts)), range(0, last + 1, _BLOCK)):
         right_sums = b[last - lo::-1][:_BLOCK]
         q = _queries(t, right_sums, shifts[s], qbuf[:len(right_sums)])

@@ -560,6 +560,23 @@ def test_densities_match_pointwise_density(spec, xs):
     assert densities(spec, xs, 1e-4) == [density(spec, float(x), 1e-4) for x in xs]
 
 
+def test_grid_builds_its_kernel_once_per_m(monkeypatch):
+    # the cut doubles from 8 to 32 while M stays 1024: the kernel is priced
+    # and sized at every doubling but sieved and built once, bit-identical
+    want = densities(PRIMES, np.linspace(-2.0, 2.0, 9), 1e-8)
+    sieved = []
+    sieve = analytic.terms_array
+
+    def recording(spec, n):
+        sieved.append(n)
+        return sieve(spec, n)
+
+    monkeypatch.setattr(analytic, "terms_array", recording)
+    assert densities(PRIMES, np.linspace(-2.0, 2.0, 9), 1e-8) == want
+    assert (want[0].truncation_u, want[0].truncation_m) == (32.0, analytic.KERNEL_M)
+    assert sieved == [analytic.KERNEL_M]
+
+
 def test_interval_probability_evaluates_each_node_once(monkeypatch):
     calls = []
     batch = analytic._rho_batch

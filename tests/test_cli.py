@@ -258,10 +258,10 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     code, out, err = run(capsys, ["gap", "--n", "27", "--force", "--gap-cap", "26"])
     assert (code, out, err) == (3, "", "error: n=27 exceeds the cap of 26\n")
     # on a 16 GiB machine physical memory bounds any budget: the gap at
-    # N = 39 is priced at 34.6 GiB
+    # N = 39 is priced at 27.9 GiB
     monkeypatch.setattr(exact, "PHYSICAL_GIB", 16.0)
     code, out, err = run(capsys, ["gap", "--n", "39", "--force", "--memory-gib", "1000"])
-    assert (code, out, err) == (3, "", "error: estimated 35 GiB exceeds the 16 GiB of physical memory\n")
+    assert (code, out, err) == (3, "", "error: estimated 28 GiB exceeds the 16 GiB of physical memory\n")
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ PRIMES = generate(SequenceSpec.primes(), 25).terms
 
 def _sorted_half(x, digits, symmetric: bool, dtype):
     """(sums, encodings) of a `_Half` grown over the terms x from none."""
-    half = _Half(digits, symmetric, dtype)
+    half = _Half(digits, symmetric, dtype, len(digits) ** len(x))
     half.grow(x)
     return half.sums, half.encs
 
@@ -433,7 +433,7 @@ def test_resumed_half_equals_one_built_at_once():
     for digits in (SIGNS, TRITS):
         for symmetric in (False, True):
             sums, encs = _sorted_half(x, digits, symmetric, np.int32)
-            half = _Half(digits, symmetric, np.int32)
+            half = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
             for lo, hi in ((0, 3), (3, 4), (4, 4), (4, 9)):
                 half.grow(x[lo:hi])
             assert half.terms == 9
@@ -452,21 +452,56 @@ def test_chunked_merges_equal_one_merge_at_once(monkeypatch, chunk):
     for spec, digits, symmetric in product(families, (SIGNS, TRITS), (False, True)):
         x = [1 / b for b in generate(spec, 12 if digits == SIGNS else 8).terms]
         monkeypatch.setattr(exact, "_CHUNK", 2**30)
-        want = _Half(digits, symmetric, np.int32)
+        want = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
         want.grow(x)
         assert np.any(want.sums[1:] == want.sums[:-1])
         monkeypatch.setattr(exact, "_CHUNK", chunk)
-        got = _Half(digits, symmetric, np.int32)
+        got = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
         for lo, hi in ((0, 5), (5, 6), (6, len(x))):
             got.grow(x[lo:hi])
         assert np.array_equal(got.pad.view(np.int64), want.pad.view(np.int64))
         assert np.array_equal(got.encs, want.encs)
 
 
-def test_price_reaches_gap_36_and_minsum_56_in_the_default_budget():
+@pytest.mark.parametrize("digits, symmetric, n", [(SIGNS, False, 18), (TRITS, True, 12)])
+def test_growth_holds_no_old_half_beside_the_new_one(digits, symmetric, n):
+    # a half grows in place, in buffers of its final size, (8 + e) L, so
+    # its last step adds one merge chunk, (20 + e) min(L, _CHUNK); a merge
+    # into a new half held the old one too, (8 + e) (L + L') and more
+    x = [1 / b for b in PRIMES[:n]]
+    size = (len(digits) ** n + 1) // 2 if symmetric else len(digits) ** n
+    tracemalloc.start()
+    try:
+        half = _Half(digits, symmetric, np.int32, size)
+        half.grow(x[:-1])
+        held = len(half.encs)
+        tracemalloc.reset_peak()
+        half.grow(x[-1:])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(half.encs) == size and 12 * held > 2**20
+    assert peak <= 12 * size + 24 * min(size, exact._CHUNK) + 2**14
+    want = _sorted_half(x, digits, symmetric, np.int32)
+    assert np.array_equal(half.sums.view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(half.encs, want[1])
+
+
+def test_merge_refuses_chunks_that_overwrite_unread_entries(monkeypatch):
+    # two runs that read the entries at the front of the buffer, where the
+    # merge writes, as if the held entries had not moved to its tail; the
+    # first chunk of one entry would overwrite the second run's head
+    monkeypatch.setattr(exact, "_CHUNK", 2)
+    sums = np.array([1.0, 2.0, 3.0, np.nan, np.nan, np.nan])
+    encs = np.array([0, 1, 2, 0, 0, 0], dtype=np.int32)
+    with pytest.raises(RuntimeError, match="not yet merged"):
+        exact._merge(sums, encs, [(0, 3, -0.5, 0), (0, 3, 0.5, 3)])
+
+
+def test_price_reaches_gap_36_and_minsum_57_in_the_default_budget():
     budget = 3.9 * 2**30
     assert _price(36, TRITS, True)[0] <= budget < _price(37, TRITS, True)[0]
-    assert _price(56, SIGNS, True)[0] <= budget < _price(57, SIGNS, True)[0]
+    assert _price(57, SIGNS, True)[0] <= budget < _price(58, SIGNS, True)[0]
 
 
 def _unbuilt(*args):
@@ -584,9 +619,9 @@ def meet_with_shifts(terms, digits, tau, shifted):
     den = math.lcm(math.lcm(*terms), tau.denominator)
     target = tau.numerator * (den // tau.denominator)
     x = [1 / b for b in terms]
-    left = _Half(digits, tau == 0, np.int32)
+    left = _Half(digits, tau == 0, np.int32, len(digits) ** half)
     left.grow(x[:half])
-    right = _Half(digits, False, np.int32)
+    right = _Half(digits, False, np.int32, len(digits) ** (n - shifted - half))
     right.grow(x[half:n - shifted])
     nonzero = digits == TRITS and tau == 0
     res, encs = _meet(left, right, terms, target, den, 1.0, nonzero=nonzero)
@@ -657,7 +692,7 @@ def test_merged_insertion_points_equal_binary_search(monkeypatch, block):
         assert got.dtype == np.intp
         assert np.array_equal(got, np.searchsorted(a, q))
         # the runs of each piece joined in a reused buffer of m + w entries
-        buf = np.full(len(q) + max(len(q), block // 16), np.nan)
+        buf = np.full(len(q) + max(len(q), block // 4), np.nan)
         assert np.array_equal(exact._insertion_points(a, q, buf), got)
 
 
@@ -727,7 +762,7 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
     with pytest.raises(CapExceeded, match="n=27 exceeds the cap of 26"):
         min_gaps(primes, range(1, 28))
     with pytest.raises(ResourceLimit):
-        min_signed_sums(primes, range(1, 41), memory_gib=0.01)
+        min_signed_sums(primes, range(1, 41), memory_gib=0.005)
     with pytest.raises(ResourceLimit):
         min_gaps(primes, range(1, 23), memory_gib=0.001)
 
