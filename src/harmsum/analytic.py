@@ -4,7 +4,7 @@ density and interval probabilities, and finite-range inequality checks.
 The kernel rho_N(x) = prod_{n<=N} cos(pi x / b_n) is evaluated in double
 precision, each block of terms by xs in one numpy multiply.reduce that
 keeps every x's factors in term order. One tail-corrected kernel,
-`_kernel`, evaluates the limit rho(x): it multiplies M >= 1024 factors by
+`_Kernel`, evaluates the limit rho(x): it multiplies M >= 1024 factors by
 exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j the
 closed-form series of the family minus its first 1024 terms, both summed
 in integer fixed point and rounded once to 40-digit decimals, less each
@@ -12,7 +12,8 @@ further dyadic block of terms summed in numpy double-double. Every node is
 bounded by the rest of the -log cos series, as a relative error of at most
 1, plus a worst-case rounding term, which takes in the error bound of T_j.
 `cosine_product_limit` (the `rho` subcommand) is that kernel at one node,
-with its bound; its doublings of M reuse T_j at the M before.
+with its bound. It grows in place: M is read from the terms it holds, and
+a larger M sieves on from where the sieve stopped and sums only new blocks.
 
 The density g(x) = 2 * integral_0^inf cos(2 pi u x) rho(2u) du and the
 interval probability, a sine transform of rho(2u), are trapezoid sums
@@ -44,8 +45,9 @@ import numpy as np
 from .errors import CertificateError, DivergedTruncation, TruncationFailure
 from .sequences import (
     KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
-    _terms, count_up_to, terms_array,
+    _first_n, _sieve, _terms, terms_array,
 )
+from .double_double import _dd_total, _inverse_powers
 from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _check_cap, _check_memory, _expand
 
 KERNEL_M = 1024            # fewest terms the tail-corrected kernel multiplies
@@ -179,18 +181,19 @@ def cosine_product_limit(
     x = _finite(x)
     if x == 0.0:
         return RhoValue(x=x, n=None, value=1.0, tail_bound=0.0, terms_used=0)
-    m = 0
+    kernel = _Kernel(spec, memory_gib)
+    kernel.fit(abs(x))
     while True:
-        m, kernel = _kernel(spec, abs(x), 2 * m, memory_gib)
         (value,), (bound,), (rounding,) = kernel(np.array([abs(x)]))
         if bound <= eps:
             return RhoValue(
-                x=x, n=None, value=float(value), tail_bound=float(bound), terms_used=m
+                x=x, n=None, value=float(value), tail_bound=float(bound), terms_used=kernel.m
             )
         if rounding > eps:
             raise DivergedTruncation(
-                f"rounding bound {rounding:.2e} alone exceeds eps={eps:.1e} at M={m}"
+                f"rounding bound {rounding:.2e} alone exceeds eps={eps:.1e} at M={kernel.m}"
             )
+        kernel.grow(2 * kernel.m)
 
 
 def _rows(width: int) -> int:
@@ -447,8 +450,10 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
 # keeps full float precision however small the tail: S_4 - head cancels
 # about 18 digits for the primes at M = 2^16, which a double-double head
 # would not survive. Each further dyadic block sum_{M<n<=2M} b_n^-j is
-# summed in numpy double-double, its value converted exactly to decimal and
-# subtracted there, so T_j(2M) reuses T_j(M). Nothing here runs at import.
+# summed in numpy double-double (`double_double`), its value converted
+# exactly to decimal and subtracted there, so T_j(2M) is T_j(M) less one
+# block, and a kernel that grows keeps its T_j and sums only its new
+# blocks. Nothing here runs at import.
 
 _DEC = decimal.Context(prec=40)
 _WIDE = decimal.Context(prec=60)
@@ -592,78 +597,6 @@ def _power_sum(terms, j: int) -> Decimal:
     return _decimal(sum(one // b**j for b in terms), bits)
 
 
-# Double-double arithmetic (Dekker 1971; Ogita, Rump & Oishi, SIAM J. Sci.
-# Comput. 26, 2005) on numpy arrays, in round-to-nearest with u = 2^-53.
-# Every value is positive and far from overflow and underflow: the terms
-# lie in [1, 2^63), so b^-4 >= 2^-252.
-
-
-def _two_sum(a, b):
-    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b):
-    """(p, e): p = fl(a b) and p + e = a b exactly (Dekker, Veltkamp's split)."""
-    p = a * b
-    c = 134217729.0 * a  # 2^27 + 1
-    ah = c - (c - a)
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_square(h, l):
-    """(h + l)^2 as a normalized double-double, for |l| <= 2.1u h: within
-    14 u^2 relative (the omitted l^2 and two roundings). h^2 = p + e is
-    Dekker's product with one split, as 2 (hh hl) is exact."""
-    p = h * h
-    c = 134217729.0 * h
-    hh = c - (c - h)
-    hl = h - hh
-    e = ((hh * hh - p) + 2.0 * (hh * hl)) + hl * hl
-    e += 2.0 * (h * l)
-    s = p + e  # fast two-sum: |e| <= 5.2u p
-    return s, e - (s - p)
-
-
-def _inverse_powers(b: np.ndarray):
-    """b^-2 and b^-4 as normalized double-doubles (hi, lo) for int64 terms
-    b >= 1, within 35 u^2 and 76 u^2 relative.
-
-    b = s + e exactly from its high and low 32 bits. With r = fl(1/s) and
-    p + q = r s exactly, 1 - p is exact (p is within 2u of 1), so
-    R = 1 - r b = (1 - p) - q - r e is computed within 4u^2 and r R within
-    6u^2 r; as 1/b = r / (1 - R) = r (1 + R) + O(R^2) with |R| <= 2u,
-    (r, r R) is within 10 u^2 of 1/b. A squaring doubles the relative error
-    and adds 14 u^2 (6 u^2 once the input is normalized)."""
-    s, e = _two_sum(
-        (b >> 32).astype(np.float64) * 4294967296.0, (b & 0xFFFFFFFF).astype(np.float64)
-    )
-    r = 1.0 / s
-    p, q = _two_prod(r, s)
-    inv2 = _dd_square(r, r * (((1.0 - p) - q) - r * e))
-    return inv2, _dd_square(*inv2)
-
-
-def _dd_total(h, l):
-    """The sum of nonnegative normalized double-doubles (h_i, l_i) by a
-    pairwise tree. An addition rounds l_a + l_b and then its sum with the
-    TwoSum error of h_a + h_b, erring by at most 3u^2 (1 + u) fl(h_a + h_b),
-    so a level errs by 3.1 u^2 of the total and D levels by 3.1 D u^2."""
-    while len(h) > 1:
-        if len(h) % 2:
-            h, l = np.append(h, 0.0), np.append(l, 0.0)
-        s, e = _two_sum(h[::2], h[1::2])
-        e += l[::2] + l[1::2]
-        h = s + e  # fast two-sum: |e| <= 2.1u s
-        l = e - (h - s)
-    return h[0], l[0]
-
-
 _DD_CHUNK = 2**14          # terms per double-double pass: 14 tree levels
 # a chunk's sum is within (76 + 3.1 * 14) u^2 < 2^-99 relative, and adding
 # the chunks' hi and lo in 40-digit decimal, below 1e-39 relative per
@@ -684,53 +617,52 @@ def _block_sums(b: np.ndarray) -> tuple[Decimal, Decimal]:
     return totals[0], totals[1]
 
 
-# T_j(m) as 40-digit decimals, each with a bound on its absolute error, by
-# (spec, KERNEL_M, m): KERNEL_M fixes the route, so a value's bits never
-# depend on the calls before it
-_TAILS: dict[tuple[SequenceSpec, int, int], list[tuple[Decimal, float]]] = {}
-
-
-def _tail_decimals(spec: SequenceSpec, terms: np.ndarray) -> list[tuple[Decimal, float]]:
+def _tail_decimals(
+    spec: SequenceSpec, terms: np.ndarray, edge: int = 0, tails=None
+) -> list[tuple[Decimal, float]]:
     """[(T_2(m), its error bound), (T_4(m), its error bound)] past the
-    m = len(terms) first terms of spec.
+    m = len(terms) first terms of spec, going on from tails, those past the
+    first edge terms, if given.
 
     A finite sequence sums its tail directly, within 1e-39 relative
-    (`_power_sum`). Otherwise S_j (within 1e-38, checked against mpmath)
-    minus the head (within 1e-39 relative), the difference rounded once to
-    40 digits, when m <= KERNEL_M. Past that, T_j(m) is the T_j of the
-    largest KERNEL_M 2^i below m minus the block after it."""
+    (`_power_sum`). Otherwise the route starts at S_j (within 1e-38,
+    checked against mpmath) minus the first min(m, KERNEL_M) terms (within
+    1e-39 relative), the difference rounded once to 40 digits, and takes
+    off one block after another, each ending at twice its start or at m;
+    edge must lie on it. So a value's bits depend on m and KERNEL_M alone."""
     m = len(terms)
-    key = (spec, KERNEL_M, m)
-    if key not in _TAILS:
-        with decimal.localcontext(_DEC):
-            if spec.kind == KIND_CUSTOM:
-                tails = [_power_sum(spec.values[m:], j) for j in (2, 4)]
-                _TAILS[key] = [(t, 1e-39 * (len(spec.values) - m) * float(t)) for t in tails]
-            elif m <= KERNEL_M:
-                _TAILS[key] = [
-                    (_series(spec, j) - _power_sum(terms.tolist(), j),
-                     1e-38 + 1e-39 * (m + 1) * float(_series(spec, j)))
-                    for j in (2, 4)
-                ]
-            else:
-                prev = KERNEL_M << ((m - 1) // KERNEL_M).bit_length() - 1
-                _TAILS[key] = [
-                    (t - block, err + _DD_REL * float(block) + 5e-40 * float(t))
-                    for (t, err), block in zip(
-                        _tail_decimals(spec, terms[:prev]), _block_sums(terms[prev:])
-                    )
-                ]
-    return _TAILS[key]
+    with decimal.localcontext(_DEC):
+        if spec.kind == KIND_CUSTOM:
+            tails = [_power_sum(spec.values[m:], j) for j in (2, 4)]
+            return [(t, 1e-39 * (len(spec.values) - m) * float(t)) for t in tails]
+        if tails is None:
+            edge = min(m, KERNEL_M)
+            tails = [
+                (_series(spec, j) - _power_sum(terms[:edge].tolist(), j),
+                 1e-38 + 1e-39 * (edge + 1) * float(_series(spec, j)))
+                for j in (2, 4)
+            ]
+        while edge < m:
+            end = min(2 * edge, m)
+            tails = [
+                (t - block, err + _DD_REL * float(block) + 5e-40 * float(t))
+                for (t, err), block in zip(tails, _block_sums(terms[edge:end]))
+            ]
+            edge = end
+    return tails
 
 
-def _tail_sums(spec: SequenceSpec, terms: np.ndarray):
+def _tail_sums(spec: SequenceSpec, terms: np.ndarray, tails=None):
     """((T_2(m), T_4(m)), (e_2, e_4)) past the m = len(terms) first terms of
-    spec. e_j is the part of T_j's error bound beyond u/2 relative, which
-    the kernel's rounding allows for. Each T_j is checked against the
+    spec, from tails, their `_tail_decimals`, summed here if not given. e_j
+    is the part of T_j's error bound beyond u/2 relative, which the
+    kernel's rounding allows for. Each T_j is checked against the
     certified range 0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any
     strictly increasing integer sequence."""
     out, extra = [], []
-    for j, (t, err) in zip((2, 4), _tail_decimals(spec, terms)):
+    if tails is None:
+        tails = _tail_decimals(spec, terms)
+    for j, (t, err) in zip((2, 4), tails):
         t = float(t)
         if not 0.0 <= t <= 1.0 / ((j - 1) * float(terms[-1]) ** (j - 1)):
             raise CertificateError(
@@ -744,51 +676,68 @@ def _tail_sums(spec: SequenceSpec, terms: np.ndarray):
 # -- tail-corrected kernel, density and interval probability ----------------
 
 
-def _kernel(
-    spec: SequenceSpec, x_max: float, least: int = 0, memory_gib: float = MEMORY_GIB,
-    built=(0, None),
-):
-    """(M, kernel) for |x| <= x_max, M the smallest KERNEL_M * 2^i, and at
-    least `least`, with pi x_max <= b_{M+1} (or every term of a finite
-    sequence), priced against memory_gib before any sieve runs: kernel(xs)
-    is (values, bounds, rounding), a value being the product of the first M
-    factors times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12) and rounding the
-    rounding part of its bound. The kernel depends on M alone, so `built`,
-    an (M, kernel) of an earlier call, is returned if M is its M."""
-    cap = len(spec.values) if spec.kind == KIND_CUSTOM else math.inf
+class _Kernel:
+    """The tail-corrected kernel of spec, grown in place: it holds every
+    term it has sieved and T_j(M), so a larger M sieves and sums only what
+    lies past them, bit for bit as if built at that M at once. kernel(xs)
+    is (values, bounds, rounding), a value being the product of the first
+    M factors times exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12) and rounding the
+    rounding part of its bound."""
 
-    def size(count: int) -> int:
-        """The smallest KERNEL_M * 2^i >= max(count, least), or cap if less."""
-        m = KERNEL_M
-        while m < max(count, least):
+    def __init__(self, spec: SequenceSpec, memory_gib: float):
+        self.spec, self.memory_gib, self.m, self.tails = spec, memory_gib, 0, None
+        self.cap = len(spec.values) if spec.kind == KIND_CUSTOM else math.inf
+        self.ints, self.end = np.empty(0, np.int64), 0  # every term below end
+
+    def _hold(self, n: int) -> np.ndarray:
+        """The terms held, at least n of them; a sieve goes on from where it
+        stopped."""
+        masks = _sieve(self.spec)
+        if masks is None:
+            self.ints = terms_array(self.spec, n)
+        elif len(self.ints) < n:
+            more, self.end = _first_n(masks, n - len(self.ints), self.end)
+            self.ints = np.concatenate([self.ints, more])
+        return self.ints
+
+    def fit(self, x_max: float) -> None:
+        """Grow for |x| <= x_max: fewer than pi x_max terms lie below it."""
+        self.grow(KERNEL_M, math.ceil(math.pi * x_max) - 1)
+
+    def grow(self, m: int, below: int = 0) -> None:
+        """Grow to M = m 2^i, m being KERNEL_M 2^j, for the least i with
+        below < b_{M+1}, read from the terms held, or to every term of a
+        finite sequence with fewer. M never shrinks. b_n >= n, so M is
+        priced before any sieve runs, at the least m 2^i >= below: 24 B per
+        term (the int64 terms, their float64 copy and reciprocals) and 16 B
+        more for a sieved family (the sieve's collected pieces and their
+        concatenation), plus 40 B per term of the decimal head (its Python
+        ints) and 136 B per term of a double-double chunk if M may pass
+        KERNEL_M (its temporaries)."""
+        most = m
+        while most < below:
+            most *= 2
+        most = min(most, self.cap)
+        per_term = 24 if self.spec.kind in (KIND_AP, KIND_CUSTOM) else 40
+        chunk = min(_DD_CHUNK, max(0, most - KERNEL_M))
+        _check_memory(per_term * most + 40 * KERNEL_M + 136 * chunk, self.memory_gib)
+        while below > m < self.cap and self._hold(m + 1)[m] <= below:
             m *= 2
-        return min(m, cap)
+        m = min(m, self.cap)
+        if m > self.m:
+            ints = self._hold(m)[:m]
+            self.tails = _tail_decimals(self.spec, ints, self.m, self.tails)
+            (self.t2, self.t4), (self.e2, self.e4) = _tail_sums(self.spec, ints, self.tails)
+            self.terms = ints.astype(np.float64)
+            # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
+            self.t6 = 0.0 if m == self.cap else 1.0 / (5.0 * float(self.terms[-1]) ** 5)
+            self.inv_sum = math.fsum(1.0 / self.terms)
+            self.m = m
 
-    # b_n >= n, so fewer than pi x_max terms lie below pi x_max: M is priced
-    # before any sieve runs, at 24 B per term (the int64 terms, their float64
-    # copy and reciprocals) and 16 B more for a sieved family (the sieve's
-    # collected pieces and their concatenation), plus 40 B per term of the
-    # decimal head (its Python ints) and 136 B per term of a double-double
-    # chunk if M may pass KERNEL_M (its temporaries)
-    below = math.ceil(math.pi * x_max) - 1
-    most = size(below)
-    per_term = 24 if spec.kind in (KIND_AP, KIND_CUSTOM) else 40
-    chunk = min(_DD_CHUNK, max(0, most - KERNEL_M))
-    _check_memory(per_term * most + 40 * KERNEL_M + 136 * chunk, memory_gib)
-    m = size(count_up_to(spec, below))
-    if m == built[0]:
-        return built
-    ints = terms_array(spec, m)
-    (t2, t4), (e2, e4) = _tail_sums(spec, ints)
-    terms = ints.astype(np.float64)
-    # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
-    t6 = 0.0 if m == cap else 1.0 / (5.0 * float(terms[-1]) ** 5)
-    inv_sum = math.fsum(1.0 / terms)
-
-    def kernel(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         px = np.pi * np.abs(xs)
-        expo = px**2 * (t2 / 2.0) + px**4 * (t4 / 12.0)
-        values = _rho_batch(terms, xs) * np.exp(-expo)
+        expo = px**2 * (self.t2 / 2.0) + px**4 * (self.t4 / 12.0)
+        values = _rho_batch(self.terms, xs) * np.exp(-expo)
         # truncation: rho = value * exp(-r), 0 <= r <= _C6 (pi x)^6 T_6, as each
         # t = pi x / b_n past M is at most 1. r >= 0, as every term of
         # -log cos t - t^2/2 - t^4/12 is positive for |t| <= 1, so the
@@ -797,12 +746,10 @@ def _kernel(
         # (4 ulp assumed) and u from the product; 11u relative in the
         # exponent, which allows each T_j an error of u/2 beyond its rounding
         # to float, e_j being the rest of its bound; 3u in exp and product
-        trunc = np.minimum(_C6 * px**6 * t6, 1.0)
-        rounding = (9 * m + 3.0 * px * inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
-        rounding += px**2 * (e2 / 2.0) + px**4 * (e4 / 12.0)
+        trunc = np.minimum(_C6 * px**6 * self.t6, 1.0)
+        rounding = (9 * self.m + 3.0 * px * self.inv_sum + 3.0 + 11.0 * expo) * 2.0**-53
+        rounding += px**2 * (self.e2 / 2.0) + px**4 * (self.e4 / 12.0)
         return values, np.abs(values) * trunc + rounding * (1.0 + trunc), rounding
-
-    return m, kernel
 
 
 @dataclass(frozen=True)
@@ -832,22 +779,23 @@ def _grid(spec: SequenceSpec, eps: float, h: float, memory_gib: float) -> _Grid:
     that doubles from DENSITY_U until the envelope, at the 65 nodes cut/128
     apart on [cut/2, cut], is below min(eps, DENSITY_TOL). Those nodes do
     not depend on h, so the cut, M (from the largest node, 2 cut) and each
-    node's value are the same for every request. A doubling builds the
-    kernel, and evaluates every node, only when M grows with it."""
+    node's value are the same for every request. A doubling grows the
+    kernel, and evaluates every node again, only when M grows with it."""
     if not eps > 0:
         raise ValueError("eps must be positive")
     tol = min(eps, DENSITY_TOL)
-    cut, m, kernel, values, bounds = DENSITY_U, 0, None, np.empty(0), np.empty(0)
+    kernel = _Kernel(spec, memory_gib)
+    cut, values, bounds = DENSITY_U, np.empty(0), np.empty(0)
     while cut <= DENSITY_U_CAP:
-        wider, kernel = _kernel(spec, 2.0 * cut, memory_gib=memory_gib, built=(m, kernel))
-        keep = len(values) if wider == m else 0
-        m = wider
+        m = kernel.m
+        kernel.fit(2.0 * cut)
+        keep = len(values) if kernel.m == m else 0
         more, more_bounds, _ = kernel(2.0 * h * np.arange(keep, round(cut / h) + 1))
         values = np.concatenate([values[:keep], more])
         bounds = np.concatenate([bounds[:keep], more_bounds])
         envelope = float(np.abs(values[len(values) // 2 :: round(cut / 128 / h)]).max())
         if envelope < tol:
-            return _Grid(cut, h, m, values, bounds, envelope)
+            return _Grid(cut, h, kernel.m, values, bounds, envelope)
         cut *= 2.0
     raise TruncationFailure(
         f"kernel envelope {envelope:.2e} not below {tol:.1e} by U={DENSITY_U_CAP}"

@@ -270,11 +270,16 @@ def _check_memory(est: int, memory_gib: float) -> None:
     for limit, name in ((memory_gib, "budget"), (PHYSICAL_GIB, "of physical memory")):
         if limit is not None and est > limit * 2**30:
             gib = est / 2**30
-            # the fewest significant digits that still show gib above the limit
+            # a limit whose short form reads back as it, as a typed budget
+            # does, prints in that form, any other with the digits gib needs;
+            # gib with the fewest significant digits that show it above that
+            given = float(f"{limit:g}") == limit
             p = next(
-                (p for p in range(2, 17) if float(f"{gib:.{p}g}") > float(f"{limit:.{p}g}")), 17
+                (p for p in range(2, 17)
+                 if float(f"{gib:.{p}g}") > (limit if given else float(f"{limit:.{p}g}"))), 17
             )
-            raise ResourceLimit(f"estimated {gib:.{p}g} GiB exceeds the {limit:.{p}g} GiB {name}")
+            shown = f"{limit:g}" if given else f"{limit:.{p}g}"
+            raise ResourceLimit(f"estimated {gib:.{p}g} GiB exceeds the {shown} GiB {name}")
 
 
 def _int_bytes(den: int) -> int:

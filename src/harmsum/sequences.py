@@ -287,27 +287,31 @@ def _sieve(spec: SequenceSpec):
     return None
 
 
-def _first_n(masks, n: int) -> np.ndarray:
-    """The first n terms flagged by masks, sieved in rounds that each resume
-    where the last one stopped. b_n >= n for every sieved kind, so the first
-    round covers [0, n]. Each later round reaches a tenth past where the
-    terms found so far put b_n, their count taken to grow like x / log x as
-    the primes' does, or twice as far as the last round while none is
-    found. The reach stops at 2^63."""
-    chunks, total, lo, hi = [], 0, 0, n + 1
+def _first_n(masks, n: int, start: int = 0) -> tuple[np.ndarray, int]:
+    """(terms, end): every term flagged by masks in [start, end), at least
+    n of them, end being the end of the block where the n-th was found, so
+    a later call from end resumes where this one stopped. Sieved in rounds
+    that each resume where the last one stopped. The n-th term from start
+    is at least start + n - 1 (b_n >= n for every sieved kind), so the
+    first round covers [start, start + n]. Each later round reaches a tenth
+    past where the terms found so far put the n-th, their count taken to
+    grow like x / log x as the primes' does, or twice as far as the last
+    round while none is found. The reach stops at 2^63."""
+    chunks, total, lo, hi = [], 0, start, start + n + 1
     while True:
         hi = min(hi, MAX_TERM + 1)
-        for start, mask in masks(lo, hi):
-            chunks.append(start + np.flatnonzero(mask)[: n - total])
+        for block, mask in masks(lo, hi):
+            chunks.append(block + np.flatnonzero(mask))
             total += len(chunks[-1])
-            if total == n:
-                return np.concatenate(chunks)
+            if total >= n:
+                return np.concatenate(chunks), block + len(mask)
         if hi > MAX_TERM:
             raise Overflow(f"fewer than {n} terms below 2^63")
         if total:
-            # b_n solves x / log x = (n / total) hi / log hi: one step of
-            # x = est log x / log hi from x = est
-            est = hi * n / total
+            # from start = 0 the n-th solves x / log x = (n / total) hi / log hi:
+            # one step of x = est log x / log hi from x = est. Past start,
+            # est takes the count found in [start, hi) as linear
+            est = start + (hi - start) * n / total
             lo, hi = hi, int(1.1 * est * math.log(est) / math.log(hi))
         else:
             lo, hi = hi, 2 * hi
@@ -335,7 +339,7 @@ def terms_array(spec: SequenceSpec, n: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     masks = _sieve(spec)
     if masks is not None:
-        return _first_n(masks, n)
+        return _first_n(masks, n)[0][:n]
     if spec.kind == KIND_AP:
         last = spec.a + spec.q * (n - 1)
         if last > MAX_TERM:

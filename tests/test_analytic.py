@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import harmsum.analytic as analytic
+import harmsum.sequences as sequences
 from harmsum.analytic import (
     C_PRIME_DEFAULT,
     check_decay,
@@ -117,12 +118,14 @@ def test_limit_truncation_bound_is_capped_at_one():
     # above 1, so an uncapped bound doubled M only to shrink it; capped, the
     # kernel's first M meets eps, and agrees with one of 4M within both bounds
     x = 1e6
-    first, _ = analytic._kernel(PRIMES, x)
+    kernel = analytic._Kernel(PRIMES, analytic.MEMORY_GIB)
+    kernel.fit(x)
+    first = kernel.m
     rv = cosine_product_limit(PRIMES, x, 1e-7)
     assert rv.terms_used == first
-    m, kernel = analytic._kernel(PRIMES, x, 4 * first)
+    kernel.grow(4 * first)
     (value,), (bound,), _ = kernel(np.array([x]))
-    assert m == 4 * first
+    assert kernel.m == 4 * first
     assert abs(value - rv.value) <= bound + rv.tail_bound
 
 
@@ -562,19 +565,45 @@ def test_densities_match_pointwise_density(spec, xs):
 
 def test_grid_builds_its_kernel_once_per_m(monkeypatch):
     # the cut doubles from 8 to 32 while M stays 1024: the kernel is priced
-    # and sized at every doubling but sieved and built once, bit-identical
+    # and fitted at every doubling but sieved and built once, bit-identical
     want = densities(PRIMES, np.linspace(-2.0, 2.0, 9), 1e-8)
-    sieved = []
-    sieve = analytic.terms_array
+    sieved, built = [], []
+    sieve, tail_sums = analytic._first_n, analytic._tail_sums
 
-    def recording(spec, n):
-        sieved.append(n)
-        return sieve(spec, n)
+    def sieving(masks, n, start):
+        sieved.append((n, start))
+        return sieve(masks, n, start)
 
-    monkeypatch.setattr(analytic, "terms_array", recording)
+    def building(spec, terms, tails):
+        built.append(len(terms))
+        return tail_sums(spec, terms, tails)
+
+    monkeypatch.setattr(analytic, "_first_n", sieving)
+    monkeypatch.setattr(analytic, "_tail_sums", building)
     assert densities(PRIMES, np.linspace(-2.0, 2.0, 9), 1e-8) == want
     assert (want[0].truncation_u, want[0].truncation_m) == (32.0, analytic.KERNEL_M)
-    assert sieved == [analytic.KERNEL_M]
+    assert sieved == [(analytic.KERNEL_M, 0)]
+    assert built == [analytic.KERNEL_M]
+
+
+def test_no_integer_is_sieved_twice(monkeypatch):
+    # one density request, and one limit whose M doubles from 1024 to 2048:
+    # the kernel reads M from the terms it holds and sieves on from where it
+    # stopped, so the ranges asked of the prime sieve never overlap
+    ranges = []
+    masks = sequences._iter_prime_masks
+
+    def recording(lo, hi):
+        ranges.append((lo, hi))
+        return masks(lo, hi)
+
+    monkeypatch.setattr(sequences, "_iter_prime_masks", recording)
+    densities(PRIMES, np.linspace(-2.0, 2.0, 9), 1e-8)
+    density_ranges = sorted(ranges)
+    ranges.clear()
+    assert cosine_product_limit(PRIMES, 1536.17, 1e-11).terms_used == 2048
+    for asked in (density_ranges, sorted(ranges)):
+        assert asked and all(a[1] <= b[0] for a, b in zip(asked, asked[1:]))
 
 
 def test_interval_probability_evaluates_each_node_once(monkeypatch):
@@ -639,9 +668,10 @@ def test_tail_corrected_kernel_within_its_bounds(spec, monkeypatch):
     kernels = []
     for m in (64, 2**16):
         monkeypatch.setattr(analytic, "KERNEL_M", m)
-        kernels.append(analytic._kernel(spec, 8.0))
-    assert [m for m, _ in kernels] == [64, 2**16]
-    (near, near_bounds, _), (far, far_bounds, _) = (kernel(xs) for _, kernel in kernels)
+        kernels.append(analytic._Kernel(spec, analytic.MEMORY_GIB))
+        kernels[-1].fit(8.0)
+    assert [kernel.m for kernel in kernels] == [64, 2**16]
+    (near, near_bounds, _), (far, far_bounds, _) = (kernel(xs) for kernel in kernels)
     assert np.all(np.abs(near - far) <= near_bounds + far_bounds)
     assert np.all(near_bounds < 1e-8)
 
@@ -658,6 +688,25 @@ INFINITE = [
     AP,
     SequenceSpec.arithmetic(3, 4),
 ]
+
+
+@pytest.mark.parametrize(
+    "spec", INFINITE + [SequenceSpec.custom(range(2, 9000, 3))], ids=lambda s: s.label()
+)
+def test_kernel_grown_in_place_equals_one_built_at_once(spec):
+    # 1024 -> 2048 -> 4096, against 4096 at once: every value, bound and
+    # rounding term, bit for bit; the custom list has 3,000 terms, so its
+    # last growth uses it up
+    xs = np.concatenate([np.linspace(0.0, 40.0, 81), [0.3, 1536.17, 3919.4]])
+    grown, direct = (analytic._Kernel(spec, analytic.MEMORY_GIB) for _ in range(2))
+    for m in (1024, 2048, 4096):
+        grown.grow(m)
+    direct.grow(4096)
+    assert grown.m == direct.m == (3000 if spec.kind == "custom" else 4096)
+    for got, want in zip(grown(xs), direct(xs)):
+        assert np.array_equal(got, want)
+    for name in ("t2", "t4", "e2", "e4", "t6", "inv_sum", "tails"):
+        assert getattr(grown, name) == getattr(direct, name)
 
 
 def test_prime_zeta_published_values():
@@ -787,11 +836,10 @@ def test_series_against_mpmath_at_50_digits(spec):
 
 
 @pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
-def test_tail_sums_match_a_60_digit_head(spec, monkeypatch):
+def test_tail_sums_match_a_60_digit_head(spec):
     # past KERNEL_M the blocks are summed in double-double; the floats must
     # be those of S_j minus a 60-digit head, bit for bit, and the decimals
     # within their error bounds of it
-    monkeypatch.setattr(analytic, "_TAILS", {})
     terms = terms_array(spec, 2**16)
     head = [Decimal(0), Decimal(0)]
     done = 0
@@ -852,22 +900,23 @@ def test_rho_batch_matches_the_per_row_product_across_block_edges(n, counts):
 
 
 def _kernel_priced_and_peak(monkeypatch, spec, m):
-    """(price, traced peak) of a fresh _kernel call whose M is m, the first
-    x_max that needs it; its tail sums are recomputed."""
+    """(price, traced peak) of a fresh kernel fitted to the first x_max
+    that needs M = m, the price being the one checked before its sieve."""
     x_max = float(terms_array(spec, m // 2 + 2)[-1]) / math.pi
     priced = []
     check = analytic._check_memory
     monkeypatch.setattr(analytic, "_check_memory", lambda est, gib: (priced.append(est), check(est, gib)))
-    analytic._kernel(spec, 1.0)  # lazy set-up and S_j, untraced
-    monkeypatch.setattr(analytic, "_TAILS", {})
+    analytic._Kernel(spec, analytic.MEMORY_GIB).fit(1.0)  # lazy set-up and S_j, untraced
+    kernel = analytic._Kernel(spec, analytic.MEMORY_GIB)
+    first = len(priced)
     tracemalloc.start()
     try:
-        got, _ = analytic._kernel(spec, x_max)
+        kernel.fit(x_max)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == m
-    return priced[-1], peak
+    assert kernel.m == m
+    return priced[first], peak
 
 
 @pytest.mark.parametrize("m", [2**18, 2**20])

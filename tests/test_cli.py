@@ -155,7 +155,7 @@ def test_bad_analytic_inputs_exit_2_at_once(capsys, monkeypatch, argv, name):
     def evaluated(*args, **kwargs):
         raise AssertionError("the kernel or the sampler ran")
 
-    monkeypatch.setattr(analytic, "_kernel", evaluated)
+    monkeypatch.setattr(analytic, "_Kernel", evaluated)
     monkeypatch.setattr(analytic, "_rho_batch", evaluated)
     monkeypatch.setattr(montecarlo, "_chunk_sums", evaluated)
     code, out, err = run(capsys, argv)
@@ -300,7 +300,7 @@ def test_bfile_unavailable(capsys, monkeypatch, argv):
         raise AssertionError("the work ran")
 
     monkeypatch.setattr(exact, "_meet", ran)
-    monkeypatch.setattr(analytic, "_kernel", ran)
+    monkeypatch.setattr(analytic, "_Kernel", ran)
     monkeypatch.setattr(montecarlo, "_chunk_sums", ran)
     code, out, err = run(capsys, argv + ["--emit", "bfile"])
     assert code == 2
@@ -416,6 +416,18 @@ def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):
     shown = re.search(r"estimated (\S+) GiB exceeds the (\S+) GiB budget", err)
     estimate, budget = float(shown[1]), float(shown[2])
     assert estimate > budget == 0.001
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["gap", "--n", "30", "--force", "--memory-gib", "0.0904"], "0.099 GiB exceeds the 0.0904"),
+        (["minsum", "--n", "48", "--memory-gib", "0.125"], "0.14 GiB exceeds the 0.125"),
+    ],
+)
+def test_memory_refusal_prints_the_budget_given(capsys, argv, shown):
+    # the budget as typed, not rounded to the digits the estimate needs
+    assert run(capsys, argv) == (3, "", f"error: estimated {shown} GiB budget\n")
 
 
 @pytest.mark.parametrize(

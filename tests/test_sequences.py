@@ -74,6 +74,30 @@ def test_resumed_rounds_and_small_blocks_against_trial_division(monkeypatch, spe
         assert count_up_to(spec, t) == bisect_right(want, t)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [SequenceSpec.primes(), SequenceSpec.k_squarefree(2), SequenceSpec.k_squarefree(3),
+     SequenceSpec.k_distinct(1), SequenceSpec.k_distinct(2), SequenceSpec.nonprimes()],
+    ids=lambda s: s.label(),
+)
+def test_sieve_resumed_after_a_prefix_equals_one_sieve(monkeypatch, spec):
+    # a sieve of the first k terms holds every term below where it stopped,
+    # and one that goes on from there finds the rest; blocks of 64 make it
+    # stop inside a round
+    upto = 4000
+    want = [m for m in range(1, upto + 1) if is_term(spec, m)]
+    n = len(want) // 2
+    monkeypatch.setattr(sequences, "_BLOCK", 64)
+    masks = sequences._sieve(spec)
+    rng = np.random.default_rng(len(want))
+    for k in [1, 2, *rng.integers(3, n, 12).tolist(), n - 1]:
+        head, end = sequences._first_n(masks, k)
+        assert len(head) >= k and end <= upto
+        assert head.tolist() == [m for m in want if m < end]
+        rest, _ = sequences._first_n(masks, max(1, n - len(head)), end)
+        assert np.concatenate([head, rest])[:n].tolist() == want[:n]
+
+
 def test_published_prime_values():
     # the 10^6-th prime and pi(10^7), independent tabulated values
     assert terms_array(SequenceSpec.primes(), 10**6)[-1] == 15_485_863
