@@ -13,24 +13,18 @@ the smallest encoding, which makes every result reproducible.
 
 `min_signed_sums` and `min_gaps` share one meet-in-the-middle engine, and
 `min_signed_sum` and `min_gap` are the one-prefix case of each: the first
-ceil(n/2) terms and the rest each give a list of float64 half sums, 2^(n/2)
-per side for signs and 3^(n/2) per side for trits. Each list is built
-already sorted, one term at a time, in place: the entries held move to the
-tail of a buffer sized for the longest prefix, and their sorted runs
-(Horowitz-Sahni) are merged into its front in cache-sized chunks. The right
-list leaves out its last two terms: each of their 4 (signs) or 9 (trits)
-coefficient choices shifts the sorted list, so the queries come from a list
-4 or 9 times smaller, with the same floats as from the full one. A sweep
-over many prefix lengths grows the lists instead of rebuilding them
-(`_sweep`). The queries target - (right half sum), for each shift, come in
-ascending order, so a cache-sized block of them is ranked in the left list
-by merging it with the slice of that list it spans, the merge step of
-Horowitz-Sahni. For a target of 0, c and -c have the same |sum|, so the
-left list keeps only the vectors whose first nonzero entry is + (and the
-zero vector), and the optima found are completed by their negations. The
-floats only filter: every pair within a proven rounding bound of the float
-optimum is re-scored in exact integers, and the optimum is picked from
-those. Every result is then checked once more against `evaluate_signs`.
+ceil(n/2) terms and the rest each give a sorted list of float64 half sums
+alone, 2^(n/2) per side for signs and 3^(n/2) for trits, grown one term at
+a time in place by merging sorted runs (Horowitz-Sahni), along the prefixes
+of a sweep (`_sweep`). The right list leaves out its last two terms, whose
+4 or 9 coefficient choices shift its queries target - (right sum); blocks
+of those ascending queries are ranked in the left list by merging. For a
+target of 0, c and -c have the same |sum|, so the left list keeps only the
+vectors whose first nonzero entry is + (and the zero vector), and the
+optima found are completed by their negations. The floats only filter:
+the pairs within a proven rounding bound of the float optimum are
+recovered from quarter lists and re-scored in exact integers. Every
+result is then checked once more against `evaluate_signs`.
 `enumerate_sums` walks all 2^n sums in exact integers. A cap on n, the
 64-bit encodings and a memory estimate bound every search.
 """
@@ -70,44 +64,36 @@ MEMORY_GIB = PHYSICAL_GIB / 2 if PHYSICAL_GIB else 8.0  # default budget of ever
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
-# Bytes per entry, where e is the size of one encoding: 4 while they fit
-# int32, else 8. A half keeps its float64 sums and their encodings, 8 + e,
-# in buffers sized once per sweep, and grows in place: a merge adds one
-# chunk of c = min(L, _CHUNK) entries, L the half's: their values and
-# encodings, their int64 argsort order and timsort's buffer (at most half an
-# order, not seen by tracemalloc), (20 + e) c. The right half holds all but
-# its last `_SHIFTED` terms; `_meet` adds those as shifts to one block of
-# queries at a time. Matching holds both halves and one block of
-# m <= min(R, _BLOCK) queries (R right entries). `_insertion_points` ranks a
-# block by merges with slices of at most w = max(m, _BLOCK / 4) left sums.
-# The floor spares the short blocks of small searches many small merges:
-# without it the `table3 --upto 22` sweep took 1.12 times as long as a
-# binary search per query, with a floor of 4,096 0.95 times (paired medians
-# of 61 in-process rounds on 2 cores). While it merges it holds the float64
-# queries and their int64 insertion points so far (16 per query) and, per
-# merged value, the value and its int64 argsort order (16), with timsort's
-# buffer (8 per entry of the shorter run): at most 32 m + 16 w. Then the
-# queries, their insertion points, two float64 neighbour distances and the
-# merges' reused buffer take 40 m + 8 w, no more, as w >= m. A sweep grows
-# the left half alone (the right one is held only while the next prefix
-# extends it), grows the right half beside the held left, then matches. With
-# L left and R right entries at its longest prefix, it peaks at the largest
-# of (8 + e) L + (20 + e) min(L, _CHUNK),
-# (8 + e) (L + R) + (20 + e) min(R, _CHUNK) and
-# (8 + e) (L + R) + 32 m + 16 w + 448 k, with m = min(R, _BLOCK), w at most
-# L and k the blocks, one per shift and per block of right sums: each block
-# leaves a tuple of two small arrays in `_meet`'s `kept` list, and joining
-# them makes one more array per block, with the list slots about 430 B a
-# block under tracemalloc (numpy 2.4, a few kept values each), which
-# `_BLOCK_BYTES` rounds up. `_OBJECT_BYTES` adds the other Python objects:
-# the results so far (under 1 KB per prefix), the exact lookup tables and
-# the few queries kept for the exact re-scoring, which are priced again
-# with their pairs. Matching sets the peak of almost every search.
-_CHUNK_BYTES = 20
+# Bytes per entry. A half holds its float64 sums alone, 8 per entry, in a
+# buffer sized once per sweep, and grows in place: a merge adds one chunk of
+# c = min(L, _CHUNK) entries, L the half's, and timsort's buffer (at most
+# c / 2, not seen by tracemalloc), 12 c. The right half holds all but its
+# last `_SHIFTED` terms; `_meet` adds those as shifts to one block of
+# m <= min(R, _BLOCK) queries at a time (R right entries), and matching holds
+# both halves and that block. `_insertion_points` ranks a block by merges
+# with slices of at most w = max(m, _BLOCK / 4) left sums; the floor spares
+# small searches many small merges (the `table3 --upto 22` sweep: 0.95 times
+# a binary search per query, 1.12 without it). While it merges it holds the
+# queries and their insertion points so far (16 per query) and, per merged
+# value, the value and its argsort order (16), with timsort's buffer (8 per
+# entry of the shorter run): at most 32 m + 16 w. Then the queries, their
+# insertion points, two neighbour distances and the merges' reused buffer
+# take 40 m + 8 w, no more, as w >= m. A sweep grows the left half alone
+# (the right one is held only while the next prefix extends it), grows the
+# right half beside the held left, then matches. With L left and R right
+# entries at its longest prefix, it peaks at the largest of
+# 8 L + 12 min(L, _CHUNK), 8 (L + R) + 12 min(R, _CHUNK) and
+# 8 (L + R) + 32 m + 16 w + 448 k, k the blocks, one per shift and per block
+# of right sums: each leaves two small arrays in `_meet`'s `kept` list, and
+# joining them makes one more, about 430 B a block under tracemalloc.
+# `_OBJECT_BYTES` adds the other Python objects (26 KB at most in the tests'
+# traced sweeps). The recovery (`_near`) adds less than matching from
+# n = 20 on, and prices its candidates.
+_CHUNK_BYTES = 12
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _SLICE_BYTES = 16
-_OBJECT_BYTES = 2**17
+_OBJECT_BYTES = 3 * 2**15
 _BLOCK_BYTES = 448
 _BLOCK = 2**14  # queries per matching block in `_meet`
 _CHUNK = 2**15  # entries per sorted chunk of `_merge`
@@ -308,8 +294,8 @@ def _expand(weights, digits, dtype=np.float64) -> np.ndarray:
 
 
 def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
-    """Exact half sums at the given encodings (an object array of ints),
-    added up from one lookup table per group of `_GROUP` terms."""
+    """Exact sums at the given encodings (an object array of ints), added
+    up from one lookup table per group of `_GROUP` terms."""
     base = len(digits)
     total = np.zeros(len(encs), dtype=object)
     for g in range(0, len(weights), _GROUP):
@@ -318,11 +304,53 @@ def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
     return total
 
 
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """np.unique(v), whose numpy.ma import costs 10 ms (numpy 2.4)."""
+    v = np.sort(v)
+    keep = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
+def _near(x, digits, centers, radius: float, each: int, memory_gib: float):
+    """(i, encodings) of every coefficient vector over the terms x whose
+    float sum fl(s1 + s2) lies within radius of centers[i], ordered by i:
+    s1 and s2 are the `_expand` sums, indexed by encoding, of the first
+    ceil(len(x) / 2) terms and of the rest. Each center is bracketed in the
+    sorted s1 once per s2 by fl(center - s2 -+ 2 radius), whose roundings,
+    u 2R at most, radius >= 14 u R covers (see `_meet`); s2 descends, so a
+    center's edges ascend, as searchsorted runs fastest. The vectors found,
+    `each` bytes apiece, are priced, with those before them, when found.
+    """
+    h = (len(x) + 1) // 2
+    first, second = _expand(x[:h], digits), _expand(x[h:], digits)
+    order, down = np.argsort(first, kind="stable"), np.argsort(second)[::-1]
+    first, second = first[order], second[down]
+    step = max(1, _BLOCK // 8 // len(second))
+    found, encs, total = [], [], 0
+    for c in range(0, len(centers), step):
+        edge = np.subtract.outer(centers[c:c + step], second).ravel()
+        lo = np.searchsorted(first, edge - 2 * radius)
+        edge += 2 * radius
+        counts = np.searchsorted(first, edge, "right")
+        counts -= lo
+        total += int(counts.sum())
+        _check_memory(each * total, memory_gib)
+        k = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        k += np.arange(len(k))
+        i, j = np.divmod(np.repeat(np.arange(len(counts)), counts), len(second))
+        i += c
+        keep = np.abs(first[k] + second[j] - centers[i]) <= radius
+        found.append(i[keep])
+        encs.append(order[k[keep]] + down[j[keep]] * len(digits)**h)
+    return np.concatenate(found), np.concatenate(encs)
+
+
 class _Half:
     """One side of the search, grown a term at a time: the float sums of its
     coefficient vectors in ascending order, held in `pad` between a -inf
-    and a +inf sentinel, the encodings of those vectors, and the number of
-    terms so far, at the front of buffers of `capacity` entries.
+    and a +inf sentinel, and the number of terms so far, at the front of a
+    buffer of `capacity` entries, but no encodings (see `_near`).
 
     Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
     sorted list gives one sorted run per digit, and `_merge` merges those
@@ -330,16 +358,19 @@ class _Half:
     rounded additions, in the same order, as in `_expand`, so the values are
     bit-identical to its, and a half grown in steps equals one grown at
     once. When `symmetric`, only the vectors whose first nonzero entry is +
-    are kept, and the zero vector, whose encoding is 0.
+    are kept, and the zero vector.
+
+    The zero vector, if held (a trit half, or no term yet), is the first
+    entry of value 0.0, by induction on the terms: digit 0 has coefficient
+    0, so run 0 is the half's values in order (fl(v + 0) = v), with no 0.0
+    before the zero vector, and the stable merge puts run 0 first on ties.
     """
 
-    def __init__(self, digits, symmetric: bool, dtype, capacity: int):
+    def __init__(self, digits, symmetric: bool, capacity: int):
         self.digits = digits
         self.symmetric = symmetric
         self.buf = np.empty(capacity + 2)
-        self.codes = np.empty(capacity, dtype)
         self.buf[:3] = -np.inf, 0.0, np.inf
-        self.codes[0] = 0
         self.size = 1
         self.terms = 0
 
@@ -351,91 +382,72 @@ class _Half:
     def sums(self) -> np.ndarray:
         return self.buf[1:self.size + 1]
 
-    @property
-    def encs(self) -> np.ndarray:
-        return self.codes[:self.size]
-
     def grow(self, x) -> None:
         """Add the terms x after those held."""
         base = len(self.digits)
         for w in x:
             m = self.size
-            # when symmetric, a negative digit skips the zero vector so far,
-            # the one of encoding 0 if held: the slices around it, one after
-            # the other, still make one sorted run
-            z = int(self.encs.argmin())
-            skip = self.symmetric and self.codes[z] == 0
+            # when symmetric, a negative digit skips the zero vector, if held;
+            # the two slices around it make one run
+            skip = self.symmetric and (0 in self.digits or not self.terms)
+            z = int(np.searchsorted(self.sums, 0.0))
             size = base * m - skip * sum(c < 0 for c in self.digits)
             # the held entries move to the tail, which the runs read while
             # the merge fills the front
             t = size - m
             np.copyto(self.buf[1 + t:1 + size], self.buf[1:1 + m])
-            np.copyto(self.codes[t:size], self.codes[:m])
             runs = []
-            for k, c in enumerate(self.digits):
-                code = k * base**self.terms
+            for c in self.digits:
                 if skip and c < 0:
-                    runs += [(t, t + z, c * w, code), (t + z + 1, t + m, c * w, code)]
+                    runs += [(t, t + z, c * w), (t + z + 1, t + m, c * w)]
                 else:
-                    runs.append((t, t + m, c * w, code))
-            _merge(self.buf[1:], self.codes, runs)
+                    runs.append((t, t + m, c * w))
+            _merge(self.buf[1:], runs)
             self.buf[size + 1] = np.inf
             self.size = size
             self.terms += 1
 
 
-def _merge(sums, encs, runs) -> None:
-    """Merge the runs (lo, hi, cw, code) stably into the front of `sums`
-    and `encs`: run r holds the ascending values fl(v + cw), v in
-    sums[lo:hi], with the encodings encs[lo:hi] + code, and the merged order
-    is that of a stable argsort of the runs' values concatenated.
+def _merge(sums, runs) -> None:
+    """Merge the runs (lo, hi, cw) stably into the front of `sums`: run r
+    holds the ascending values fl(v + cw), v in sums[lo:hi], and the merged
+    order is that of a stable argsort of the runs' values concatenated.
 
     The merge writes chunks of at most max(_CHUNK, len(runs)) entries
-    straight into place, so it never holds a full-length order. Entries are
-    ordered by (value, run, index), the stable order. Let
-    s = _CHUNK // len(runs), at least 1. A chunk ends before the pivot, the
-    least of the run entries s past each run's head in that order (none
-    once every run has s or fewer left). Each run gives the chunk its
-    entries below the pivot: those of a smaller value, and those of the
-    pivot's value in an earlier run or before the pivot in its own. They
-    lie within s of the run's head, and the pivot's run gives s, so a chunk
-    takes at least one entry and at most s from each run. One small stable
-    argsort of its pieces, concatenated in run order, orders it. Every value
-    is the float fl(v + cw) that an argsort of the whole runs would see, so
-    the result is bit-identical to that one.
+    straight into place. Entries are ordered by (value, run, index), the
+    stable order. Let s = _CHUNK // len(runs), at least 1. A chunk ends
+    before the pivot, the least of the run entries s past each run's head
+    (none once every run has s or fewer left). Each run gives the chunk its
+    entries below the pivot, within s of its head, and the pivot's run
+    gives s, so a chunk takes from 1 to s entries of each run. One small
+    stable sort orders it, as a sort of the whole runs would, bit for bit.
 
     The runs may lie where the merge writes, as `_Half.grow` places them: a
     chunk is read whole before it is written, and one whose writes would
     reach the first unread entry of a run is refused with a RuntimeError.
     """
-    size = sum(hi - lo for lo, hi, _, _ in runs)
+    size = sum(hi - lo for lo, hi, _ in runs)
     step = max(1, _CHUNK // len(runs))
-    room = min(size, step * len(runs))
-    vals, codes = np.empty(room), np.empty(room, encs.dtype)
-    heads, done = [lo for lo, _, _, _ in runs], 0
+    vals = np.empty(min(size, step * len(runs)))
+    heads, done = [lo for lo, _, _ in runs], 0
     while done < size:
         pivot, first = math.inf, len(runs)
-        for r, (_, hi, cw, _) in enumerate(runs):
+        for r, (_, hi, cw) in enumerate(runs):
             if heads[r] + step < hi:
                 value = float(sums[heads[r] + step]) + cw
                 if value < pivot:
                     pivot, first = value, r
         m = 0
-        for r, (_, hi, cw, code) in enumerate(runs):
+        for r, (_, hi, cw) in enumerate(runs):
             h = heads[r]
             window = vals[m:m + min(step, hi - h)]
             np.add(sums[h:h + len(window)], cw, out=window)
-            cut = int(np.searchsorted(window, pivot, "right" if r <= first else "left"))
-            np.add(encs[h:h + cut], code, out=codes[m:m + cut])
-            heads[r] += cut
-            m += cut
-        if any(h < hi and done + m > h for h, (_, hi, _, _) in zip(heads, runs)):
+            heads[r] += int(np.searchsorted(window, pivot, "right" if r <= first else "left"))
+            m += heads[r] - h
+        if any(h < hi and done + m > h for h, (_, hi, _) in zip(heads, runs)):
             raise RuntimeError("a merge chunk would overwrite entries not yet merged")
-        order = np.argsort(vals[:m], kind="stable")
-        # mode="clip" writes straight into place; "raise" would buffer it
-        np.take(vals[:m], order, out=sums[done:done + m], mode="clip")
-        np.take(codes[:m], order, out=encs[done:done + m], mode="clip")
-        del order  # before the next chunk's order is allocated
+        vals[:m].sort(kind="stable")
+        sums[done:done + m] = vals[:m]
         done += m
 
 
@@ -509,28 +521,24 @@ def _entries(n: int, base: int, symmetric: bool) -> tuple[int, int]:
     return left, base ** max(0, n - half - _SHIFTED)
 
 
-def _price(n: int, digits, symmetric: bool):
-    """(bytes, encoding dtype) of a sweep whose longest prefix is n: the
-    largest of its three phases at n, as the memory model above sets out.
-    A prefix whose full encodings would not fit int64 is refused."""
+def _price(n: int, digits, symmetric: bool) -> int:
+    """Bytes of a sweep whose longest prefix is n: the largest of its three
+    phases at n, as the memory model above sets out. A prefix whose full
+    encodings would not fit int64 is refused."""
     base = len(digits)
     if base**n > 2**63:
         raise CapExceeded(f"n={n} does not fit the 64-bit encodings")
-    half = (n + 1) // 2
-    dtype = np.int32 if base**half <= 2**31 else np.int64
-    kept = _KEPT_BYTES + np.dtype(dtype).itemsize
-    chunk = _CHUNK_BYTES + np.dtype(dtype).itemsize
     left, right = _entries(n, base, symmetric)
     block = min(right, _BLOCK)
     width = min(left, max(block, _BLOCK // 4))
-    blocks = base ** min(_SHIFTED, n - half) * -(-right // _BLOCK)
+    blocks = base ** min(_SHIFTED, n - (n + 1) // 2) * -(-right // _BLOCK)
     est = max(
-        kept * left + chunk * min(left, _CHUNK),
-        kept * (left + right) + chunk * min(right, _CHUNK),
-        kept * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
+        _KEPT_BYTES * left + _CHUNK_BYTES * min(left, _CHUNK),
+        _KEPT_BYTES * (left + right) + _CHUNK_BYTES * min(right, _CHUNK),
+        _KEPT_BYTES * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
         + _BLOCK_BYTES * blocks,
     )
-    return est + _OBJECT_BYTES, dtype
+    return est + _OBJECT_BYTES
 
 
 def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, nonzero=False):
@@ -542,10 +550,8 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
     terms, so it extends the left half of every shorter prefix. The right
     half of n holds the rest but the last `_SHIFTED` terms, which `_meet`
     applies as shifts; that of n = 2L is the right half of n = 2L - 1 plus
-    one term. The right half is held only while the next n extends it. Both
-    grow in buffers sized for the longest prefix. Every prefix is checked
-    against the cap and priced before any half is built, so a sweep that
-    either refuses stops before its first search.
+    one term, and is held only while the next n extends it. Every prefix is
+    checked against the cap and priced before any half is built.
     """
     if not ns:
         return
@@ -557,23 +563,19 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
     for m in ns:
         _check_cap(m, cap)
     for m in ns:
-        est, dtype = _price(m, digits, symmetric)
-        _check_memory(est, memory_gib)
-    # dtype is now that of the longest prefix, which fits every shorter one.
+        _check_memory(_price(m, digits, symmetric), memory_gib)
     # The right half of an odd n = 2L + 1 is built again from scratch, as its
     # first term moved to the left half. Halves of interleaved terms would
     # only grow, but their encodings would not follow term order, which the
-    # tie rules and witnesses need. Over the first 40 primes (ns = 1..40,
-    # tau = 0, best of 15 in-process runs on 2 cores) the right half's builds
-    # took 10 ms and its extensions 8 ms of a 129 ms sweep.
+    # tie rules and witnesses need.
     x = [1 / b for b in terms]
     most_left, most_right = _entries(ns[-1], len(digits), symmetric)
-    left, right = _Half(digits, symmetric, dtype, most_left), None
+    left, right = _Half(digits, symmetric, most_left), None
     for i, n in enumerate(ns):
         half = (n + 1) // 2
         left.grow(x[left.terms:half])
         if right is None:
-            right = _Half(digits, False, dtype, most_right)
+            right = _Half(digits, False, most_right)
         right.grow(x[half + right.terms:max(half, n - _SHIFTED)])
         den = math.lcm(math.lcm(*terms[:n]), tau.denominator)
         target = tau.numerator * (den // tau.denominator)
@@ -591,7 +593,9 @@ def _meet(
     and the rest, the shifted terms, from every choice of digits, leaving out
     c = 0 when `nonzero` (which needs target 0, and 0 as digit 0 so that
     c = 0 is encoding 0). With a `symmetric` left half, whose target must
-    be 0, every optimum S found is joined by -S.
+    be 0, every optimum S found is joined by -S. The halves hold float sums
+    alone: the vectors of the pairs near the float optimum are recovered
+    from quarter lists (`_near`) and re-scored in exact integers.
 
     Returns (residuals, encodings): an object array of the exact signed
     residuals sum_i c_i * (den // b_i) - target, all of the optimal size,
@@ -651,8 +655,9 @@ def _meet(
         # the zero vector, the left's zero with the right's zero under the
         # zero shift, is left out: that query is q = t = 0 and the left zero
         # sums to 0, so its best other partner is a neighbour of the left
-        # zero in a
-        k0, j0 = int(left.encs.argmin()), last - int(right.encs.argmin())
+        # zero in a. Each half's zero is its first entry of value 0.0 (see
+        # `_Half`)
+        k0, j0 = int(np.searchsorted(a, 0.0)), last - int(np.searchsorted(b, 0.0))
         zero = min(abs(pad[k0]), abs(pad[k0 + 2]))
 
     # The queries are matched in blocks, which stay in cache. Each block
@@ -660,10 +665,8 @@ def _meet(
     # plus 2 * err; that limit only shrinks, so the final one, d + 2 * err,
     # is at most every block's, and the queries within it are all kept.
     # Every block reuses one buffer for its queries and one for the runs its
-    # merges join. Allocated afresh per block, these arrays went back to the
-    # system and were faulted in again each time, unless earlier, larger
-    # frees had raised glibc's dynamic mmap threshold: the `table1 --upto 40`
-    # sweep took 7,800 more page faults and 11% longer in fresh processes.
+    # merges join: allocated afresh, they were faulted in again per block,
+    # and the `table1 --upto 40` sweep took 11% longer in fresh processes.
     limit, kept = np.inf, []
     room = min(last + 1, _BLOCK)
     qbuf, joined = np.empty(room), np.empty(room + max(room, _BLOCK // 4))
@@ -690,32 +693,34 @@ def _meet(
         kept.append((js + (s * (last + 1) + lo), near[js]))
         del near
     js = np.concatenate([j[d <= limit] for j, d in kept])
-    del kept
+    del kept, qbuf, joined
 
-    # A pair scoring within limit has |a_k - q_j| <= limit / (1 - u); as
-    # limit >= 2 * err > 28 u R exceeds the rounding u|q_j| <= u R of these
-    # edges many times over, fl(q_j -+ 2 * limit) brackets every such a_k.
+    # The halves hold no encodings, so the kept queries' vectors are
+    # recovered from quarter lists (`_near`), once per shift and right sum.
+    # A half sum and the sum of its two quarter sums add the same floats, in
+    # at most 2 half + 1 rounded adds of u 2R each, so they differ by at
+    # most (2n + 4) u R <= E. So the right vectors within err of b_j hold
+    # those of query j, and a pair scoring |fl(a_k - q_j)| <= limit, with
+    # |a_k - q_j| <= limit / (1 - u) and limit <= 2R + 2 err, has a left
+    # quarter sum within limit + E + 3 u limit <= limit + err of q_j, as
+    # E >= 7 u R. So the pairs recovered hold every pair scoring within
+    # limit, and with them every exact optimum searched. Any other pair is a
+    # vector searched or, beside a symmetric left half (target 0), the
+    # negation of one, of the same |residual|, so none scores below them.
     sj, rj = np.divmod(js, last + 1)
-    rj = last - rj
-    q = _queries(t, b[rj], shifts[sj].T)
-    lo = np.searchsorted(a, q - 2 * limit)
-    hi = np.searchsorted(a, q + 2 * limit, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    _check_memory(total * (48 + 4 * _int_bytes(den)), memory_gib)
-    kk = np.arange(total) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    keep = np.abs(a[kk] - np.repeat(q, counts)) <= limit
-    ka = left.encs[kk[keep]].astype(np.int64)
-    kb = right.encs[np.repeat(rj, counts)[keep]] + codes[np.repeat(sj, counts)[keep]]
+    sj, rj = np.divmod(_distinct(sj * (last + 1) + np.searchsorted(b, b[last - rj])), last + 1)
+    each = 48 + 4 * _int_bytes(den)
+    ri, kb = _near(x[half:half + right.terms], digits, b[rj], err, each, memory_gib)
+    q = _queries(t, b[rj[ri]], shifts[sj[ri]].T)
+    li, ka = _near(x[:half], digits, q, limit + err, each, memory_gib)
+    encs = _distinct(ka + (kb + codes[sj[ri]])[li] * base**half)
     if nonzero:
-        keep = (ka != 0) | (kb != 0)
-        ka, kb = ka[keep], kb[keep]
+        encs = encs[encs != 0]
 
-    res = _exact_sums(weights[:half], digits, ka) + _exact_sums(weights[half:], digits, kb)
-    res -= target
+    res = _exact_sums(weights, digits, encs) - target
     size = np.abs(res)
     opt = size == size.min()
-    res, encs = res[opt], ka[opt] + kb[opt] * base**half
+    res, encs = res[opt], encs[opt]
     if left.symmetric:
         res = np.concatenate((res, -res))
         encs = np.concatenate((encs, _negated(encs, digits, n)))

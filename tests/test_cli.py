@@ -257,11 +257,11 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     # an explicit cap wins over --force
     code, out, err = run(capsys, ["gap", "--n", "27", "--force", "--gap-cap", "26"])
     assert (code, out, err) == (3, "", "error: n=27 exceeds the cap of 26\n")
-    # on a 16 GiB machine physical memory bounds any budget: the gap at
-    # N = 39 is priced at 27.9 GiB
-    monkeypatch.setattr(exact, "PHYSICAL_GIB", 16.0)
+    # on an 8 GiB machine physical memory bounds any budget: the gap at
+    # N = 39 is priced at 14.0 GiB
+    monkeypatch.setattr(exact, "PHYSICAL_GIB", 8.0)
     code, out, err = run(capsys, ["gap", "--n", "39", "--force", "--memory-gib", "1000"])
-    assert (code, out, err) == (3, "", "error: estimated 28 GiB exceeds the 16 GiB of physical memory\n")
+    assert (code, out, err) == (3, "", "error: estimated 14 GiB exceeds the 8 GiB of physical memory\n")
 
 
 @pytest.mark.parametrize(
@@ -421,8 +421,8 @@ def test_memory_refusal_prints_an_estimate_above_the_budget(capsys):
 @pytest.mark.parametrize(
     "argv, shown",
     [
-        (["gap", "--n", "30", "--force", "--memory-gib", "0.0904"], "0.099 GiB exceeds the 0.0904"),
-        (["minsum", "--n", "48", "--memory-gib", "0.125"], "0.14 GiB exceeds the 0.125"),
+        (["gap", "--n", "30", "--force", "--memory-gib", "0.0604"], "0.067 GiB exceeds the 0.0604"),
+        (["minsum", "--n", "48", "--memory-gib", "0.0875"], "0.095 GiB exceeds the 0.0875"),
     ],
 )
 def test_memory_refusal_prints_the_budget_given(capsys, argv, shown):

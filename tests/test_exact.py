@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -39,11 +40,17 @@ from harmsum.sequences import SequenceSpec, generate
 PRIMES = generate(SequenceSpec.primes(), 25).terms
 
 
-def _sorted_half(x, digits, symmetric: bool, dtype):
-    """(sums, encodings) of a `_Half` grown over the terms x from none."""
-    half = _Half(digits, symmetric, dtype, len(digits) ** len(x))
+def _sorted_half(x, digits, symmetric: bool):
+    """The sums of a `_Half` grown over the terms x from none."""
+    half = _Half(digits, symmetric, len(digits) ** len(x))
     half.grow(x)
-    return half.sums, half.encs
+    return half.sums
+
+
+def _expanded_order(x, digits):
+    """The encodings of every vector over the terms x in the stable order of
+    their `_expand` sums, a reference that shares no code with `_Half`."""
+    return np.argsort(_expand(x, digits), kind="stable")
 
 
 def brute_minsum(terms, tau):
@@ -417,28 +424,27 @@ def test_sorted_half_is_the_expanded_sums_in_order():
             [digits[c // base**i % base] for i in range(len(x))] for c in range(len(full))
         ]
         for symmetric in (False, True):
-            sums, encs = _sorted_half(x, digits, symmetric, np.int32)
-            assert np.all(sums[:-1] <= sums[1:])
-            # bit for bit the sums of `_expand`, the float filter's reference
-            assert np.array_equal(sums.view(np.int64), full[encs].view(np.int64))
-            want = [
+            sums = _sorted_half(x, digits, symmetric)
+            want = full[[
                 c for c, cs in enumerate(coefficients)
                 if not symmetric or next((v for v in cs if v), 0) >= 0
-            ]
-            assert sorted(encs.tolist()) == want
+            ]]
+            # bit for bit the sums of `_expand`, the float filter's
+            # reference, of the vectors kept, in their stable order
+            want = want[np.argsort(want, kind="stable")]
+            assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
 
 def test_resumed_half_equals_one_built_at_once():
     x = [1 / b for b in generate(SequenceSpec.nonprimes(), 9).terms]
     for digits in (SIGNS, TRITS):
         for symmetric in (False, True):
-            sums, encs = _sorted_half(x, digits, symmetric, np.int32)
-            half = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
+            sums = _sorted_half(x, digits, symmetric)
+            half = _Half(digits, symmetric, len(digits) ** len(x))
             for lo, hi in ((0, 3), (3, 4), (4, 4), (4, 9)):
                 half.grow(x[lo:hi])
             assert half.terms == 9
             assert np.array_equal(half.sums.view(np.int64), sums.view(np.int64))
-            assert np.array_equal(half.encs, encs)
             assert half.pad[0] == -np.inf and half.pad[-1] == np.inf
 
 
@@ -452,39 +458,121 @@ def test_chunked_merges_equal_one_merge_at_once(monkeypatch, chunk):
     for spec, digits, symmetric in product(families, (SIGNS, TRITS), (False, True)):
         x = [1 / b for b in generate(spec, 12 if digits == SIGNS else 8).terms]
         monkeypatch.setattr(exact, "_CHUNK", 2**30)
-        want = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
+        want = _Half(digits, symmetric, len(digits) ** len(x))
         want.grow(x)
         assert np.any(want.sums[1:] == want.sums[:-1])
         monkeypatch.setattr(exact, "_CHUNK", chunk)
-        got = _Half(digits, symmetric, np.int32, len(digits) ** len(x))
+        got = _Half(digits, symmetric, len(digits) ** len(x))
         for lo, hi in ((0, 5), (5, 6), (6, len(x))):
             got.grow(x[lo:hi])
         assert np.array_equal(got.pad.view(np.int64), want.pad.view(np.int64))
-        assert np.array_equal(got.encs, want.encs)
 
 
 @pytest.mark.parametrize("digits, symmetric, n", [(SIGNS, False, 18), (TRITS, True, 12)])
 def test_growth_holds_no_old_half_beside_the_new_one(digits, symmetric, n):
-    # a half grows in place, in buffers of its final size, (8 + e) L, so
-    # its last step adds one merge chunk, (20 + e) min(L, _CHUNK); a merge
-    # into a new half held the old one too, (8 + e) (L + L') and more
+    # a half grows in place, in a buffer of its final size, 8 L, so its
+    # last step adds one merge chunk, 12 min(L, _CHUNK); a merge into a new
+    # half held the old one too, 8 (L + L') and more
     x = [1 / b for b in PRIMES[:n]]
     size = (len(digits) ** n + 1) // 2 if symmetric else len(digits) ** n
     tracemalloc.start()
     try:
-        half = _Half(digits, symmetric, np.int32, size)
+        half = _Half(digits, symmetric, size)
         half.grow(x[:-1])
-        held = len(half.encs)
+        held = half.size
         tracemalloc.reset_peak()
         half.grow(x[-1:])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(half.encs) == size and 12 * held > 2**20
-    assert peak <= 12 * size + 24 * min(size, exact._CHUNK) + 2**14
-    want = _sorted_half(x, digits, symmetric, np.int32)
-    assert np.array_equal(half.sums.view(np.int64), want[0].view(np.int64))
-    assert np.array_equal(half.encs, want[1])
+    slack = 12 * min(size, exact._CHUNK) + 2**14
+    assert half.size == size and 8 * held > slack
+    assert peak <= 8 * size + slack
+    want = _sorted_half(x, digits, symmetric)
+    assert np.array_equal(half.sums.view(np.int64), want.view(np.int64))
+
+
+# exact zero signed sums: 1/2 - 1/3 - 1/6 and 1 - 1/2 - 1/3 - 1/6 round to
+# 2.8e-17, 1/6 - 1/9 - 1/18 to 0.0, so (6, 9, 18) halves hold several 0.0
+ZERO_SUMS = ((2, 3, 6), (1, 2, 3, 6), (6, 9, 18), (3, 6, 9, 18, 20))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, exact._CHUNK])
+def test_zero_vector_is_the_first_zero_sum_of_a_trit_half(monkeypatch, chunk):
+    # `_meet` and `grow` find the zero vector of a half, which holds no
+    # encodings, as its first entry of value 0.0; in the stable order of the
+    # `_expand` sums it is the first of those too
+    monkeypatch.setattr(exact, "_CHUNK", chunk)
+    lists = [generate(spec, 9).terms for spec in COLLIDING] + list(ZERO_SUMS)
+    ties = 0
+    for terms, symmetric in product(lists, (False, True)):
+        x = [1 / b for b in terms]
+        half = _Half(TRITS, symmetric, 3 ** len(x))
+        for k in range(1, len(x) + 1):
+            half.grow(x[k - 1:k])
+            order = _expanded_order(x[:k], TRITS)
+            if symmetric:
+                first = [next((d for d in np.base_repr(c, 3)[::-1] if d != "0"), "1") for c in order]
+                order = order[np.array(first) == "1"]
+            z = int(np.searchsorted(half.sums, 0.0))
+            assert half.sums[z] == 0.0 and order[z] == 0
+            ties += np.count_nonzero(half.sums == 0.0) > 1
+    assert ties >= 4
+
+
+@functools.lru_cache(maxsize=None)
+def brute_minsum_witness_scaled(terms, tau):
+    """brute_minsum_witness in scaled integers, fast enough for n = 12."""
+    den = math.lcm(math.lcm(*terms), tau.denominator)
+    sums = [0]
+    for b in terms:
+        sums = [s - den // b for s in sums] + [s + den // b for s in sums]
+    return min((abs(Fraction(s, den) - tau), enc) for enc, s in enumerate(sums))
+
+
+TIED = (
+    generate(SequenceSpec.arithmetic(1, 1), 12).terms,
+    generate(SequenceSpec.nonprimes(), 12).terms,
+) + ZERO_SUMS
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_recovered_optima_on_ties_equal_brute_force(monkeypatch, chunk):
+    # many equal sums: kept queries share right sums, and the vectors
+    # recovered for them tie, within a half and across the halves
+    monkeypatch.setattr(exact, "_BLOCK", 7)
+    monkeypatch.setattr(exact, "_CHUNK", chunk)
+    gap = functools.lru_cache(maxsize=None)(brute_gap_witness_scaled)
+    for terms in TIED:
+        ns = range(1, len(terms) + 1)
+        for tau in (Fraction(0), Fraction(1, 3)):
+            got = min_signed_sums(terms, ns, tau)
+            assert [(r.value, r.witness.encoding) for r in got] == [
+                brute_minsum_witness_scaled(tuple(terms[:m]), tau) for m in ns
+            ]
+        got = min_gaps(terms, ns)
+        assert [(g.gap, g.witness.trits) for g in got] == [gap(tuple(terms[:m])) for m in ns]
+
+
+def test_tie_heavy_recovery_is_priced_before_its_candidates(monkeypatch):
+    # the first 18 divisors of 5040 tie over 20,000 trit vectors at the zero
+    # gap; recovering them, at 228 B a candidate, exceeds a budget that
+    # admits the search itself
+    terms = [d for d in range(1, 25) if 5040 % d == 0]
+    assert len(terms) == 18 and _price(18, TRITS, True) < 0.002 * 2**30 / 4
+
+    def rescored(*args):
+        raise AssertionError("candidates were re-scored")
+
+    monkeypatch.setattr(exact, "_exact_sums", rescored)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="0.002 GiB budget"):
+            min_gap(terms, memory_gib=0.002)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_merge_refuses_chunks_that_overwrite_unread_entries(monkeypatch):
@@ -493,15 +581,16 @@ def test_merge_refuses_chunks_that_overwrite_unread_entries(monkeypatch):
     # first chunk of one entry would overwrite the second run's head
     monkeypatch.setattr(exact, "_CHUNK", 2)
     sums = np.array([1.0, 2.0, 3.0, np.nan, np.nan, np.nan])
-    encs = np.array([0, 1, 2, 0, 0, 0], dtype=np.int32)
     with pytest.raises(RuntimeError, match="not yet merged"):
-        exact._merge(sums, encs, [(0, 3, -0.5, 0), (0, 3, 0.5, 3)])
+        exact._merge(sums, [(0, 3, -0.5), (0, 3, 0.5)])
 
 
-def test_price_reaches_gap_36_and_minsum_57_in_the_default_budget():
+def test_price_reaches_gap_36_and_minsum_58_in_the_default_budget():
+    # minsum at tau = 0 keeps half its left vectors; other targets keep all
     budget = 3.9 * 2**30
-    assert _price(36, TRITS, True)[0] <= budget < _price(37, TRITS, True)[0]
-    assert _price(57, SIGNS, True)[0] <= budget < _price(58, SIGNS, True)[0]
+    assert _price(36, TRITS, True) <= budget < _price(37, TRITS, True)
+    assert _price(58, SIGNS, True) <= budget < _price(59, SIGNS, True)
+    assert _price(56, SIGNS, False) <= budget < _price(57, SIGNS, False)
 
 
 def _unbuilt(*args):
@@ -509,7 +598,7 @@ def _unbuilt(*args):
 
 
 def test_64_bit_encodings_bound_an_explicit_cap(monkeypatch):
-    # 3^40 and 2^64 full encodings would wrap int64; priced at 35 and 56 GiB,
+    # 3^40 and 2^64 full encodings would wrap int64; priced at 16 and 24 GiB,
     # these are refused before any half is built
     monkeypatch.setattr(exact, "_merge", _unbuilt)
     primes = generate(SequenceSpec.primes(), 64).terms
@@ -518,10 +607,9 @@ def test_64_bit_encodings_bound_an_explicit_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="64-bit encodings"):
         min_signed_sum(primes[:64], cap=64, memory_gib=1e6)
     # the largest sizes int64 holds are still priced, at least at the
-    # float64 sums and int64 encodings of their left half
+    # float64 sums of their left half
     for n, digits, left in ((39, TRITS, (3**20 + 1) // 2), (63, SIGNS, 2**31)):
-        est, dtype = _price(n, digits, True)
-        assert dtype is np.int64 and est >= 16 * left
+        assert _price(n, digits, True) >= 8 * left
 
 
 def test_budget_bounds_a_lifted_cap(monkeypatch):
@@ -585,7 +673,7 @@ def test_small_blocks_keep_the_optima(monkeypatch):
     ns = list(range(1, 15))
     taus = (Fraction(0), Fraction(1, 3), Fraction(-7, 5))
     want = [min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)
-    right = _sorted_half([1 / b for b in terms[7:12]], TRITS, False, np.int32)[1]
+    right = _expanded_order([1 / b for b in terms[7:12]], TRITS)
     assert len(right) - 1 - int(right.argmin()) >= 7
     monkeypatch.setattr(exact, "_BLOCK", 7)
     assert ([min_signed_sums(terms, ns, tau) for tau in taus], min_gaps(terms, ns)) == want
@@ -601,9 +689,8 @@ def test_shifted_queries_are_those_of_the_merged_half_bit_for_bit():
     t = 0.3
     for digits in (SIGNS, TRITS):
         base = len(digits)
-        sums, encs = _sorted_half(x, digits, False, np.int64)
-        merged = np.subtract(t, sums[np.argsort(encs)])
-        rest, rest_encs = _sorted_half(x[:7], digits, False, np.int64)
+        merged = np.subtract(t, _expand(x, digits))
+        rest, rest_encs = _sorted_half(x[:7], digits, False), _expanded_order(x[:7], digits)
         for k1, k2 in product(range(base), repeat=2):
             q = exact._queries(t, rest, (digits[k1] * x[7], digits[k2] * x[8]))
             want = merged[rest_encs + k1 * base**7 + k2 * base**8]
@@ -619,13 +706,14 @@ def meet_with_shifts(terms, digits, tau, shifted):
     den = math.lcm(math.lcm(*terms), tau.denominator)
     target = tau.numerator * (den // tau.denominator)
     x = [1 / b for b in terms]
-    left = _Half(digits, tau == 0, np.int32, len(digits) ** half)
+    left = _Half(digits, tau == 0, len(digits) ** half)
     left.grow(x[:half])
-    right = _Half(digits, False, np.int32, len(digits) ** (n - shifted - half))
+    right = _Half(digits, False, len(digits) ** (n - shifted - half))
     right.grow(x[half:n - shifted])
     nonzero = digits == TRITS and tau == 0
     res, encs = _meet(left, right, terms, target, den, 1.0, nonzero=nonzero)
-    return set(zip(res.tolist(), encs.tolist())), len(right.encs) - 1 - int(right.encs.argmin())
+    zero = _expanded_order(x[half:n - shifted], digits).argmin()
+    return set(zip(res.tolist(), encs.tolist())), right.size - 1 - int(zero)
 
 
 def random_meet_cases(rng, count):
@@ -794,7 +882,7 @@ def test_memory_estimate_bounds_the_traced_peak(monkeypatch, search, n, digits, 
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    est, _ = _price(n, digits, symmetric)
+    est = _price(n, digits, symmetric)
     assert peak <= est <= 1.5 * peak
 
 
