@@ -6,11 +6,11 @@ precision, each block of terms by xs in one numpy multiply.reduce that
 keeps every x's factors in term order. One tail-corrected kernel,
 `_Kernel`, evaluates the limit rho(x): it multiplies M >= 1024 factors by
 exp(-(pi x)^2 T_2/2 - (pi x)^4 T_4/12), with T_j = sum_{n>M} b_n^-j the
-closed-form series of the family minus its first 1024 terms, both summed
-in integer fixed point and rounded once to 40-digit decimals, less each
-further dyadic block of terms summed in numpy double-double. Every node is
-bounded by the rest of the -log cos series, as a relative error of at most
-1, plus a worst-case rounding term, which takes in the error bound of T_j.
+closed-form series of the family minus its first 1024 terms, less each
+further dyadic block of terms summed in numpy double-double, all in integer
+fixed point and rounded once to float. Every node is bounded by the rest
+of the -log cos series, as a relative error of at most 1, plus a
+worst-case rounding term, which takes in the error bound of T_j.
 `cosine_product_limit` (the `rho` subcommand) is that kernel at one node,
 with its bound. It grows in place: M is read from the terms it holds, and
 a larger M sieves on from where the sieve stopped and sums only new blocks.
@@ -34,10 +34,8 @@ The kernel, the scans and the decay grid are priced against a
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -444,20 +442,23 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
 # -- tail sums ---------------------------------------------------------------
 #
 # T_j(m) = sum_{n>m} b_n^-j for j = 2, 4. Past the first KERNEL_M terms it
-# is the full series S_j = sum_n b_n^-j minus that head. Both are summed in
-# Python-int fixed point, each term floored once at a scale of 2^bits with
-# bits >= _K, and rounded once to a 40-digit decimal, so the difference
-# keeps full float precision however small the tail: S_4 - head cancels
-# about 18 digits for the primes at M = 2^16, which a double-double head
-# would not survive. Each further dyadic block sum_{M<n<=2M} b_n^-j is
-# summed in numpy double-double (`double_double`), its value converted
-# exactly to decimal and subtracted there, so T_j(2M) is T_j(M) less one
-# block, and a kernel that grows keeps its T_j and sums only its new
-# blocks. Nothing here runs at import.
+# is the full series S_j = sum_n b_n^-j minus that head. Each sum is a
+# Python int in units of 2^-_BITS, where b^-4 of an int64 term is at least
+# 2^(_K - _BITS), each term floored once, so the difference keeps full
+# float precision however much it cancels: about 18 digits for S_4 of the
+# primes at M = 2^16, which a double-double head would not survive. Each
+# further dyadic block sum_{M<n<=2M} b_n^-j is summed in numpy double-double
+# (`double_double`) and taken to units, so T_j(2M) is T_j(M) less one block,
+# and a kernel that grows keeps its T_j and sums only its new blocks. T_j is
+# rounded to float once, correctly, by int true division. Each sum comes
+# with err, a float bound on its distance from the exact value: its units
+# and truncations, each proved where it is made. Nothing runs at import.
 
-_DEC = decimal.Context(prec=40)
-_WIDE = decimal.Context(prec=60)
-_K = 200                   # fraction bits, at least, of the fixed-point sums
+_K = 200                   # fraction bits, at least, of every b^-j, j <= 4
+_BITS = _K + 4 * 63        # the one fixed-point scale
+_UNIT = 2.0**-_BITS
+_GUARD = 8                 # extra bits of the log series
+_Fixed = tuple[int, float]  # a sum in units of 2^-_BITS and its error bound
 
 # B_2, B_4, ..., B_30 as (numerator, denominator)
 _BERNOULLI = (
@@ -467,42 +468,32 @@ _BERNOULLI = (
 )
 
 
-def _decimal(value: int, bits: int) -> Decimal:
-    """value 2^-bits, rounded once to 40 digits."""
-    return _DEC.divide(Decimal(value), Decimal(1 << bits))
-
-
-def _fixed_hurwitz(s: int, a: int, q: int, bits: int) -> int:
-    """2^bits zeta(s, a/q), zeta(s, z) = sum_{i>=0} (z + i)^-s, for integer
-    s >= 2 and a, q >= 1. Each term is one floor division of integers, so
-    within a unit of 2^-bits. For s >= 40 the terms with z + i < 14
-    directly: every later one is below 14^-40 and all of them below 2e-46.
-    Otherwise 32 terms directly and the rest by the Euler-Maclaurin
-    (polygamma) asymptotic series at w = z + 32, whose 16th omitted term is
-    below 1e-40; its coefficients B_2k/(2k)! are exact rationals. So 49
-    units at most, plus that term."""
-    scale = q**s << bits
+def _fixed_hurwitz(s: int, a: int, q: int, bits: int) -> _Fixed:
+    """(2^bits sum_{i>=0} (a + i q)^-s, err) for integers s >= 2, a, q >= 1;
+    each term is one floor division, within a unit of 2^-bits. For s >= 40
+    the terms before w = a + q max(1, 14 - a // q) >= 14q; the rest sum
+    below w^-s (1 + w/(q (s-1))). Otherwise 32 terms and the Euler-Maclaurin
+    series at w = a + 32q: the even derivatives of (w + q i)^-s in i are all
+    positive, so the remainder after the B_30 term has the sign of the next
+    one and is smaller. 49 units at most, plus that cut."""
+    one = 1 << bits
+    n = max(1, 14 - a // q) if s >= 40 else 32
+    total = sum(one // (a + i * q) ** s for i in range(n))
+    w = a + n * q
     if s >= 40:
-        return sum(scale // (a + i * q) ** s for i in range(max(1, 14 - a // q)))
-    total = sum(scale // (a + i * q) ** s for i in range(32))
-    w = a + 32 * q  # z + 32 = w / q
-    total += (q ** (s - 1) << bits) // ((s - 1) * w ** (s - 1))
-    total += scale // (2 * w**s)
-    rising = s  # s (s+1) ... (s+2k-2)
-    for k, (num, den) in enumerate(_BERNOULLI, 1):
-        e = s + 2 * k - 1  # the term is B_2k/(2k)! rising w^-e
-        total += (num * rising * q**e << bits) // (den * math.factorial(2 * k) * w**e)
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-    return total
-
-
-def _hurwitz(s: int, a: int, q: int = 1) -> Decimal:
-    """zeta(s, a/q) to 40 digits, from _fixed_hurwitz at bits = _K +
-    s * bitlength(a // q): a/q < 2^bitlength(a // q), so the leading term
-    (a/q)^-s alone is above 2^(_K - bits), and the fixed-point error is
-    below 2^-194 relative."""
-    bits = _K + s * (a // q).bit_length()
-    return _decimal(_fixed_hurwitz(s, a, q, bits), bits)
+        cut = (1.0 + w / (q * (s - 1))) * float(w) ** -s
+    else:
+        total += one // ((s - 1) * q * w ** (s - 1))
+        total += one // (2 * w**s)
+        rising = s  # s (s+1) ... (s+2k-2)
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            e = s + 2 * k - 1  # the term is B_2k/(2k)! rising q^(2k-1) w^-e
+            num *= rising * q ** (2 * k - 1)
+            total += (num << bits) // (den * math.factorial(2 * k) * w**e)
+            rising *= (s + 2 * k - 1) * (s + 2 * k)
+        # |B_32|/32! rising q^31 w^-(s+31), the next term
+        cut = 7709321041217 * rising * q**31 / (510 * math.factorial(32) * w ** (s + 31))
+    return total, cut + 49 * 2.0**-bits
 
 
 def _mobius(k: int) -> int:
@@ -517,153 +508,150 @@ def _mobius(k: int) -> int:
     return -result if k > 1 else result
 
 
-def _log_zeta(s: int, bits: int) -> int:
-    """2^bits log zeta(s) = 2^bits log(1 + x), x = zeta(s, 2), for s >= 2.
-    Once s >= 16, x < 2^-15 and log(1 + x) is its alternating series in
-    fixed point: each power and term floored once, the powers' errors
-    shrinking by 2^-15 a step, within 2 units a term. Below that, at 60
-    digits, so within 1e-60."""
-    x = _fixed_hurwitz(s, 2, 1, bits)
-    if s < 16:
-        with decimal.localcontext(_WIDE):
-            return int(_WIDE.ln(1 + Decimal(x) / (1 << bits)) * (1 << bits))
-    total, power, n = 0, x, 1
+@lru_cache(maxsize=None)
+def _log_zeta(s: int, bits: int) -> _Fixed:
+    """(2^bits log zeta(s), err) for s >= 2: with y = zeta(s, 2) at bits +
+    _GUARD, log(1 + y) = 2 atanh(z) = 2 sum_{n odd} z^n/n, z = y/(2 + y) <
+    1/4. z is floored once and each power and term once more; as z^2 < 1/16
+    each power stays within 1.5 units, so the N terms sum within 2.5 N and
+    those past the last nonzero power below 2. Doubled, plus a unit of
+    2^-bits from the shift; log(1 + y) moves by no more than y."""
+    fine = bits + _GUARD
+    y, err = _fixed_hurwitz(s, 2, 1, fine)
+    z = (y << fine) // ((2 << fine) + y)
+    z2 = z * z >> fine
+    total, power, n = 0, z, 1
     while power:
-        total += power // n if n % 2 else -(power // n)
-        power = power * x >> bits
-        n += 1
-    return total
+        total += power // n
+        power = power * z2 >> fine
+        n += 2
+    return total >> _GUARD - 1, err + (5 * (n // 2) + 4) * 2.0**-fine + 2.0**-bits
 
 
 @lru_cache(maxsize=None)
-def _prime_zeta(s: int) -> Decimal:
-    """P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks) (Froberg,
-    BIT 8, 1968), to 40 digits; log zeta(ks) < 2^(1-ks), so terms past
-    ks = 140 are below 1e-42. The sum is in fixed point at bits = _K + s,
-    as P(s) > 2^-s: each log within 1e-60 or a few dozen units, and each
-    division by k floored once."""
-    bits = _K + s
-    total = 0
-    k = 1
+def _prime_zeta(s: int) -> _Fixed:
+    """(P(s), err): P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks)
+    (Froberg, BIT 8, 1968) for k = 1 and each ks < 140, each log / k floored
+    once more. Past that, log zeta(t) < zeta(t) - 1 <= 2^(1-t) for t >= 3,
+    so the terms from the first k left out sum below 2^(2-ks)/k."""
+    total, err, k = 0, 0.0, 1
     while k == 1 or k * s < 140:
         mu = _mobius(k)
         if mu:
-            total += mu * (_log_zeta(k * s, bits) // k)
+            v, e = _log_zeta(k * s, _BITS)
+            total += mu * (v // k)
+            err += e / k + _UNIT
         k += 1
-    return _decimal(total, bits)
+    return total, err + 2.0 ** (2 - k * s) / k
 
 
-def _elementary(k: int, power_sums: list[Decimal]) -> Decimal:
-    """e_k from the power sums p_1..p_k by Newton's identities."""
-    e = [Decimal(1)]
+def _elementary(k: int, sums: list[_Fixed]) -> _Fixed:
+    """(e_k, err) from the power sums by Newton's identities. The p_i, of
+    x <= 1/3 with p_1 < 1, and the e_i lie in [0, 1), and each product and
+    division is floored once, so e_n is within n (max err + 2 units)."""
+    e = [1 << _BITS]
     for n in range(1, k + 1):
-        e.append(sum((-1) ** (i - 1) * e[n - i] * power_sums[i - 1] for i in range(1, n + 1)) / n)
-    return e[k]
+        e.append(sum(
+            (-1) ** (i - 1) * (e[n - i] * sums[i - 1][0] >> _BITS) for i in range(1, n + 1)
+        ) // n)
+    return e[k], k * (max(err for _, err in sums) + 2 * _UNIT)
 
 
 @lru_cache(maxsize=None)
-def _series(spec: SequenceSpec, j: int) -> Decimal:
-    """S_j = sum over every term of b^-j, for j >= 2."""
-    with decimal.localcontext(_DEC):
-        if spec.kind == KIND_PRIMES:
-            return _prime_zeta(j)
-        if spec.kind == KIND_PK:  # e_k of {p^-j}
-            return _elementary(spec.k, [_prime_zeta(j * m) for m in range(1, spec.k + 1)])
-        if spec.kind == KIND_OMEGA:
-            # e_k of {x_p = 1/(p^j - 1)}, the prime-power sums; the m-th power
-            # sum of x_p is sum_{i>=0} C(m+i-1, i) P(j(m+i))
-            sums = []
-            for m in range(1, spec.k + 1):
-                total, i = Decimal(0), 0
-                while math.comb(m + i - 1, i) * 2.0 ** (-j * (m + i)) > 1e-45:
-                    total += math.comb(m + i - 1, i) * _prime_zeta(j * (m + i))
-                    i += 1
-                sums.append(total)
-            return _elementary(spec.k, sums)
-        if spec.kind == KIND_NONPRIMES:  # 1 and the composites: zeta(j) - P(j)
-            return 1 + _hurwitz(j, 2) - _prime_zeta(j)
-        if spec.kind == KIND_AP:  # q^-j zeta(j, a/q)
-            return _hurwitz(j, spec.a, spec.q) / Decimal(spec.q) ** j
-        return _power_sum(spec.values, j)
+def _series(spec: SequenceSpec, j: int) -> _Fixed:
+    """(S_j, err), S_j = sum over every term of b^-j, for j = 2, 4."""
+    if spec.kind == KIND_PRIMES:
+        return _prime_zeta(j)
+    if spec.kind == KIND_PK:  # e_k of {p^-j}
+        return _elementary(spec.k, [_prime_zeta(j * m) for m in range(1, spec.k + 1)])
+    if spec.kind == KIND_OMEGA:
+        # e_k of {x_p = 1/(p^j - 1)}, the prime-power sums; the m-th power
+        # sum of x_p is sum_{i>=0} C(m+i-1, i) P(j(m+i)). P(t) <= 2^(1-t), and
+        # the ratio r of t = C 2^-j(m+i) to the next falls in i, so the terms
+        # from the first t <= 1e-45 on sum below 2t/(1-r)
+        sums = []
+        for m in range(1, spec.k + 1):
+            total, err, i = 0, 0.0, 0
+            while (t := (c := math.comb(m + i - 1, i)) * 2.0 ** (-j * (m + i))) > 1e-45:
+                p, e = _prime_zeta(j * (m + i))
+                total, err, i = total + c * p, err + c * e, i + 1
+            r = (m + i) / (i + 1) / 2**j
+            sums.append((total, err + (2 * t / (1 - r) if r < 1 else math.inf)))
+        return _elementary(spec.k, sums)
+    if spec.kind == KIND_NONPRIMES:  # 1 and the composites: zeta(j) - P(j)
+        (h, eh), (p, ep) = _fixed_hurwitz(j, 2, 1, _BITS), _prime_zeta(j)
+        return (1 << _BITS) + h - p, eh + ep
+    if spec.kind == KIND_AP:
+        return _fixed_hurwitz(j, spec.a, spec.q, _BITS)
+    return _power_sums(spec.values)[j // 2 - 1]
 
 
-def _power_sum(terms, j: int) -> Decimal:
-    """sum b^-j over the positive integers b of terms, to 40 digits, within
-    1e-39 relative. In fixed point at bits = _K + j * bitlength(max b): each
-    b^-j is at least 2^(_K - bits), so its one floor division errs by below
-    2^-200 relative, as does the sum, which is rounded once to 40 digits."""
-    bits = _K + j * max(terms, default=1).bit_length()
-    one = 1 << bits
-    return _decimal(sum(one // b**j for b in terms), bits)
+def _power_sums(terms) -> list[_Fixed]:
+    """[(sum b^-2, err), (sum b^-4, err)] over the integer terms b, each
+    term within a unit: b^-4 is b^-2 floored and divided by b^2 again, as
+    floor(floor(x/a)/c) = floor(x/(ac)), faster than dividing by b^4."""
+    inv2 = [(1 << _BITS) // (b * b) for b in terms]
+    err = len(inv2) * _UNIT
+    return [(sum(inv2), err), (sum(v // (b * b) for v, b in zip(inv2, terms)), err)]
 
 
 _DD_CHUNK = 2**14          # terms per double-double pass: 14 tree levels
-# a chunk's sum is within (76 + 3.1 * 14) u^2 < 2^-99 relative, and adding
-# the chunks' hi and lo in 40-digit decimal, below 1e-39 relative per
-# chunk, keeps a block's sum within _DD_REL for any block numpy can hold
+# a chunk's sum is within (76 + 3.1 * 14) u^2 < 2^-99 relative, and taking
+# its hi and lo to units truncates below a unit each, under 2^-198 of a sum
+# above 2^-252, so a block's sum is within _DD_REL for any block numpy holds
 _DD_REL = 2.0**-98
 
 
-def _block_sums(b: np.ndarray) -> tuple[Decimal, Decimal]:
-    """(sum b^-2, sum b^-4) over the int64 terms b, each within _DD_REL
-    relative: numpy double-double per chunk of _DD_CHUNK terms, the chunks'
-    hi and lo added exactly converted in decimal."""
-    totals = [Decimal(0), Decimal(0)]
-    with decimal.localcontext(_DEC):
-        for c in range(0, len(b), _DD_CHUNK):
-            for k, (h, l) in enumerate(_inverse_powers(b[c : c + _DD_CHUNK])):
-                hi, lo = _dd_total(h, l)
-                totals[k] += Decimal(float(hi)) + Decimal(float(lo))
+def _block_sums(b: np.ndarray) -> tuple[int, int]:
+    """(sum b^-2, sum b^-4) in units over the int64 terms b, each within
+    _DD_REL relative: numpy double-double per chunk of _DD_CHUNK terms."""
+    totals = [0, 0]
+    for c in range(0, len(b), _DD_CHUNK):
+        for k, (h, l) in enumerate(_inverse_powers(b[c : c + _DD_CHUNK])):
+            hi, lo = _dd_total(h, l)
+            totals[k] += int(hi * 2.0**_BITS) + int(lo * 2.0**_BITS)
     return totals[0], totals[1]
 
 
-def _tail_decimals(
-    spec: SequenceSpec, terms: np.ndarray, edge: int = 0, tails=None
-) -> list[tuple[Decimal, float]]:
-    """[(T_2(m), its error bound), (T_4(m), its error bound)] past the
-    m = len(terms) first terms of spec, going on from tails, those past the
-    first edge terms, if given.
+def _tails(spec: SequenceSpec, terms: np.ndarray, edge: int = 0, tails=None):
+    """[(T_2(m), err), (T_4(m), err)] in units past the m = len(terms) first
+    terms of spec, going on from tails, those past the first edge terms, if
+    given.
 
-    A finite sequence sums its tail directly, within 1e-39 relative
-    (`_power_sum`). Otherwise the route starts at S_j (within 1e-38,
-    checked against mpmath) minus the first min(m, KERNEL_M) terms (within
-    1e-39 relative), the difference rounded once to 40 digits, and takes
-    off one block after another, each ending at twice its start or at m;
-    edge must lie on it. So a value's bits depend on m and KERNEL_M alone."""
+    A finite sequence sums its tail directly. Otherwise the route starts at
+    S_j minus the first min(m, KERNEL_M) terms, and takes off one block
+    after another, each ending at twice its start or at m; edge must lie on
+    it. So a value's bits depend on m and KERNEL_M alone."""
     m = len(terms)
-    with decimal.localcontext(_DEC):
-        if spec.kind == KIND_CUSTOM:
-            tails = [_power_sum(spec.values[m:], j) for j in (2, 4)]
-            return [(t, 1e-39 * (len(spec.values) - m) * float(t)) for t in tails]
-        if tails is None:
-            edge = min(m, KERNEL_M)
-            tails = [
-                (_series(spec, j) - _power_sum(terms[:edge].tolist(), j),
-                 1e-38 + 1e-39 * (edge + 1) * float(_series(spec, j)))
-                for j in (2, 4)
-            ]
-        while edge < m:
-            end = min(2 * edge, m)
-            tails = [
-                (t - block, err + _DD_REL * float(block) + 5e-40 * float(t))
-                for (t, err), block in zip(tails, _block_sums(terms[edge:end]))
-            ]
-            edge = end
+    if spec.kind == KIND_CUSTOM:
+        return _power_sums(spec.values[m:])
+    if tails is None:
+        edge = min(m, KERNEL_M)
+        series = _series(spec, 2), _series(spec, 4)
+        heads = _power_sums(terms[:edge].tolist())
+        tails = [(s - h, e + he) for (s, e), (h, he) in zip(series, heads)]
+    while edge < m:
+        end = min(2 * edge, m)
+        tails = [
+            (t - block, err + _DD_REL * _UNIT * block)
+            for (t, err), block in zip(tails, _block_sums(terms[edge:end]))
+        ]
+        edge = end
     return tails
 
 
 def _tail_sums(spec: SequenceSpec, terms: np.ndarray, tails=None):
     """((T_2(m), T_4(m)), (e_2, e_4)) past the m = len(terms) first terms of
-    spec, from tails, their `_tail_decimals`, summed here if not given. e_j
-    is the part of T_j's error bound beyond u/2 relative, which the
-    kernel's rounding allows for. Each T_j is checked against the
-    certified range 0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any
-    strictly increasing integer sequence."""
+    spec, from tails, their `_tails`, summed here if not given. e_j is the
+    part of T_j's error bound beyond u/2 relative, which the kernel's
+    rounding allows for. Each T_j is checked against the certified range
+    0 <= T_j <= 1/((j-1) b_m^(j-1)) that holds for any strictly increasing
+    integer sequence."""
     out, extra = [], []
     if tails is None:
-        tails = _tail_decimals(spec, terms)
+        tails = _tails(spec, terms)
     for j, (t, err) in zip((2, 4), tails):
-        t = float(t)
+        t = t / (1 << _BITS)
         if not 0.0 <= t <= 1.0 / ((j - 1) * float(terms[-1]) ** (j - 1)):
             raise CertificateError(
                 f"T_{j}({len(terms)}) = {t!r} for {spec.label()} is outside its bounds"
@@ -711,9 +699,9 @@ class _Kernel:
         priced before any sieve runs, at the least m 2^i >= below: 24 B per
         term (the int64 terms, their float64 copy and reciprocals) and 16 B
         more for a sieved family (the sieve's collected pieces and their
-        concatenation), plus 40 B per term of the decimal head (its Python
-        ints) and 136 B per term of a double-double chunk if M may pass
-        KERNEL_M (its temporaries)."""
+        concatenation), plus 40 B per term of the head (its Python ints)
+        and 136 B per term of a double-double chunk if M may pass KERNEL_M
+        (its temporaries)."""
         most = m
         while most < below:
             most *= 2
@@ -726,7 +714,7 @@ class _Kernel:
         m = min(m, self.cap)
         if m > self.m:
             ints = self._hold(m)[:m]
-            self.tails = _tail_decimals(self.spec, ints, self.m, self.tails)
+            self.tails = _tails(self.spec, ints, self.m, self.tails)
             (self.t2, self.t4), (self.e2, self.e4) = _tail_sums(self.spec, ints, self.tails)
             self.terms = ints.astype(np.float64)
             # sum_{n>M} b_n^-6 <= 1/(5 b_M^5), and 0 once a finite sequence is used up
@@ -770,7 +758,7 @@ def _step(spec: SequenceSpec, ax: float) -> float:
     1/(2h) - ax; w = sqrt(80 S_2) puts that beyond Hoeffding's 2 exp(-40)."""
     if not math.isfinite(ax):
         raise ValueError("x, lo and hi must be finite")
-    w = math.sqrt(80.0 * float(_series(spec, 2)))
+    w = math.sqrt(80.0 * (_series(spec, 2)[0] / (1 << _BITS)))
     return 2.0 ** -max(4, math.ceil(math.log2(2.0 * (ax + w))))
 
 
@@ -783,6 +771,8 @@ def _grid(spec: SequenceSpec, eps: float, h: float, memory_gib: float) -> _Grid:
     kernel, and evaluates every node again, only when M grows with it."""
     if not eps > 0:
         raise ValueError("eps must be positive")
+    if spec.kind == KIND_CUSTOM:
+        raise TruncationFailure("a finite list's sum has atoms, so it has no density")
     tol = min(eps, DENSITY_TOL)
     kernel = _Kernel(spec, memory_gib)
     cut, values, bounds = DENSITY_U, np.empty(0), np.empty(0)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -535,7 +534,8 @@ def test_density_reference_values():
 
 
 def test_density_periodic_kernel_fails_truncation():
-    # powers of two make the kernel periodic, the envelope never decays
+    # a finite list's sum has atoms, so it has no density; this one's kernel
+    # is periodic too, as powers of two make it, and never decays
     with pytest.raises(TruncationFailure):
         density(SequenceSpec.custom((2, 4, 8)), 0.0, 1e-6)
 
@@ -709,10 +709,15 @@ def test_kernel_grown_in_place_equals_one_built_at_once(spec):
         assert getattr(grown, name) == getattr(direct, name)
 
 
+def _real(value: int) -> Fraction:
+    """A fixed-point sum as the exact rational it stands for."""
+    return Fraction(value, 2**analytic._BITS)
+
+
 def test_prime_zeta_published_values():
     # OEIS A085548 and A085964
     for s, published in ((2, 0.45224742004106549850), (4, 0.07699313976424684494)):
-        value = float(analytic._prime_zeta(s))
+        value = float(_real(analytic._prime_zeta(s)[0]))
         assert abs(value - published) <= 2 * math.ulp(published)
 
 
@@ -749,7 +754,8 @@ def test_tail_sums_against_mpmath():
             (SequenceSpec.arithmetic(3, 4), 4): mpmath.zeta(4, mpmath.mpf(3) / 4) / 256,
         }
         for (spec, j), value in want.items():
-            assert abs(analytic._series(spec, j) - Decimal(str(value))) <= Decimal("1e-25")
+            got = _real(analytic._series(spec, j)[0])
+            assert abs(got - Fraction(mpmath.nstr(value, 30))) <= Fraction(1, 10**25)
 
 
 @pytest.mark.parametrize(
@@ -760,36 +766,45 @@ def test_tail_sums_against_mpmath():
      (40, 1, 3), (41, 27, 2), (57, 5, 3), (139, 2, 1)],
 )
 def test_hurwitz_at_rational_z_against_mpmath(s, a, q):
+    # the sum over a + iq is q^-s zeta(s, a/q): within its own bound of
+    # mpmath at 160 digits, and that bound within 1e-38 of zeta relative
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        want = Decimal(mpmath.nstr(mpmath.zeta(s, mpmath.mpf(a) / q), 50))
-    assert abs(analytic._hurwitz(s, a, q) - want) <= Decimal("1e-38") * max(1, want)
+    with mpmath.workdps(160):
+        want = Fraction(mpmath.nstr(mpmath.zeta(s, mpmath.mpf(a) / q), 150))
+    value, err = analytic._fixed_hurwitz(s, a, q, analytic._BITS)
+    assert abs(_real(value) * q**s - want) <= Fraction(err) * q**s <= max(1, want) / 10**38
 
 
-@pytest.mark.parametrize("s", [14, 15, 16, 17, 24, 39])
-def test_log_zeta_on_both_sides_of_the_series_switch(s):
-    # log(1 + x) of the fixed-point x = zeta(s, 2): below s = 16 by a
-    # 60-digit decimal log, from 16 on by its alternating series in fixed
-    # point; x itself errs by up to 1e-40 from the Euler-Maclaurin cut
+@pytest.mark.parametrize("s", [2, 3, 14, 15, 16, 17, 24, 39, 40, 139])
+def test_log_zeta_within_a_few_units(s):
+    # log(1 + y) of the fixed-point y = zeta(s, 2) it sums at _GUARD more
+    # bits, by one atanh series for every s: within 3 units of 2^-bits.
+    # Against log zeta(s) itself, within its error bound, which takes in
+    # the Euler-Maclaurin or direct-sum cut of y
     mpmath = pytest.importorskip("mpmath")
-    bits = analytic._K + 16
-    x = Fraction(analytic._fixed_hurwitz(s, 2, 1, bits), 2**bits)
-    with mpmath.workdps(80):
-        want = Fraction(mpmath.nstr(mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator), 75))
-    assert abs(Fraction(analytic._log_zeta(s, bits), 2**bits) - want) <= Fraction(1, 10**58)
+    bits = analytic._BITS
+    y = Fraction(analytic._fixed_hurwitz(s, 2, 1, bits + analytic._GUARD)[0],
+                 2 ** (bits + analytic._GUARD))
+    with mpmath.workdps(200):
+        near = Fraction(mpmath.nstr(mpmath.log1p(mpmath.mpf(y.numerator) / y.denominator), 190))
+        exact = Fraction(mpmath.nstr(mpmath.log(mpmath.zeta(s)), 190))
+    value, err = analytic._log_zeta(s, bits)
+    assert abs(_real(value) - near) <= Fraction(3, 2**bits)
+    assert abs(_real(value) - exact) <= err
 
 
 def test_power_sum_within_its_bound():
-    # 40 digits, within 1e-39 relative of the exact sum, for terms up to 2^63
+    # within its bound, and that within 1e-39 relative of the exact sum,
+    # for terms up to 2^63
     rng = np.random.default_rng(11)
     lists = [[1], [2**63 - 1], [3, 3, 7], list(range(1, 200))]
     lists += [rng.integers(1, 2**int(e), int(n)).tolist()
               for e, n in zip(rng.integers(2, 64, 20), rng.integers(1, 60, 20))]
     for terms in lists:
-        for j in (2, 4):
+        for j, (value, err) in zip((2, 4), analytic._power_sums(terms)):
             exact = sum(Fraction(1, b**j) for b in terms)
-            assert abs(Fraction(analytic._power_sum(terms, j)) - exact) <= exact / 10**39
-    assert analytic._power_sum([], 2) == 0
+            assert abs(_real(value) - exact) <= err <= exact / 10**39
+    assert analytic._power_sums([]) == [(0, 0.0), (0, 0.0)]
 
 
 def test_bernoulli_constants_match_the_recurrence():
@@ -827,34 +842,57 @@ def _mp_series(mpmath, spec, j):
 
 @pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
 def test_series_against_mpmath_at_50_digits(spec):
-    # the tail sums' error bounds take S_j within 1e-38
+    # within its own error bound, which the tail sums' bounds take in, and
+    # that bound within 1e-38
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for j in (2, 4):
-            want = Decimal(mpmath.nstr(_mp_series(mpmath, spec, j), 50))
-            assert abs(analytic._series(spec, j) - want) <= Decimal("1e-38")
+            want = Fraction(mpmath.nstr(_mp_series(mpmath, spec, j), 50))
+            value, err = analytic._series(spec, j)
+            assert abs(_real(value) - want) <= err <= 1e-38
+
+
+def _head(terms, j: int, bits: int = 1000) -> Fraction:
+    """sum b^-j over terms, each floored once at 2^-bits: below the exact
+    sum by less than len(terms) 2^-bits."""
+    return Fraction(sum((1 << bits) // (b**j) for b in terms), 2**bits)
 
 
 @pytest.mark.parametrize("spec", INFINITE, ids=lambda s: s.label())
 def test_tail_sums_match_a_60_digit_head(spec):
     # past KERNEL_M the blocks are summed in double-double; the floats must
-    # be those of S_j minus a 60-digit head, bit for bit, and the decimals
-    # within their error bounds of it
+    # be those of S_j minus a head of 60 digits and more, summed at 2^-1000,
+    # bit for bit, and the fixed-point sums within their error bounds of it
     terms = terms_array(spec, 2**16)
-    head = [Decimal(0), Decimal(0)]
-    done = 0
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for m in (1024, 2048, 4096, 2**16):
-            for b in terms[done:m].tolist():
-                square = Decimal(b * b)
-                head[0] += 1 / square
-                head[1] += 1 / (square * square)
-            done = m
-            exact = [analytic._series(spec, j) - h for j, h in zip((2, 4), head)]
-            assert analytic._tail_sums(spec, terms[:m])[0] == tuple(map(float, exact))
-            for (t, err), e in zip(analytic._tail_decimals(spec, terms[:m]), exact):
-                assert abs(t - e) <= Decimal(err)
+    for m in (1024, 2048, 4096, 2**16):
+        head = [_head(terms[:m].tolist(), j) for j in (2, 4)]
+        exact = [_real(analytic._series(spec, j)[0]) - h for j, h in zip((2, 4), head)]
+        assert analytic._tail_sums(spec, terms[:m])[0] == tuple(map(float, exact))
+        for (t, err), e in zip(analytic._tails(spec, terms[:m]), exact):
+            assert abs(_real(t) - e) <= err + Fraction(m, 2**1000)
+
+
+EIGHT = [
+    PRIMES, SequenceSpec.nonprimes(), AP, SequenceSpec.arithmetic(3, 4),
+    SequenceSpec.k_squarefree(2), SequenceSpec.k_squarefree(3),
+    SequenceSpec.k_distinct(2), SequenceSpec.k_distinct(3),
+]
+
+
+@pytest.mark.parametrize("spec", EIGHT, ids=lambda s: s.label())
+def test_tail_floats_are_correctly_rounded(spec):
+    # independent reference: S_j by mpmath at 70 digits less a head summed
+    # at 2^-1000; each T_j float is that difference correctly rounded
+    mpmath = pytest.importorskip("mpmath")
+    terms = terms_array(spec, 8192)
+    with mpmath.workdps(70):
+        series = [_mp_series(mpmath, spec, j) for j in (2, 4)]
+        for m in (1024, 2048, 4096, 8192):
+            want = tuple(
+                float(s - mpmath.mpf(h.numerator) / h.denominator)
+                for s, h in zip(series, (_head(terms[:m].tolist(), j) for j in (2, 4)))
+            )
+            assert analytic._tail_sums(spec, terms[:m])[0] == want
 
 
 def test_double_double_sums_within_their_bounds():
@@ -871,11 +909,10 @@ def test_double_double_sums_within_their_bounds():
             assert abs(got * v**j - 1) <= rel * u2
             assert abs(float(l[i])) <= 2.0**-53 * float(h[i])  # normalized
     terms = terms_array(PRIMES, 3 * analytic._DD_CHUNK + 5)  # a part chunk, odd levels
-    with localcontext() as ctx:
-        ctx.prec = 60
-        want = [sum(1 / Decimal(v) ** j for v in terms.tolist()) for j in (2, 4)]
-        for got, exact in zip(analytic._block_sums(terms), want):
-            assert abs(got - exact) <= Decimal(analytic._DD_REL) * exact
+    for got, j in zip(analytic._block_sums(terms), (2, 4)):
+        exact = _head(terms.tolist(), j)
+        slack = Fraction(len(terms), 2**1000)  # the reference's own floors
+        assert abs(_real(got) - exact) <= Fraction(analytic._DD_REL) * exact + slack
 
 
 @pytest.mark.parametrize(
@@ -982,7 +1019,7 @@ def test_density_pins_converge(refine):
 def test_mass_over_window_is_one(spec):
     # Hoeffding: P(|X| >= 8) <= 2 exp(-8^2 / (2 sum b_n^-2))
     p, err = analytic._interval(spec, -8.0, 8.0, 1e-6)
-    hoeffding = 2.0 * math.exp(-32.0 / float(analytic._series(spec, 2)))
+    hoeffding = 2.0 * math.exp(-32.0 / float(_real(analytic._series(spec, 2)[0])))
     assert abs(p - 1.0) <= err + hoeffding
     assert err < 1e-8
 

@@ -11,6 +11,8 @@ import pytest
 
 from harmsum import analytic, exact, montecarlo
 from harmsum.cli import _COMMANDS, _glue_negative_values, build_parser, main
+from harmsum.errors import TruncationFailure
+from harmsum.sequences import SequenceSpec, terms_array
 
 BFILE_LINE = re.compile(r"^\d+ -?\d+$")
 
@@ -309,7 +311,7 @@ def test_bfile_unavailable(capsys, monkeypatch, argv):
 
 
 def test_mc_prediction_refuses_before_any_draw(capsys, monkeypatch):
-    # the kernel of three terms never decays below eps, so the prediction
+    # a finite list's signed sum has atoms and no density, so the prediction
     # fails; it runs before the sampler draws anything
     def drawn(*args, **kwargs):
         raise AssertionError("a sample was drawn")
@@ -319,7 +321,28 @@ def test_mc_prediction_refuses_before_any_draw(capsys, monkeypatch):
             "--lo", "-0.1", "--hi", "0.1", "--eps", "1e-6"]
     for extra in ([], ["--bins", "4"]):
         code, out, err = run(capsys, argv + extra)
-        assert (code, out) == (4, "") and "kernel envelope" in err
+        assert (code, out) == (4, "") and "has no density" in err
+
+
+def test_long_custom_list_has_no_density(capsys, monkeypatch):
+    # the first 1,000 primes as a list: its kernel decays below eps, but
+    # the sum is still a finite one with atoms, so density, the interval
+    # probability and the mc prediction refuse it before any kernel is built
+    def built(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(analytic, "_Kernel", built)
+    primes = terms_array(SequenceSpec.primes(), 1000).tolist()
+    family = ["--kind", "custom", "--values", ",".join(map(str, primes))]
+    for argv in (
+        ["density", *family, "--x", "0"],
+        ["density", *family, "--grid=-1:1:5"],
+        ["mc", *family, "--n", "1000", "--samples", "1000", "--lo", "-0.1", "--hi", "0.1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "") and "has no density" in err
+    with pytest.raises(TruncationFailure, match="has no density"):
+        analytic.interval_probability(SequenceSpec.custom(primes), -0.1, 0.1, 1e-8)
 
 
 def test_tsv_layouts(capsys):
