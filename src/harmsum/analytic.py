@@ -29,7 +29,8 @@ one-pair functions are the same code at a single pair. Terms of every
 form (list, tuple, SequenceTerms, array) go through one check,
 `sequences._terms`, which serves the exact layer too.
 The kernel, the scans and the decay grid are priced against a
-`memory_gib` budget, MEMORY_GIB by default, before they allocate.
+`memory_gib` budget, MEMORY_GIB by default, before they allocate. Only
+`expectation_identity` uses the exact layer, and imports it when it runs.
 """
 
 from __future__ import annotations
@@ -40,13 +41,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CertificateError, DivergedTruncation, TruncationFailure
+from .errors import (
+    ENUM_CAP, MEMORY_GIB, CertificateError, DivergedTruncation, TruncationFailure, _check_cap,
+    _check_memory,
+)
 from .sequences import (
     KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
     _first_n, _sieve, _terms, terms_array,
 )
 from .double_double import _dd_total, _inverse_powers
-from .exact import ENUM_CAP, MEMORY_GIB, SIGNS, _check_cap, _check_memory, _expand
 
 KERNEL_M = 1024            # fewest terms the tail-corrected kernel multiplies
 DENSITY_U = 8.0            # first cut tried for the transforms
@@ -426,6 +429,7 @@ def expectation_identity(seq, *, x_max: float = 600.0, step: float = 0.005):
         ),
         MEMORY_GIB,
     )
+    from .exact import SIGNS, _expand  # only the capped 2^N enumeration loads `exact`
     exact = float(np.mean(smooth_bump(_expand(1.0 / terms, SIGNS))))
 
     npts = max(2, int(round(x_max / step)))
@@ -531,11 +535,14 @@ def _log_zeta(s: int, bits: int) -> _Fixed:
 @lru_cache(maxsize=None)
 def _prime_zeta(s: int) -> _Fixed:
     """(P(s), err): P(s) = sum over primes p^-s = sum_k mu(k)/k log zeta(ks)
-    (Froberg, BIT 8, 1968) for k = 1 and each ks < 140, each log / k floored
-    once more. Past that, log zeta(t) < zeta(t) - 1 <= 2^(1-t) for t >= 3,
-    so the terms from the first k left out sum below 2^(2-ks)/k."""
+    (Froberg, BIT 8, 1968) for k = 1 and each ks < s + 140, each log / k
+    floored once more. Past that, log zeta(t) < zeta(t) - 1 <= 2^(1-t) for
+    t >= 3, so the terms from the first k left out, whose ks >= s + 140,
+    sum below 2^(2-ks)/k <= 2^(-138-s): 2^-138 relative to P(s) >= 2^-s.
+    The cut is relative because the power sums of `omega-k` weigh P(s), s
+    up to about 180, by binomials up to about 10^9."""
     total, err, k = 0, 0.0, 1
-    while k == 1 or k * s < 140:
+    while k == 1 or (k - 1) * s < 140:
         mu = _mobius(k)
         if mu:
             v, e = _log_zeta(k * s, _BITS)

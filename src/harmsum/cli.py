@@ -33,6 +33,9 @@ from .analytic import (
     sandwich_suite,
 )
 from .errors import (
+    GAP_CAP,
+    MEMORY_GIB,
+    MINSUM_CAP,
     CapExceeded,
     DivergedTruncation,
     RangeUnreachable,
@@ -40,9 +43,6 @@ from .errors import (
     TruncationFailure,
 )
 from .exact import (
-    GAP_CAP,
-    MEMORY_GIB,
-    MINSUM_CAP,
     decay_profile,
     min_gap,
     min_gaps,

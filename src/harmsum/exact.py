@@ -26,13 +26,13 @@ the pairs within a proven rounding bound of the float optimum are
 recovered from quarter lists and re-scored in exact integers. Every
 result is then checked once more against `evaluate_signs`.
 `enumerate_sums` walks all 2^n sums in exact integers. A cap on n, the
-64-bit encodings and a memory estimate bound every search.
+64-bit encodings and a memory estimate bound every search; the caps and
+the memory check are those of `errors`, which every layer shares.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -40,26 +40,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapExceeded, CertificateError, RangeUnreachable, ResourceLimit
+# PHYSICAL_GIB is imported only so that harmsum.exact.PHYSICAL_GIB still reads
+from .errors import (
+    ENUM_CAP, GAP_CAP, MEMORY_GIB, MINSUM_CAP, PHYSICAL_GIB, CapExceeded, CertificateError,
+    RangeUnreachable, _check_cap, _check_memory,
+)
 from .sequences import SequenceSpec, SequenceTerms, _terms, count_up_to, generate
-
-MINSUM_CAP = 48
-GAP_CAP = 26
-ENUM_CAP = 24
-
-
-def _physical_memory_gib() -> float | None:
-    """The machine's physical memory in GiB; None where the platform does
-    not report it."""
-    try:
-        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        total = 0
-    return total / 2**30 if total > 0 else None
-
-
-PHYSICAL_GIB = _physical_memory_gib()  # no estimate above it runs, whatever the budget
-MEMORY_GIB = PHYSICAL_GIB / 2 if PHYSICAL_GIB else 8.0  # default budget of every memory check
 
 SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
@@ -81,11 +67,12 @@ TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 # take 40 m + 8 w, no more, as w >= m. A sweep grows the left half alone
 # (the right one is held only while the next prefix extends it), grows the
 # right half beside the held left, then matches. With L left and R right
-# entries at its longest prefix, it peaks at the largest of
-# 8 L + 12 min(L, _CHUNK), 8 (L + R) + 12 min(R, _CHUNK) and
-# 8 (L + R) + 32 m + 16 w + 448 k, k the blocks, one per shift and per block
-# of right sums: each leaves two small arrays in `_meet`'s `kept` list, and
-# joining them makes one more, about 430 B a block under tracemalloc.
+# entries at its longest prefix, it peaks at the larger of
+# 8 L + 12 min(L, _CHUNK) and 8 (L + R) + 32 m + 16 w + 448 k, k the blocks,
+# one per shift and per block of right sums: each leaves two small arrays in
+# `_meet`'s `kept` list, and joining them makes one more, about 430 B a
+# block under tracemalloc. Growing the right half, 8 (L + R) + 12 min(R,
+# _CHUNK), never exceeds matching, as 12 min(R, 2^15) < 32 min(R, 2^14).
 # `_OBJECT_BYTES` adds the other Python objects (26 KB at most in the tests'
 # traced sweeps). The recovery (`_near`) adds less than matching from
 # n = 20 on, and prices its candidates.
@@ -242,32 +229,6 @@ def evaluate_signs(seq, signs) -> Fraction:
     return Fraction(num, den)
 
 
-def _check_cap(n: int, cap: float) -> None:
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the cap of {cap}")
-
-
-def _check_memory(est: int, memory_gib: float) -> None:
-    """Refuse an estimated allocation of `est` bytes above the budget or
-    above physical memory, where the platform reports it, and a NaN budget,
-    which no comparison would catch."""
-    if math.isnan(memory_gib):
-        raise ValueError("the memory budget is NaN GiB")
-    for limit, name in ((memory_gib, "budget"), (PHYSICAL_GIB, "of physical memory")):
-        if limit is not None and est > limit * 2**30:
-            gib = est / 2**30
-            # a limit whose short form reads back as it, as a typed budget
-            # does, prints in that form, any other with the digits gib needs;
-            # gib with the fewest significant digits that show it above that
-            given = float(f"{limit:g}") == limit
-            p = next(
-                (p for p in range(2, 17)
-                 if float(f"{gib:.{p}g}") > (limit if given else float(f"{limit:.{p}g}"))), 17
-            )
-            shown = f"{limit:g}" if given else f"{limit:.{p}g}"
-            raise ResourceLimit(f"estimated {gib:.{p}g} GiB exceeds the {shown} GiB {name}")
-
-
 def _int_bytes(den: int) -> int:
     """Size of one Python int of den's magnitude plus the pointer to it."""
     return 44 + den.bit_length() // 8
@@ -359,11 +320,6 @@ class _Half:
     bit-identical to its, and a half grown in steps equals one grown at
     once. When `symmetric`, only the vectors whose first nonzero entry is +
     are kept, and the zero vector.
-
-    The zero vector, if held (a trit half, or no term yet), is the first
-    entry of value 0.0, by induction on the terms: digit 0 has coefficient
-    0, so run 0 is the half's values in order (fl(v + 0) = v), with no 0.0
-    before the zero vector, and the stable merge puts run 0 first on ties.
     """
 
     def __init__(self, digits, symmetric: bool, capacity: int):
@@ -387,8 +343,9 @@ class _Half:
         base = len(self.digits)
         for w in x:
             m = self.size
-            # when symmetric, a negative digit skips the zero vector, if held;
-            # the two slices around it make one run
+            # when symmetric, a negative digit skips the zero vector, if held,
+            # as the first 0.0: any vector of sum 0.0 gives the same values.
+            # The two slices around it make one run
             skip = self.symmetric and (0 in self.digits or not self.terms)
             z = int(np.searchsorted(self.sums, 0.0))
             size = base * m - skip * sum(c < 0 for c in self.digits)
@@ -409,18 +366,18 @@ class _Half:
 
 
 def _merge(sums, runs) -> None:
-    """Merge the runs (lo, hi, cw) stably into the front of `sums`: run r
-    holds the ascending values fl(v + cw), v in sums[lo:hi], and the merged
-    order is that of a stable argsort of the runs' values concatenated.
+    """Merge the runs (lo, hi, cw) into the front of `sums` in ascending
+    order: run r holds the ascending values fl(v + cw), v in sums[lo:hi].
 
     The merge writes chunks of at most max(_CHUNK, len(runs)) entries
-    straight into place. Entries are ordered by (value, run, index), the
-    stable order. Let s = _CHUNK // len(runs), at least 1. A chunk ends
-    before the pivot, the least of the run entries s past each run's head
-    (none once every run has s or fewer left). Each run gives the chunk its
-    entries below the pivot, within s of its head, and the pivot's run
-    gives s, so a chunk takes from 1 to s entries of each run. One small
-    stable sort orders it, as a sort of the whole runs would, bit for bit.
+    straight into place. Let s = _CHUNK // len(runs), at least 1. The pivot
+    is the least of the run values s past each run's head (none once every
+    run has s or fewer left, when a chunk takes them all). Each run gives
+    the chunk its values up to the pivot within s of its head, and the
+    pivot's run gives s, so every value left out is at least the pivot,
+    and every value taken at most it. One small sort orders the chunk,
+    timsort merging its runs: the values come out as a sort of the whole
+    runs gives them. The halves hold values alone, so ties need no order.
 
     The runs may lie where the merge writes, as `_Half.grow` places them: a
     chunk is read whole before it is written, and one whose writes would
@@ -431,18 +388,16 @@ def _merge(sums, runs) -> None:
     vals = np.empty(min(size, step * len(runs)))
     heads, done = [lo for lo, _, _ in runs], 0
     while done < size:
-        pivot, first = math.inf, len(runs)
-        for r, (_, hi, cw) in enumerate(runs):
-            if heads[r] + step < hi:
-                value = float(sums[heads[r] + step]) + cw
-                if value < pivot:
-                    pivot, first = value, r
+        pivot = min(
+            (float(sums[h + step]) + cw for h, (_, hi, cw) in zip(heads, runs) if h + step < hi),
+            default=math.inf,
+        )
         m = 0
         for r, (_, hi, cw) in enumerate(runs):
             h = heads[r]
             window = vals[m:m + min(step, hi - h)]
             np.add(sums[h:h + len(window)], cw, out=window)
-            heads[r] += int(np.searchsorted(window, pivot, "right" if r <= first else "left"))
+            heads[r] += int(np.searchsorted(window, pivot, "right"))
             m += heads[r] - h
         if any(h < hi and done + m > h for h, (_, hi, _) in zip(heads, runs)):
             raise RuntimeError("a merge chunk would overwrite entries not yet merged")
@@ -522,7 +477,7 @@ def _entries(n: int, base: int, symmetric: bool) -> tuple[int, int]:
 
 
 def _price(n: int, digits, symmetric: bool) -> int:
-    """Bytes of a sweep whose longest prefix is n: the largest of its three
+    """Bytes of a sweep whose longest prefix is n: the larger of its two
     phases at n, as the memory model above sets out. A prefix whose full
     encodings would not fit int64 is refused."""
     base = len(digits)
@@ -534,7 +489,6 @@ def _price(n: int, digits, symmetric: bool) -> int:
     blocks = base ** min(_SHIFTED, n - (n + 1) // 2) * -(-right // _BLOCK)
     est = max(
         _KEPT_BYTES * left + _CHUNK_BYTES * min(left, _CHUNK),
-        _KEPT_BYTES * (left + right) + _CHUNK_BYTES * min(right, _CHUNK),
         _KEPT_BYTES * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
         + _BLOCK_BYTES * blocks,
     )
@@ -566,8 +520,11 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
         _check_memory(_price(m, digits, symmetric), memory_gib)
     # The right half of an odd n = 2L + 1 is built again from scratch, as its
     # first term moved to the left half. Halves of interleaved terms would
-    # only grow, but their encodings would not follow term order, which the
-    # tie rules and witnesses need.
+    # only grow, but their right sums spread over the left's whole range, so
+    # each block of queries spans many more left sums: with them
+    # `table1 --upto 40` took 1.44 times as long, `table3 --upto 22` 1.31,
+    # `minsum --n 48` 1.41 and `gap --n 30 --force` 1.55 (paired medians of
+    # 9 fresh runs, 2 cores).
     x = [1 / b for b in terms]
     most_left, most_right = _entries(ns[-1], len(digits), symmetric)
     left, right = _Half(digits, symmetric, most_left), None
@@ -655,8 +612,9 @@ def _meet(
         # the zero vector, the left's zero with the right's zero under the
         # zero shift, is left out: that query is q = t = 0 and the left zero
         # sums to 0, so its best other partner is a neighbour of the left
-        # zero in a. Each half's zero is its first entry of value 0.0 (see
-        # `_Half`)
+        # zero in a. The halves hold values alone, so any 0.0 entry of a
+        # half stands for its zero vector, here the first; any other 0.0
+        # entries are nonzero vectors and pair as usual
         k0, j0 = int(np.searchsorted(a, 0.0)), last - int(np.searchsorted(b, 0.0))
         zero = min(abs(pad[k0]), abs(pad[k0 + 2]))
 

@@ -17,6 +17,8 @@ whatever the chunk, tile or piece, so reports are bit-reproducible for a
 fixed seed. The moments are numpy pairwise sums per chunk, joined by
 math.fsum, within a stated bound of exact. `simulate` and `histogram`
 price the sampler, then predict, then draw, so a refusal draws nothing.
+The budget and the caps come from `errors`; only `exhaustive_probability`,
+capped at ENUM_CAP, uses the exact layer, and imports it when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import densities, interval_probability
-from .exact import ENUM_CAP, MEMORY_GIB, _check_cap, _check_memory, _scaled_sums
+from .errors import ENUM_CAP, MEMORY_GIB, _check_cap, _check_memory
 from .sequences import SequenceSpec, terms_array
 
 DENSITY_EPS = 1e-8
@@ -241,6 +243,7 @@ def exhaustive_probability(
     """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors;
     n is capped at ENUM_CAP and the enumeration priced against memory_gib
     (default MEMORY_GIB)."""
+    from .exact import _scaled_sums  # only this capped enumeration loads `exact`
     _check_cap(config.n, ENUM_CAP)
     terms = [int(t) for t in terms_array(config.spec, config.n)]
     den, sums = _scaled_sums(terms, MEMORY_GIB if memory_gib is None else memory_gib)

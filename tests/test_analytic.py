@@ -852,6 +852,20 @@ def test_series_against_mpmath_at_50_digits(spec):
             assert abs(_real(value) - want) <= err <= 1e-38
 
 
+@pytest.mark.parametrize("k", range(1, 16))
+def test_omega_k_series_s2_against_mpmath(k):
+    # its power sums weigh P(t), t up to about 180, by binomials up to about
+    # 10^9, so each P(t) must keep its Mobius terms relative to t: within
+    # its own error bound of mpmath at 120 digits, and within 1e-12 relative
+    mpmath = pytest.importorskip("mpmath")
+    spec = SequenceSpec.k_distinct(k)
+    with mpmath.workdps(120):
+        want = Fraction(mpmath.nstr(_mp_series(mpmath, spec, 2), 120))
+    value, err = analytic._series(spec, 2)
+    assert abs(_real(value) - want) <= err
+    assert abs(_real(value) - want) <= want / 10**12
+
+
 def _head(terms, j: int, bits: int = 1000) -> Fraction:
     """sum b^-j over terms, each floored once at 2^-bits: below the exact
     sum by less than len(terms) 2^-bits."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from harmsum import analytic, exact, montecarlo
+from harmsum import analytic, errors, exact, montecarlo
 from harmsum.cli import _COMMANDS, _glue_negative_values, build_parser, main
 from harmsum.errors import TruncationFailure
 from harmsum.sequences import SequenceSpec, terms_array
@@ -261,7 +261,7 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "error: n=27 exceeds the cap of 26\n")
     # on an 8 GiB machine physical memory bounds any budget: the gap at
     # N = 39 is priced at 14.0 GiB
-    monkeypatch.setattr(exact, "PHYSICAL_GIB", 8.0)
+    monkeypatch.setattr(errors, "PHYSICAL_GIB", 8.0)
     code, out, err = run(capsys, ["gap", "--n", "39", "--force", "--memory-gib", "1000"])
     assert (code, out, err) == (3, "", "error: estimated 14 GiB exceeds the 8 GiB of physical memory\n")
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import harmsum
+import harmsum.errors as errors
 import harmsum.exact as exact
 from harmsum.errors import CapExceeded, RangeUnreachable, ResourceLimit
 from harmsum.exact import (
@@ -451,9 +452,8 @@ def test_resumed_half_equals_one_built_at_once():
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_chunked_merges_equal_one_merge_at_once(monkeypatch, chunk):
     # colliding terms give tied sums; with chunks of one entry every run
-    # entry is a pivot in turn, so ties fall on pivots, and a tie keeps the
-    # order of the runs. A chunk larger than every half is one stable
-    # argsort of the runs concatenated
+    # entry is a pivot in turn, so ties fall on pivots. A chunk larger than
+    # every half is one sort of the runs concatenated
     families = (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1))
     for spec, digits, symmetric in product(families, (SIGNS, TRITS), (False, True)):
         x = [1 / b for b in generate(spec, 12 if digits == SIGNS else 8).terms]
@@ -498,10 +498,10 @@ ZERO_SUMS = ((2, 3, 6), (1, 2, 3, 6), (6, 9, 18), (3, 6, 9, 18, 20))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, exact._CHUNK])
-def test_zero_vector_is_the_first_zero_sum_of_a_trit_half(monkeypatch, chunk):
-    # `_meet` and `grow` find the zero vector of a half, which holds no
-    # encodings, as its first entry of value 0.0; in the stable order of the
-    # `_expand` sums it is the first of those too
+def test_trit_half_holds_the_zero_sum(monkeypatch, chunk):
+    # `_meet` and `grow` take the first 0.0 of a trit half for its zero
+    # vector. The halves hold values alone, so any vector of sum 0.0 stands
+    # for it: a half with several 0.0 holds the sorted `_expand` sums
     monkeypatch.setattr(exact, "_CHUNK", chunk)
     lists = [generate(spec, 9).terms for spec in COLLIDING] + list(ZERO_SUMS)
     ties = 0
@@ -514,8 +514,9 @@ def test_zero_vector_is_the_first_zero_sum_of_a_trit_half(monkeypatch, chunk):
             if symmetric:
                 first = [next((d for d in np.base_repr(c, 3)[::-1] if d != "0"), "1") for c in order]
                 order = order[np.array(first) == "1"]
-            z = int(np.searchsorted(half.sums, 0.0))
-            assert half.sums[z] == 0.0 and order[z] == 0
+            want = _expand(x[:k], TRITS)[order]
+            assert np.array_equal(half.sums.view(np.int64), want.view(np.int64))
+            assert half.sums[int(np.searchsorted(half.sums, 0.0))] == 0.0
             ties += np.count_nonzero(half.sums == 0.0) > 1
     assert ties >= 4
 
@@ -897,13 +898,13 @@ def test_memory_check_refuses_estimates_above_physical_memory(monkeypatch):
     # whatever the budget; where the platform reports no physical memory,
     # the budget alone decides
     assert exact.MEMORY_GIB == (exact.PHYSICAL_GIB / 2 if exact.PHYSICAL_GIB else 8.0)
-    monkeypatch.setattr(exact, "PHYSICAL_GIB", 16.0)
+    monkeypatch.setattr(errors, "PHYSICAL_GIB", 16.0)
     with pytest.raises(ResourceLimit, match=r"estimated 17 GiB exceeds the 16 GiB of physical memory"):
         _check_memory(17 * 2**30, 1000.0)
     with pytest.raises(ResourceLimit, match="budget"):
         _check_memory(17 * 2**30, 10.0)
     _check_memory(16 * 2**30, 1000.0)
-    monkeypatch.setattr(exact, "PHYSICAL_GIB", None)
+    monkeypatch.setattr(errors, "PHYSICAL_GIB", None)
     _check_memory(17 * 2**30, 1000.0)
 
 
