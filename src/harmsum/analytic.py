@@ -47,7 +47,7 @@ from .errors import (
 )
 from .sequences import (
     KIND_AP, KIND_CUSTOM, KIND_NONPRIMES, KIND_OMEGA, KIND_PK, KIND_PRIMES, SequenceSpec,
-    _first_n, _sieve, _terms, terms_array,
+    _first_n, _sieve, _sieve_bytes, _terms, terms_array,
 )
 from .double_double import _dd_total, _inverse_powers
 
@@ -341,8 +341,9 @@ def check_decay(
     With the default placeholder c' the window is empty below astronomical
     N, making the report vacuous (samples=0, flagged); pass an explicit
     c_prime for a substantive scan. Finite-range diagnostic, not a proof.
-    a, c_prime and x_cap must be finite; the grid is priced before it is
-    built, at 48 B per node and a _rho_batch block.
+    a, c_prime and x_cap must be finite; the grid and the terms are priced
+    before either is built, at 48 B per node, a _rho_batch block and, per
+    term, the int64 terms, _rho_batch's float64 copy and what a sieve holds.
     """
     defaulted = c_prime is None
     cp = C_PRIME_DEFAULT if defaulted else float(c_prime)
@@ -351,7 +352,9 @@ def check_decay(
             raise ValueError(f"{name} must be finite, got {value}")
     if a < 0 or grid < 1:
         raise ValueError("need a >= 0 and grid >= 1")
-    _check_memory(48 * grid + 16 * _batch_entries(n, grid), memory_gib)
+    _check_memory(
+        48 * grid + 16 * _batch_entries(n, grid) + (16 + _sieve_bytes(spec)) * n, memory_gib
+    )
     x_lo = float(n)
     try:
         x_hi = min(x_cap, math.exp(cp * math.log(n) ** 2))
@@ -704,16 +707,15 @@ class _Kernel:
         below < b_{M+1}, read from the terms held, or to every term of a
         finite sequence with fewer. M never shrinks. b_n >= n, so M is
         priced before any sieve runs, at the least m 2^i >= below: 24 B per
-        term (the int64 terms, their float64 copy and reciprocals) and 16 B
-        more for a sieved family (the sieve's collected pieces and their
-        concatenation), plus 40 B per term of the head (its Python ints)
-        and 136 B per term of a double-double chunk if M may pass KERNEL_M
-        (its temporaries)."""
+        term (the int64 terms, their float64 copy and reciprocals) and what
+        a sieve holds (`sequences._sieve_bytes`), plus 40 B per term of the
+        head (its Python ints) and 136 B per term of a double-double chunk
+        if M may pass KERNEL_M (its temporaries)."""
         most = m
         while most < below:
             most *= 2
         most = min(most, self.cap)
-        per_term = 24 if self.spec.kind in (KIND_AP, KIND_CUSTOM) else 40
+        per_term = 24 + _sieve_bytes(self.spec)
         chunk = min(_DD_CHUNK, max(0, most - KERNEL_M))
         _check_memory(per_term * most + 40 * KERNEL_M + 136 * chunk, self.memory_gib)
         while below > m < self.cap and self._hold(m + 1)[m] <= below:

@@ -8,6 +8,12 @@ comparison. Output formats: tsv (default, '#'-prefixed header), json
 ("index value" pairs, no header), offered only where every value is an
 integer; argparse refuses a format a subcommand does not offer.
 
+Each subcommand takes only the limit flags it reads: --memory-gib, the
+budget every subcommand prices its memory against, and for the exact
+searches --force with --minsum-cap (minsum, table1, decay, two-stage) or
+--gap-cap (gap, table3). An explicit cap wins over --force, which lifts
+the default.
+
 Exit codes: 0 success, 2 usage or domain error, 3 cap or resource limit,
 4 numerical truncation failure.
 """
@@ -41,6 +47,7 @@ from .errors import (
     RangeUnreachable,
     ResourceLimit,
     TruncationFailure,
+    _check_memory,
 )
 from .exact import (
     decay_profile,
@@ -52,7 +59,7 @@ from .exact import (
     two_stage_for_n,
 )
 from .montecarlo import SimulationConfig, histogram, simulate
-from .sequences import SequenceSpec, generate, terms_array
+from .sequences import SequenceSpec, _sieve_bytes, generate, terms_array
 
 EMITS = ("tsv", "json", "bfile")
 _LONG_FLAG = re.compile(r"--[a-z][a-z-]*")
@@ -78,6 +85,11 @@ def _uint64(text: str) -> int:
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"must fit in 64 unsigned bits, got {text}")
     return value
+
+
+def _cap(explicit: int | None, force: bool, default: int) -> float:
+    """An explicit cap wins over --force, which lifts the default."""
+    return explicit or (math.inf if force else default)
 
 
 def _spec_from_args(args) -> SequenceSpec:
@@ -138,6 +150,12 @@ def _search_pairs(res) -> list:
 
 def cmd_seq(args) -> int:
     spec = _spec_from_args(args)
+    # priced before the sieve runs, per term: its Python int in generate's
+    # tuple (48 B at most) and its row, an index int and a 2-tuple in a list
+    # (96 B), or in json its decimal string in a list and its share of the
+    # text (128 B). tracemalloc measured at most 140.5 and 166.5 B per term
+    # at n = 2e5 and 1e6, with terms of up to 19 digits
+    _check_memory((176 if args.emit == "json" else 144) * args.n, args.memory_gib)
     terms = generate(spec, args.n).terms
     if args.emit == "json":
         print(json.dumps({"kind": spec.label(), "n": len(terms), "terms": [str(t) for t in terms]}))
@@ -150,16 +168,16 @@ def cmd_seq(args) -> int:
 def cmd_minsum(args) -> int:
     spec = _spec_from_args(args)
     tau = parse_exact(args.tau)
-    res = min_signed_sum(
-        generate(spec, args.n), tau, cap=args.minsum_cap, memory_gib=args.memory_gib
-    )
+    cap = _cap(args.minsum_cap, args.force, MINSUM_CAP)
+    res = min_signed_sum(generate(spec, args.n), tau, cap=cap, memory_gib=args.memory_gib)
     _emit_pairs(args.emit, _search_pairs(res), bfile_row=(res.n, res.scaled_num))
     return 0
 
 
 def cmd_gap(args) -> int:
     spec = _spec_from_args(args)
-    res = min_gap(generate(spec, args.n), cap=args.gap_cap, memory_gib=args.memory_gib)
+    cap = _cap(args.gap_cap, args.force, GAP_CAP)
+    res = min_gap(generate(spec, args.n), cap=cap, memory_gib=args.memory_gib)
     pairs = [
         ("n", res.n),
         ("scaled_num", str(res.scaled_num)),
@@ -174,7 +192,7 @@ def cmd_table1(args) -> int:
     results = min_signed_sums(
         generate(SequenceSpec.primes(), args.upto),
         range(1, args.upto + 1),
-        cap=args.minsum_cap,
+        cap=_cap(args.minsum_cap, args.force, MINSUM_CAP),
         memory_gib=args.memory_gib,
     )
     rows = [(res.n, str(res.scaled_num)) for res in results]
@@ -186,7 +204,7 @@ def cmd_table3(args) -> int:
     results = min_gaps(
         generate(SequenceSpec.primes(), args.upto),
         range(1, args.upto + 1),
-        cap=args.gap_cap,
+        cap=_cap(args.gap_cap, args.force, GAP_CAP),
         memory_gib=args.memory_gib,
     )
     rows = [(res.n, str(res.scaled_num)) for res in results]
@@ -202,7 +220,7 @@ def cmd_decay(args) -> int:
         terms,
         range(args.lo, args.hi + 1),
         tau,
-        cap=args.minsum_cap,
+        cap=_cap(args.minsum_cap, args.force, MINSUM_CAP),
         memory_gib=args.memory_gib,
     )
     rows = [
@@ -237,7 +255,8 @@ def cmd_decay(args) -> int:
 
 def cmd_two_stage(args) -> int:
     tau = parse_exact(args.tau)
-    res = two_stage_for_n(args.n, tau, cap=args.minsum_cap, memory_gib=args.memory_gib)
+    cap = _cap(args.minsum_cap, args.force, MINSUM_CAP)
+    res = two_stage_for_n(args.n, tau, cap=cap, memory_gib=args.memory_gib)
     pairs = [
         ("tau", str(tau)),
         ("refined_target", str(res.refined_target)),
@@ -255,6 +274,8 @@ def cmd_two_stage(args) -> int:
 def cmd_rho(args) -> int:
     spec = _spec_from_args(args)
     if args.n is not None:
+        # the terms, _rho_batch's float64 copy of them and what a sieve holds
+        _check_memory((16 + _sieve_bytes(spec)) * args.n, args.memory_gib)
         rv = cosine_product(terms_array(spec, args.n), args.x)
         pairs = [("x", _jnum(rv.x)), ("n", rv.n), ("value", _jnum(rv.value))]
         _emit_pairs(args.emit, pairs)
@@ -312,6 +333,8 @@ def cmd_check(args) -> int:
             memory_gib=args.memory_gib,
         )
     else:
+        # the terms and what a sieve holds; the suite prices its own scan
+        _check_memory((8 + _sieve_bytes(spec)) * args.n, args.memory_gib)
         suite = exponential_bound_suite if args.bound == "exp" else sandwich_suite
         report = suite(
             terms_array(spec, args.n), pairs=args.pairs, seed=args.seed, x_max=args.x_max,
@@ -357,21 +380,19 @@ def cmd_mc(args) -> int:
     return 0
 
 
-# flags as (name, add_argument keywords), added in order after the _COMMON ones
-_COMMON = (
-    ("--force", {
+# flags as (name, add_argument keywords); the limit flags, which come first,
+# also name the subcommands that read them
+_EXACT = ("minsum", "gap", "table1", "table3", "decay", "two-stage")
+_LIMITS = (
+    ("--force", _EXACT, {
         "action": "store_true",
         "help": "lift the default size caps, so that the memory budget and the 64-bit "
-        "encodings bound N (read by minsum, gap, table1, table3, decay and two-stage)",
+        "encodings bound N",
     }),
-    ("--minsum-cap", {
-        "type": _positive_int,
-        "help": "override the minimum-search cap (read by minsum, table1, decay and two-stage)",
-    }),
-    ("--gap-cap", {
-        "type": _positive_int, "help": "override the gap-search cap (read by gap and table3)",
-    }),
-    ("--memory-gib", {
+    ("--minsum-cap", ("minsum", "table1", "decay", "two-stage"),
+     {"type": _positive_int, "help": "override the minimum-search cap"}),
+    ("--gap-cap", ("gap", "table3"), {"type": _positive_int, "help": "override the gap-search cap"}),
+    ("--memory-gib", _EXACT + ("seq", "rho", "density", "check", "mc"), {
         "type": _budget_gib, "default": MEMORY_GIB,
         "help": "memory budget in GiB (default: half of physical memory)",
     }),
@@ -463,7 +484,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for c in chosen or _COMMANDS:
         p = sub.add_parser(c.name, help=c.help)
         p.add_argument("--emit", choices=c.emits, help="output format")
-        for flag, kwargs in _COMMON + c.flags:
+        limits = [(flag, kwargs) for flag, readers, kwargs in _LIMITS if c.name in readers]
+        for flag, kwargs in limits + list(c.flags):
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=c.func, emit=c.emit)
     return parser
@@ -491,10 +513,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code or 0)
-    # an explicit cap wins over --force, which lifts the default
-    lifted = math.inf if args.force else None
-    args.minsum_cap = args.minsum_cap or lifted or MINSUM_CAP
-    args.gap_cap = args.gap_cap or lifted or GAP_CAP
     try:
         return args.func(args)
     except (RangeUnreachable, ValueError, ZeroDivisionError) as exc:

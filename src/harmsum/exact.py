@@ -40,9 +40,8 @@ from typing import Iterable
 
 import numpy as np
 
-# PHYSICAL_GIB is imported only so that harmsum.exact.PHYSICAL_GIB still reads
 from .errors import (
-    ENUM_CAP, GAP_CAP, MEMORY_GIB, MINSUM_CAP, PHYSICAL_GIB, CapExceeded, CertificateError,
+    ENUM_CAP, GAP_CAP, MEMORY_GIB, MINSUM_CAP, CapExceeded, CertificateError,
     RangeUnreachable, _check_cap, _check_memory,
 )
 from .sequences import SequenceSpec, SequenceTerms, _terms, count_up_to, generate
@@ -867,6 +866,15 @@ def two_stage_for_n(
     return two_stage_approx(comp, primes, tau, cap=cap, memory_gib=memory_gib)
 
 
+def _log(res: SearchResult) -> float:
+    """ln(value) of a positive minimum, from its two integers where the
+    value itself lies beyond float range."""
+    try:
+        return math.log(res.value)
+    except OverflowError:
+        return math.log(res.scaled_num) - math.log(res.den)
+
+
 def decay_profile(
     seq,
     ns: Iterable[int] | None = None,
@@ -894,7 +902,7 @@ def decay_profile(
             scaled_num=res.scaled_num,
             den=res.den,
             value=res.value,
-            log_value=math.log(res.value) if res.value > 0 else float("-inf"),
+            log_value=_log(res) if res.value > 0 else float("-inf"),
             ref_log_sq=-math.log(res.n) ** 2,
             ref_power=-float(res.n) ** (1.0 / (2 * k + 1)),
         )

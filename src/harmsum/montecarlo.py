@@ -17,7 +17,8 @@ whatever the chunk, tile or piece, so reports are bit-reproducible for a
 fixed seed. The moments are numpy pairwise sums per chunk, joined by
 math.fsum, within a stated bound of exact. `simulate` and `histogram`
 price the sampler, then predict, then draw, so a refusal draws nothing.
-The budget and the caps come from `errors`; only `exhaustive_probability`,
+Each entry point takes its budget as `memory_gib`, MEMORY_GIB by default;
+the budget and the caps come from `errors`. Only `exhaustive_probability`,
 capped at ENUM_CAP, uses the exact layer, and imports it when it runs.
 """
 
@@ -177,21 +178,20 @@ def _iter_chunks(config: SimulationConfig, memory_gib: float):
 
 
 def simulate(
-    config: SimulationConfig, *, eps: float = DENSITY_EPS, memory_gib: float | None = None
+    config: SimulationConfig, *, eps: float = DENSITY_EPS, memory_gib: float = MEMORY_GIB
 ) -> SimulationReport:
     """Sample X_N and compare the interval frequency against the integral
     of the limiting density over the same half-open interval [lo, hi).
-    memory_gib is the budget the sampler is priced against (default
-    MEMORY_GIB).
+    memory_gib is the budget the sampler and the prediction are priced
+    against.
 
     Over the m sampled values x_j, with u = 2^-53 and g(k) = ku / (1 - ku),
     sample_mean is within g(35) * sum |x_j| / m of their exact mean, and
     sample_variance within 4 g(35) * sum x_j^2 / (m - 1) of their exact
     sample variance."""
-    budget = MEMORY_GIB if memory_gib is None else memory_gib
     lo, hi = config.interval
-    chunks = _iter_chunks(config, budget)
-    predicted = interval_probability(config.spec, lo, hi, eps, memory_gib=budget)
+    chunks = _iter_chunks(config, memory_gib)
+    predicted = interval_probability(config.spec, lo, hi, eps, memory_gib=memory_gib)
     hits = 0
     sum_parts: list[float] = []
     sq_parts: list[float] = []
@@ -238,15 +238,14 @@ def simulate(
 
 
 def exhaustive_probability(
-    config: SimulationConfig, *, memory_gib: float | None = None
+    config: SimulationConfig, *, memory_gib: float = MEMORY_GIB
 ) -> Fraction:
     """Exact P[X_N in [lo, hi)) over all 2^n equiprobable sign vectors;
-    n is capped at ENUM_CAP and the enumeration priced against memory_gib
-    (default MEMORY_GIB)."""
+    n is capped at ENUM_CAP and the enumeration priced against memory_gib."""
     from .exact import _scaled_sums  # only this capped enumeration loads `exact`
     _check_cap(config.n, ENUM_CAP)
     terms = [int(t) for t in terms_array(config.spec, config.n)]
-    den, sums = _scaled_sums(terms, MEMORY_GIB if memory_gib is None else memory_gib)
+    den, sums = _scaled_sums(terms, memory_gib)
     lo, hi = config.interval
     lo_s = Fraction(lo) * den
     hi_s = Fraction(hi) * den
@@ -256,7 +255,7 @@ def exhaustive_probability(
 
 def histogram(
     config: SimulationConfig, bins: int, *, eps: float = DENSITY_EPS,
-    memory_gib: float | None = None,
+    memory_gib: float = MEMORY_GIB,
 ) -> list[HistogramRow]:
     """Normalized histogram of X_N over the config interval next to the
     density at each bin center. Bins partition [lo, hi) half-open, and the
@@ -266,10 +265,9 @@ def histogram(
         raise ValueError("bins must be >= 2")
     lo, hi = config.interval
     width = (hi - lo) / bins
-    budget = MEMORY_GIB if memory_gib is None else memory_gib
-    chunks = _iter_chunks(config, budget)
+    chunks = _iter_chunks(config, memory_gib)
     centers = lo + width * (np.arange(bins) + 0.5)
-    expected = densities(config.spec, centers, eps, memory_gib=budget)
+    expected = densities(config.spec, centers, eps, memory_gib=memory_gib)
     counts = np.zeros(bins, dtype=np.int64)
     for vals in chunks:
         ok = (vals >= lo) & (vals < hi)

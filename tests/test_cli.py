@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from harmsum import analytic, errors, exact, montecarlo
+from harmsum import analytic, cli, errors, exact, montecarlo, sequences
 from harmsum.cli import _COMMANDS, _glue_negative_values, build_parser, main
 from harmsum.errors import TruncationFailure
 from harmsum.sequences import SequenceSpec, terms_array
@@ -193,6 +194,26 @@ def test_analytic_reads_memory_budget(capsys, argv):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seq", "--n", "3000000", "--emit", "bfile"],
+        ["rho", "--n", "3000000", "--x", "3.3"],
+        ["check", "--bound", "decay", "--n", "3000000", "--grid", "1", "--c-prime", "0.01"],
+        ["check", "--bound", "exp", "--n", "3000000", "--pairs", "1"],
+    ],
+    ids=["seq", "rho", "check-decay", "check-exp"],
+)
+def test_term_lists_are_priced_before_the_sieve(capsys, monkeypatch, argv):
+    def sieved(*args, **kwargs):
+        raise AssertionError("the terms were sieved before they were priced")
+
+    monkeypatch.setattr(sequences, "_first_n", sieved)
+    code, out, err = run(capsys, argv + ["--memory-gib", "0.001"])
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
 def test_decay_range_past_every_float_ends_at_the_cap(capsys):
     code, out, _ = run(capsys, ["check", "--bound", "decay", "--n", "50", "--c-prime", "1e300",
                                 "--grid", "5"])
@@ -264,6 +285,12 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     monkeypatch.setattr(errors, "PHYSICAL_GIB", 8.0)
     code, out, err = run(capsys, ["gap", "--n", "39", "--force", "--memory-gib", "1000"])
     assert (code, out, err) == (3, "", "error: estimated 14 GiB exceeds the 8 GiB of physical memory\n")
+
+
+def test_decay_of_a_target_past_float_range(capsys):
+    code, out, err = run(capsys, ["decay", "--lo", "2", "--hi", "6", "--tau", "1e400"])
+    assert (code, err) == (0, "")
+    assert "intercept=921.03403719761" in out.splitlines()[-1]
 
 
 @pytest.mark.parametrize(
@@ -515,3 +542,74 @@ def test_one_subcommand_parser_reads_as_the_full_one(name):
     other = "seq" if name != "seq" else "mc"
     code, _, err = _parse(build_parser(name), [other, "--n", "3"])
     assert code == 2 and "invalid choice" in err
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records the name of every attribute that the
+    handler reads from it: main reads func to dispatch, and what was read
+    before, by argparse and main, is forgotten then."""
+
+    def __getattribute__(self, name):
+        if name == "func":
+            self._read.clear()
+        elif not name.startswith("_"):
+            self._read.add(name)
+        return object.__getattribute__(self, name)
+
+    @property
+    def _read(self) -> set:
+        return self.__dict__.setdefault("_read_names", set())
+
+
+# the modes of each subcommand, at tiny sizes; a subcommand that takes a
+# sequence runs each mode over the four kinds that read --k, --a/--q and --values
+_MODES = {
+    "seq": [["--n", "3"], ["--n", "3", "--emit", "json"]],
+    "minsum": [["--n", "3", "--tau", "1/3"]],
+    "gap": [["--n", "3"]],
+    "table1": [["--upto", "3"]],
+    "table3": [["--upto", "3"]],
+    "decay": [["--lo", "2", "--hi", "4"]],
+    "two-stage": [["--n", "5", "--tau", "1/3"]],
+    "rho": [["--n", "3", "--x", "0.5"], ["--x", "0.5", "--eps", "1e-6"]],
+    "density": [["--x", "0.5", "--eps", "1e-4"], ["--grid", "0:1:2", "--eps", "1e-4"]],
+    "check": [["--bound", bound, "--n", "3", "--pairs", "2", "--grid", "2", "--c-prime", "0.5"]
+              for bound in ("exp", "sandwich", "decay")],
+    "mc": [["--n", "3", "--samples", "10", "--lo", "-0.1", "--hi", "0.1", "--eps", "1e-4"] + bins
+           for bins in ([], ["--bins", "2"])],
+}
+_KINDS = (
+    [], ["--kind", "pk", "--k", "2"], ["--kind", "ap", "--a", "2", "--q", "3"],
+    ["--kind", "custom", "--values", "2,3,5,7,11"],
+)
+
+
+@pytest.mark.parametrize("name", [c.name for c in _COMMANDS])
+def test_every_declared_flag_is_read(capsys, monkeypatch, name):
+    # the union of what a subcommand's handler reads over its modes is
+    # exactly what its parser declares: no flag is accepted and ignored
+    sub = next(a for a in build_parser(name)._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {a.dest for a in sub.choices[name]._actions} - {"help"}
+    namespaces = []
+
+    def recording(command=None):
+        parser = build_parser(command)
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            namespaces.append(parse(argv, _Reads()))
+            return namespaces[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    read = set()
+    for mode in _MODES[name]:
+        for kind in _KINDS if "kind" in declared else ([],):
+            code = main([name] + mode + kind)
+            capsys.readouterr()
+            # the density and the mc prediction refuse a custom list, with exit 4
+            assert code == (4 if "custom" in kind and name in ("density", "mc") else 0), kind
+            read |= namespaces[-1]._read
+    assert read == declared - {"command"}

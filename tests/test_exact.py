@@ -226,6 +226,21 @@ def test_decay_profile_reference_columns():
     assert row.ref_power == pytest.approx(-(6 ** (1 / 5)))  # k=2 -> exponent 1/5
 
 
+def test_decay_profile_past_float_range():
+    # a target of 10^400 puts every value beyond float range: ln(value) is
+    # then ln(scaled_num) - ln(den), and where float(value) exists it stays
+    # ln(value) itself, so every current profile keeps its last digits
+    prof = decay_profile(PRIMES[:6], range(2, 7), Fraction(10) ** 400)
+    assert [r.log_value for r in prof.rows] == [
+        math.log(r.scaled_num) - math.log(r.den) for r in prof.rows
+    ]
+    for r in prof.rows:
+        assert r.log_value == pytest.approx(400 * math.log(10), rel=1e-15)
+    assert prof.intercept == pytest.approx(400 * math.log(10), rel=1e-12)
+    near = decay_profile(PRIMES[:6], range(2, 7), Fraction(10) ** 300)
+    assert [r.log_value for r in near.rows] == [math.log(r.value) for r in near.rows]
+
+
 def test_two_stage_examples():
     ts = two_stage_approx((1, 4), (2, 3), 0)
     assert ts.refined_target == Fraction(3, 4)
@@ -897,7 +912,7 @@ def test_memory_refusal_shows_the_estimate_above_the_budget():
 def test_memory_check_refuses_estimates_above_physical_memory(monkeypatch):
     # whatever the budget; where the platform reports no physical memory,
     # the budget alone decides
-    assert exact.MEMORY_GIB == (exact.PHYSICAL_GIB / 2 if exact.PHYSICAL_GIB else 8.0)
+    assert exact.MEMORY_GIB == (errors.PHYSICAL_GIB / 2 if errors.PHYSICAL_GIB else 8.0)
     monkeypatch.setattr(errors, "PHYSICAL_GIB", 16.0)
     with pytest.raises(ResourceLimit, match=r"estimated 17 GiB exceeds the 16 GiB of physical memory"):
         _check_memory(17 * 2**30, 1000.0)

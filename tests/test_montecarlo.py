@@ -254,16 +254,15 @@ def test_one_sampler_feeds_both_consumers():
     assert [c / (k * width) for c in counts] == [r.empirical for r in rows]
 
 
-def test_memory_guard_refuses_before_allocating(monkeypatch):
+def test_memory_guard_refuses_before_allocating():
     # 2 KiB of tables per byte position alone is 2.4 MiB at n = 10^4
-    monkeypatch.setattr(mc, "MEMORY_GIB", 0.001)
     cfg = SimulationConfig(spec=PRIMES, n=10**4, samples=1000, seed=0, interval=(-0.1, 0.1))
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit):
-            simulate(cfg, eps=1e-6)
+            simulate(cfg, eps=1e-6, memory_gib=0.001)
         with pytest.raises(ResourceLimit):
-            histogram(cfg, 11, eps=1e-6)
+            histogram(cfg, 11, eps=1e-6, memory_gib=0.001)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
