@@ -62,6 +62,12 @@ from .montecarlo import SimulationConfig, histogram, simulate
 from .sequences import SequenceSpec, _sieve_bytes, generate, terms_array
 
 EMITS = ("tsv", "json", "bfile")
+# `seq` prints tsv and bfile rows in blocks of _SEQ_ROWS, each row holding
+# at most _ROW_BYTES while its block prints: its term's Python int in a
+# list, its line in a list and its share of the joined text (tracemalloc
+# measured at most 151 B a row, with terms of 19 digits)
+_SEQ_ROWS = 2**14
+_ROW_BYTES = 192
 _LONG_FLAG = re.compile(r"--[a-z][a-z-]*")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
@@ -150,18 +156,25 @@ def _search_pairs(res) -> list:
 
 def cmd_seq(args) -> int:
     spec = _spec_from_args(args)
-    # priced before the sieve runs, per term: its Python int in generate's
-    # tuple (48 B at most) and its row, an index int and a 2-tuple in a list
-    # (96 B), or in json its decimal string in a list and its share of the
-    # text (128 B). tracemalloc measured at most 140.5 and 166.5 B per term
-    # at n = 2e5 and 1e6, with terms of up to 19 digits
-    _check_memory((176 if args.emit == "json" else 144) * args.n, args.memory_gib)
-    terms = generate(spec, args.n).terms
+    # priced before the sieve runs. json holds per term its Python int, its
+    # decimal string in a list and its share of the text (176 B; tracemalloc
+    # measured at most 166.5 B at n = 2e5 and 1e6, terms of up to 19 digits)
     if args.emit == "json":
-        print(json.dumps({"kind": spec.label(), "n": len(terms), "terms": [str(t) for t in terms]}))
-    else:
-        rows = [(i + 1, t) for i, t in enumerate(terms)]
-        _emit_table(args.emit, ("index", "term"), rows, "terms", bfile_cols=(0, 1))
+        _check_memory(176 * args.n, args.memory_gib)
+        terms = [str(t) for t in terms_array(spec, args.n).tolist()]
+        print(json.dumps({"kind": spec.label(), "n": len(terms), "terms": terms}))
+        return 0
+    # tsv and bfile hold the int64 terms and what the sieve holds beside
+    # them, and print from them one block of rows at a time
+    rows = _ROW_BYTES * min(args.n, _SEQ_ROWS)
+    _check_memory((8 + _sieve_bytes(spec)) * args.n + rows, args.memory_gib)
+    terms = terms_array(spec, args.n)
+    if args.emit == "tsv":
+        print("# index\tterm")
+    sep = "\t" if args.emit == "tsv" else " "
+    for lo in range(0, len(terms), _SEQ_ROWS):
+        block = terms[lo:lo + _SEQ_ROWS].tolist()
+        print("\n".join(f"{i}{sep}{t}" for i, t in enumerate(block, lo + 1)))
     return 0
 
 

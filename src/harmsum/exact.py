@@ -14,14 +14,14 @@ the smallest encoding, which makes every result reproducible.
 `min_signed_sums` and `min_gaps` share one meet-in-the-middle engine, and
 `min_signed_sum` and `min_gap` are the one-prefix case of each: the first
 ceil(n/2) terms and the rest each give a sorted list of float64 half sums
-alone, 2^(n/2) per side for signs and 3^(n/2) for trits, grown one term at
-a time in place by merging sorted runs (Horowitz-Sahni), along the prefixes
-of a sweep (`_sweep`). The right list leaves out its last two terms, whose
-4 or 9 coefficient choices shift its queries target - (right sum); blocks
-of those ascending queries are ranked in the left list by merging. For a
-target of 0, c and -c have the same |sum|, so the left list keeps only the
-vectors whose first nonzero entry is + (and the zero vector), and the
-optima found are completed by their negations. The floats only filter:
+alone, 2^(n/2) per side for signs and 3^(n/2) for trits (Horowitz-Sahni),
+each built in one step and sorted in place in a buffer that serves every
+prefix of a sweep (`_sweep`). The right list leaves out its last two terms,
+whose 4 or 9 coefficient choices shift its queries target - (right sum);
+blocks of those ascending queries are ranked in the left list by merging.
+For a target of 0, c and -c have the same |sum|, so the left list keeps
+only the vectors whose first nonzero entry is + (and the zero vector), and
+the optima found are completed by their negations. The floats only filter:
 the pairs within a proven rounding bound of the float optimum are
 recovered from quarter lists and re-scored in exact integers. Every
 result is then checked once more against `evaluate_signs`.
@@ -50,39 +50,32 @@ SIGNS = (-1, 1)  # coefficient of base-2 digit 0 and 1
 TRITS = (0, 1, -1)  # coefficient of base-3 digit 0, 1 and 2
 
 # Bytes per entry. A half holds its float64 sums alone, 8 per entry, in a
-# buffer sized once per sweep, and grows in place: a merge adds one chunk of
-# c = min(L, _CHUNK) entries, L the half's, and timsort's buffer (at most
-# c / 2, not seen by tracemalloc), 12 c. The right half holds all but its
-# last `_SHIFTED` terms; `_meet` adds those as shifts to one block of
-# m <= min(R, _BLOCK) queries at a time (R right entries), and matching holds
-# both halves and that block. `_insertion_points` ranks a block by merges
-# with slices of at most w = max(m, _BLOCK / 4) left sums; the floor spares
-# small searches many small merges (the `table3 --upto 22` sweep: 0.95 times
-# a binary search per query, 1.12 without it). While it merges it holds the
-# queries and their insertion points so far (16 per query) and, per merged
-# value, the value and its argsort order (16), with timsort's buffer (8 per
-# entry of the shorter run): at most 32 m + 16 w. Then the queries, their
+# buffer allocated once per sweep for its longest prefix, where it is built
+# and sorted in place. The right half holds all but its last `_SHIFTED`
+# terms; `_meet` adds those as shifts to one block of m <= min(R, _BLOCK)
+# queries at a time (R right entries), and matching holds both halves and
+# that block. `_insertion_points` ranks a block by merges with slices of at
+# most w = max(m, _BLOCK / 4) left sums; the floor spares small searches
+# many small merges (the `table3 --upto 22` sweep: 0.95 times a binary
+# search per query, 1.12 without it). While it merges it holds the queries
+# and their insertion points so far (16 per query) and, per merged value,
+# the value and its argsort order (16), with timsort's buffer (8 per entry
+# of the shorter run): at most 32 m + 16 w. Then the queries, their
 # insertion points, two neighbour distances and the merges' reused buffer
-# take 40 m + 8 w, no more, as w >= m. A sweep grows the left half alone
-# (the right one is held only while the next prefix extends it), grows the
-# right half beside the held left, then matches. With L left and R right
-# entries at its longest prefix, it peaks at the larger of
-# 8 L + 12 min(L, _CHUNK) and 8 (L + R) + 32 m + 16 w + 448 k, k the blocks,
+# take 40 m + 8 w, no more, as w >= m. A sweep holds both buffers
+# throughout, so with L left and R right entries at its longest prefix it
+# peaks while matching, at 8 (L + R) + 32 m + 16 w + 448 k, k the blocks,
 # one per shift and per block of right sums: each leaves two small arrays in
 # `_meet`'s `kept` list, and joining them makes one more, about 430 B a
-# block under tracemalloc. Growing the right half, 8 (L + R) + 12 min(R,
-# _CHUNK), never exceeds matching, as 12 min(R, 2^15) < 32 min(R, 2^14).
-# `_OBJECT_BYTES` adds the other Python objects (26 KB at most in the tests'
-# traced sweeps). The recovery (`_near`) adds less than matching from
-# n = 20 on, and prices its candidates.
-_CHUNK_BYTES = 12
+# block under tracemalloc. `_OBJECT_BYTES` adds the other Python objects
+# (26 KB at most in the tests' traced sweeps). The recovery (`_near`) adds
+# less than matching from n = 20 on, and prices its candidates.
 _KEPT_BYTES = 8
 _QUERY_BYTES = 32
 _SLICE_BYTES = 16
 _OBJECT_BYTES = 3 * 2**15
 _BLOCK_BYTES = 448
 _BLOCK = 2**14  # queries per matching block in `_meet`
-_CHUNK = 2**15  # entries per sorted chunk of `_merge`
 # The right half's last terms that `_meet` applies as shifts of the queries
 # instead of merging them: the right half held is base^_SHIFTED times
 # smaller. With 1, 2 and 3 shifted terms (2 cores) the `table3 --upto 22`
@@ -240,17 +233,24 @@ def _expand(weights, digits, dtype=np.float64) -> np.ndarray:
     selects c_i = digits[digit]. Floats are summed term by term, left to
     right, one rounding per term; dtype=object keeps exact Python ints.
     """
+    sums = np.zeros(len(digits) ** len(weights), dtype=dtype)
+    _fill(sums, weights, digits)
+    return sums
+
+
+def _fill(sums: np.ndarray, weights, digits) -> None:
+    """Write sums[0] + sum_i c_i * weights[i] at sums[encoding of c] for
+    every coefficient vector c over `digits`, in the first
+    len(digits) ** len(weights) entries of sums, term by term in place."""
     base = len(digits)
-    sums = np.zeros(base ** len(weights), dtype=dtype)
     size = 1
     for w in weights:
         block = sums[:size]
         # digit 0 goes last because it rewrites the block the others read
         for k in range(base - 1, -1, -1):
             if digits[k]:
-                sums[k * size:(k + 1) * size] = block + digits[k] * w
+                np.add(block, digits[k] * w, out=sums[k * size:(k + 1) * size])
         size *= base
-    return sums
 
 
 def _exact_sums(weights, digits, encs: np.ndarray) -> np.ndarray:
@@ -307,27 +307,19 @@ def _near(x, digits, centers, radius: float, each: int, memory_gib: float):
 
 
 class _Half:
-    """One side of the search, grown a term at a time: the float sums of its
-    coefficient vectors in ascending order, held in `pad` between a -inf
-    and a +inf sentinel, and the number of terms so far, at the front of a
-    buffer of `capacity` entries, but no encodings (see `_near`).
-
-    Horowitz-Sahni: fl(v + c * x_i) is monotone in v, so adding term i to a
-    sorted list gives one sorted run per digit, and `_merge` merges those
-    runs stably, one cache-sized chunk at a time. Every sum takes the same
-    rounded additions, in the same order, as in `_expand`, so the values are
-    bit-identical to its, and a half grown in steps equals one grown at
-    once. When `symmetric`, only the vectors whose first nonzero entry is +
-    are kept, and the zero vector.
+    """One side of the search: the float sums of its coefficient vectors in
+    ascending order, held in `pad` between a -inf and a +inf sentinel, and
+    the number of its terms, at the front of a buffer of `capacity` entries,
+    but no encodings (see `_near`). When `symmetric`, only the vectors whose
+    first nonzero entry is + are kept, and the zero vector.
     """
 
     def __init__(self, digits, symmetric: bool, capacity: int):
         self.digits = digits
         self.symmetric = symmetric
         self.buf = np.empty(capacity + 2)
-        self.buf[:3] = -np.inf, 0.0, np.inf
-        self.size = 1
-        self.terms = 0
+        self.buf[0] = -np.inf
+        self.size, self.terms = 0, None  # nothing held before `build`
 
     @property
     def pad(self) -> np.ndarray:
@@ -337,79 +329,35 @@ class _Half:
     def sums(self) -> np.ndarray:
         return self.buf[1:self.size + 1]
 
-    def grow(self, x) -> None:
-        """Add the terms x after those held."""
-        base = len(self.digits)
-        for w in x:
-            m = self.size
-            # when symmetric, a negative digit skips the zero vector, if held,
-            # as the first 0.0: any vector of sum 0.0 gives the same values.
-            # The two slices around it make one run
-            skip = self.symmetric and (0 in self.digits or not self.terms)
-            z = int(np.searchsorted(self.sums, 0.0))
-            size = base * m - skip * sum(c < 0 for c in self.digits)
-            # the held entries move to the tail, which the runs read while
-            # the merge fills the front
-            t = size - m
-            np.copyto(self.buf[1 + t:1 + size], self.buf[1:1 + m])
-            runs = []
-            for c in self.digits:
-                if skip and c < 0:
-                    runs += [(t, t + z, c * w), (t + z + 1, t + m, c * w)]
-                else:
-                    runs.append((t, t + m, c * w))
-            _merge(self.buf[1:], runs)
-            self.buf[size + 1] = np.inf
-            self.size = size
-            self.terms += 1
-
-
-def _merge(sums, runs) -> None:
-    """Merge the runs (lo, hi, cw) into the front of `sums` in ascending
-    order: run r holds the ascending values fl(v + cw), v in sums[lo:hi].
-
-    The merge writes chunks of at most max(_CHUNK, len(runs)) entries
-    straight into place. Let s = _CHUNK // len(runs), at least 1. The pivot
-    is the least of the run values s past each run's head (none once every
-    run has s or fewer left, when a chunk takes them all). Each run gives
-    the chunk its values up to the pivot within s of its head, and the
-    pivot's run gives s, so every value left out is at least the pivot,
-    and every value taken at most it. One small sort orders the chunk,
-    timsort merging its runs: the values come out as a sort of the whole
-    runs gives them. The halves hold values alone, so ties need no order.
-
-    The runs may lie where the merge writes, as `_Half.grow` places them: a
-    chunk is read whole before it is written, and one whose writes would
-    reach the first unread entry of a run is refused with a RuntimeError.
-    """
-    size = sum(hi - lo for lo, hi, _ in runs)
-    step = max(1, _CHUNK // len(runs))
-    vals = np.empty(min(size, step * len(runs)))
-    heads, done = [lo for lo, _, _ in runs], 0
-    while done < size:
-        pivot = min(
-            (float(sums[h + step]) + cw for h, (_, hi, cw) in zip(heads, runs) if h + step < hi),
-            default=math.inf,
-        )
-        m = 0
-        for r, (_, hi, cw) in enumerate(runs):
-            h = heads[r]
-            window = vals[m:m + min(step, hi - h)]
-            np.add(sums[h:h + len(window)], cw, out=window)
-            heads[r] += int(np.searchsorted(window, pivot, "right"))
-            m += heads[r] - h
-        if any(h < hi and done + m > h for h, (_, hi, _) in zip(heads, runs)):
-            raise RuntimeError("a merge chunk would overwrite entries not yet merged")
-        vals[:m].sort(kind="stable")
-        sums[done:done + m] = vals[:m]
-        done += m
+    def build(self, x) -> None:
+        """Hold the sums over the terms x: `_fill` writes them into the
+        buffer as `_expand` adds them, so they are bit-identical to its, and
+        one sort orders them in place. Every sum starts from +0.0, so no
+        -0.0 arises, and the sorted values are those of any sort."""
+        sums = self.buf[1:]
+        # pieces (first sum, later terms). When symmetric: the zero vector,
+        # where 0 is a digit, and for each i the vectors whose first nonzero
+        # entry, +, is the i-th, x_i + every vector over the later terms;
+        # signs have no 0 digit, so their first entry is that +
+        pieces = [(0.0, x)]
+        if self.symmetric:
+            lead = x if 0 in self.digits else x[:1]
+            pieces = [(0.0, [])] * (0 in self.digits) + [(w, x[i + 1:]) for i, w in enumerate(lead)]
+        size = 0
+        for first, later in pieces:
+            sums[size] = first
+            _fill(sums[size:], later, self.digits)
+            size += len(self.digits) ** len(later)
+        sums[:size].sort()
+        sums[size] = np.inf
+        self.size, self.terms = size, len(x)
 
 
 def _queries(t: float, sums: np.ndarray, shifts, out=None) -> np.ndarray:
     """The queries fl(t - v) of the right sums `sums` under a shift: v adds
     to each sum the c_i * x_i of every shifted term in `shifts` (floats, or
     arrays beside `sums`) one at a time, in term order, so it is the float
-    that a right half grown over those terms holds. They are written into
+    that a right half built over those terms holds. They are written into
     `out` if given."""
     if not len(shifts):
         return np.subtract(t, sums, out=out)
@@ -476,9 +424,9 @@ def _entries(n: int, base: int, symmetric: bool) -> tuple[int, int]:
 
 
 def _price(n: int, digits, symmetric: bool) -> int:
-    """Bytes of a sweep whose longest prefix is n: the larger of its two
-    phases at n, as the memory model above sets out. A prefix whose full
-    encodings would not fit int64 is refused."""
+    """Bytes of a sweep whose longest prefix is n: its matching at n, as
+    the memory model above sets out. A prefix whose full encodings would not
+    fit int64 is refused."""
     base = len(digits)
     if base**n > 2**63:
         raise CapExceeded(f"n={n} does not fit the 64-bit encodings")
@@ -486,12 +434,10 @@ def _price(n: int, digits, symmetric: bool) -> int:
     block = min(right, _BLOCK)
     width = min(left, max(block, _BLOCK // 4))
     blocks = base ** min(_SHIFTED, n - (n + 1) // 2) * -(-right // _BLOCK)
-    est = max(
-        _KEPT_BYTES * left + _CHUNK_BYTES * min(left, _CHUNK),
+    return (
         _KEPT_BYTES * (left + right) + _QUERY_BYTES * block + _SLICE_BYTES * width
-        + _BLOCK_BYTES * blocks,
+        + _BLOCK_BYTES * blocks + _OBJECT_BYTES
     )
-    return est + _OBJECT_BYTES
 
 
 def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, nonzero=False):
@@ -499,11 +445,10 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
     residuals, encodings): den = lcm(b_1..b_n, denominator of tau), and the
     optima of |sum_{i<=n} c_i * (den // b_i) - tau * den| by `_meet`.
 
-    The halves grow along ns. The left half of n is its first ceil(n/2)
-    terms, so it extends the left half of every shorter prefix. The right
-    half of n holds the rest but the last `_SHIFTED` terms, which `_meet`
-    applies as shifts; that of n = 2L is the right half of n = 2L - 1 plus
-    one term, and is held only while the next n extends it. Every prefix is
+    Each half has one buffer, sized for the longest prefix. The left half
+    of n is its first ceil(n/2) terms, built again when that count changes.
+    The right half of n holds the rest but the last `_SHIFTED` terms, which
+    `_meet` applies as shifts, built again at every n. Every prefix is
     checked against the cap and priced before any half is built.
     """
     if not ns:
@@ -517,27 +462,17 @@ def _sweep(terms, ns, digits, tau: Fraction, cap: float, memory_gib: float, *, n
         _check_cap(m, cap)
     for m in ns:
         _check_memory(_price(m, digits, symmetric), memory_gib)
-    # The right half of an odd n = 2L + 1 is built again from scratch, as its
-    # first term moved to the left half. Halves of interleaved terms would
-    # only grow, but their right sums spread over the left's whole range, so
-    # each block of queries spans many more left sums: with them
-    # `table1 --upto 40` took 1.44 times as long, `table3 --upto 22` 1.31,
-    # `minsum --n 48` 1.41 and `gap --n 30 --force` 1.55 (paired medians of
-    # 9 fresh runs, 2 cores).
     x = [1 / b for b in terms]
     most_left, most_right = _entries(ns[-1], len(digits), symmetric)
-    left, right = _Half(digits, symmetric, most_left), None
-    for i, n in enumerate(ns):
+    left, right = _Half(digits, symmetric, most_left), _Half(digits, False, most_right)
+    for n in ns:
         half = (n + 1) // 2
-        left.grow(x[left.terms:half])
-        if right is None:
-            right = _Half(digits, False, most_right)
-        right.grow(x[half + right.terms:max(half, n - _SHIFTED)])
+        if left.terms != half:
+            left.build(x[:half])
+        right.build(x[half:max(half, n - _SHIFTED)])
         den = math.lcm(math.lcm(*terms[:n]), tau.denominator)
         target = tau.numerator * (den // tau.denominator)
         yield n, den, *_meet(left, right, terms[:n], target, den, memory_gib, nonzero=nonzero)
-        if i + 1 == len(ns) or (ns[i + 1] + 1) // 2 != half:
-            right = None
 
 
 def _meet(
@@ -569,8 +504,8 @@ def _meet(
     # the reachable range [-r, r], r = sum_i 1/b_i: past it every distance
     # shifts by one constant, so the optima stay, and float() cannot overflow.
     # A pair (k, j) is scored as |fl(a_k - q_j)|, with a_k and b_j the half
-    # sums of `_expand` (`_Half` computes them identically, and `_queries`
-    # adds the shifted terms to the right sums as `_Half.grow` would) and
+    # sums of `_expand` (`_Half.build` computes them identically, and
+    # `_queries` adds the shifted terms to the right sums as it would) and
     # q_j = fl(t - b_j). Let R = r + |tau'| and u = 2^-53. The exact value of
     # every intermediate (a partial half sum, q_j, a_k - q_j) is at most R in
     # size, so while the error built up stays below R each rounded add errs
@@ -593,10 +528,11 @@ def _meet(
     pad, a, b = left.pad, left.sums, right.sums
     # The terms after both halves enter as shifts. Each of their coefficient
     # vectors adds c_i * x_i to every right sum, one term at a time in term
-    # order, as `_Half.grow` would add those terms, so each shifted right sum
-    # is the float the fully grown right half holds, and each shift keeps
-    # the right sums sorted. Shift s adds the row shifts[s] to the right sums
-    # and codes[s] to their encodings; shift 0 takes digit 0 on every term.
+    # order, as `_expand` would add those terms, so each shifted right sum is
+    # the float a right half built over all its terms holds, and each shift
+    # keeps the right sums sorted. Shift s adds the row shifts[s] to the right
+    # sums and codes[s] to their encodings; shift 0 takes digit 0 on every
+    # term.
     tail = x[half + right.terms:]
     choice = np.array(list(product(range(base), repeat=len(tail))), dtype=np.int64)
     choice = choice.reshape(base ** len(tail), len(tail))
@@ -703,8 +639,8 @@ def min_signed_sums(
     """`min_signed_sum` of every prefix of seq whose length is in ns, one
     result per entry of ns, in its order.
 
-    One sweep over the ascending lengths serves them all: the sorted halves
-    of each prefix grow into those of the next. Every length is checked
+    One sweep over the ascending lengths serves them all, building each
+    prefix's sorted halves in the same two buffers. Every length is checked
     against the cap (math.inf lifts it) and priced before any search.
     """
     terms = _as_terms(seq)

@@ -65,10 +65,16 @@ def test_gap_json(capsys):
     assert obj == {"n": 5, "scaled_num": "22", "den": "2310", "witness": "0-++0"}
 
 
-def test_seq_bfile(capsys):
+def test_seq_bfile(capsys, monkeypatch):
+    # rows print in blocks: blocks of 4 rows split the 6 in two
+    monkeypatch.setattr(cli, "_SEQ_ROWS", 4)
     code, out, _ = run(capsys, ["seq", "--kind", "pk", "--k", "2", "--n", "6", "--emit", "bfile"])
     assert code == 0
-    assert [int(l.split()[1]) for l in out.splitlines()] == [6, 10, 14, 15, 21, 22]
+    rows = list(enumerate([6, 10, 14, 15, 21, 22], 1))
+    assert out == "".join(f"{i} {t}\n" for i, t in rows)
+    code, out, _ = run(capsys, ["seq", "--kind", "pk", "--k", "2", "--n", "6"])
+    assert code == 0
+    assert out == "# index\tterm\n" + "".join(f"{i}\t{t}\n" for i, t in rows)
 
 
 def test_two_stage_json(capsys):
@@ -272,7 +278,7 @@ def test_encodings_and_budget_bound_the_lifted_caps(capsys, monkeypatch):
     def built(*args):
         raise AssertionError("a half was built")
 
-    monkeypatch.setattr(exact, "_merge", built)
+    monkeypatch.setattr(exact._Half, "build", built)
     code, out, err = run(capsys, ["gap", "--n", "40", "--gap-cap", "40", "--memory-gib", "1000"])
     assert (code, out) == (3, "") and "64-bit encodings" in err
     code, out, err = run(capsys, ["gap", "--n", "31", "--force", "--memory-gib", "0.01"])

@@ -42,15 +42,15 @@ PRIMES = generate(SequenceSpec.primes(), 25).terms
 
 
 def _sorted_half(x, digits, symmetric: bool):
-    """The sums of a `_Half` grown over the terms x from none."""
+    """The sums of a `_Half` built over the terms x."""
     half = _Half(digits, symmetric, len(digits) ** len(x))
-    half.grow(x)
+    half.build(x)
     return half.sums
 
 
 def _expanded_order(x, digits):
     """The encodings of every vector over the terms x in the stable order of
-    their `_expand` sums, a reference that shares no code with `_Half`."""
+    their `_expand` sums, a reference that sorts no half."""
     return np.argsort(_expand(x, digits), kind="stable")
 
 
@@ -439,6 +439,14 @@ def test_sorted_half_is_the_expanded_sums_in_order():
         coefficients = [
             [digits[c // base**i % base] for i in range(len(x))] for c in range(len(full))
         ]
+        # `_expand` adds the terms left to right, one rounding per nonzero
+        # coefficient, from +0.0
+        for sum_c, cs in zip(full.tolist(), coefficients):
+            want = 0.0
+            for c, w in zip(cs, x):
+                if c:
+                    want += c * w
+            assert sum_c.hex() == want.hex()
         for symmetric in (False, True):
             sums = _sorted_half(x, digits, symmetric)
             want = full[[
@@ -451,60 +459,49 @@ def test_sorted_half_is_the_expanded_sums_in_order():
             assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
 
-def test_resumed_half_equals_one_built_at_once():
-    x = [1 / b for b in generate(SequenceSpec.nonprimes(), 9).terms]
-    for digits in (SIGNS, TRITS):
-        for symmetric in (False, True):
-            sums = _sorted_half(x, digits, symmetric)
-            half = _Half(digits, symmetric, len(digits) ** len(x))
-            for lo, hi in ((0, 3), (3, 4), (4, 4), (4, 9)):
-                half.grow(x[lo:hi])
-            assert half.terms == 9
-            assert np.array_equal(half.sums.view(np.int64), sums.view(np.int64))
-            assert half.pad[0] == -np.inf and half.pad[-1] == np.inf
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_chunked_merges_equal_one_merge_at_once(monkeypatch, chunk):
-    # colliding terms give tied sums; with chunks of one entry every run
-    # entry is a pivot in turn, so ties fall on pivots. A chunk larger than
-    # every half is one sort of the runs concatenated
-    families = (SequenceSpec.nonprimes(), SequenceSpec.arithmetic(1, 1))
-    for spec, digits, symmetric in product(families, (SIGNS, TRITS), (False, True)):
-        x = [1 / b for b in generate(spec, 12 if digits == SIGNS else 8).terms]
-        monkeypatch.setattr(exact, "_CHUNK", 2**30)
-        want = _Half(digits, symmetric, len(digits) ** len(x))
-        want.grow(x)
-        assert np.any(want.sums[1:] == want.sums[:-1])
-        monkeypatch.setattr(exact, "_CHUNK", chunk)
-        got = _Half(digits, symmetric, len(digits) ** len(x))
-        for lo, hi in ((0, 5), (5, 6), (6, len(x))):
-            got.grow(x[lo:hi])
-        assert np.array_equal(got.pad.view(np.int64), want.pad.view(np.int64))
-
-
 @pytest.mark.parametrize("digits, symmetric, n", [(SIGNS, False, 18), (TRITS, True, 12)])
 def test_growth_holds_no_old_half_beside_the_new_one(digits, symmetric, n):
-    # a half grows in place, in a buffer of its final size, 8 L, so its
-    # last step adds one merge chunk, 12 min(L, _CHUNK); a merge into a new
-    # half held the old one too, 8 (L + L') and more
+    # a half over one more term is built and sorted in place, in the buffer
+    # of its final size, 8 L; a build into a new half held the old one too,
+    # 8 (L + L') and more
     x = [1 / b for b in PRIMES[:n]]
     size = (len(digits) ** n + 1) // 2 if symmetric else len(digits) ** n
     tracemalloc.start()
     try:
         half = _Half(digits, symmetric, size)
-        half.grow(x[:-1])
+        half.build(x[:-1])
         held = half.size
         tracemalloc.reset_peak()
-        half.grow(x[-1:])
+        half.build(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    slack = 12 * min(size, exact._CHUNK) + 2**14
+    slack = 2**14
     assert half.size == size and 8 * held > slack
     assert peak <= 8 * size + slack
     want = _sorted_half(x, digits, symmetric)
     assert np.array_equal(half.sums.view(np.int64), want.view(np.int64))
+
+
+def test_expansion_and_build_allocate_no_temporary():
+    # both write their sums in place: adding a term through a temporary,
+    # block + c * w, took 4 MiB at the last of 20 sign terms
+    x = [1 / b for b in PRIMES[:20]]
+    tracemalloc.start()
+    try:
+        sums = _expand(x, SIGNS)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < sums.nbytes + 2**20
+        half = _Half(SIGNS, False, 2**19)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        half.build(x[:19])
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < held + 2**20
+    finally:
+        tracemalloc.stop()
+    assert half.size == 2**19
+    assert np.array_equal(half.sums, np.sort(_expand(x[:19], SIGNS)))
 
 
 # exact zero signed sums: 1/2 - 1/3 - 1/6 and 1 - 1/2 - 1/3 - 1/6 round to
@@ -512,19 +509,17 @@ def test_growth_holds_no_old_half_beside_the_new_one(digits, symmetric, n):
 ZERO_SUMS = ((2, 3, 6), (1, 2, 3, 6), (6, 9, 18), (3, 6, 9, 18, 20))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, exact._CHUNK])
-def test_trit_half_holds_the_zero_sum(monkeypatch, chunk):
-    # `_meet` and `grow` take the first 0.0 of a trit half for its zero
-    # vector. The halves hold values alone, so any vector of sum 0.0 stands
-    # for it: a half with several 0.0 holds the sorted `_expand` sums
-    monkeypatch.setattr(exact, "_CHUNK", chunk)
+def test_trit_half_holds_the_zero_sum():
+    # `_meet` takes the first 0.0 of a trit half for its zero vector. The
+    # halves hold values alone, so any vector of sum 0.0 stands for it: a
+    # half with several 0.0 holds the sorted `_expand` sums
     lists = [generate(spec, 9).terms for spec in COLLIDING] + list(ZERO_SUMS)
     ties = 0
     for terms, symmetric in product(lists, (False, True)):
         x = [1 / b for b in terms]
         half = _Half(TRITS, symmetric, 3 ** len(x))
         for k in range(1, len(x) + 1):
-            half.grow(x[k - 1:k])
+            half.build(x[:k])
             order = _expanded_order(x[:k], TRITS)
             if symmetric:
                 first = [next((d for d in np.base_repr(c, 3)[::-1] if d != "0"), "1") for c in order]
@@ -552,12 +547,10 @@ TIED = (
 ) + ZERO_SUMS
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_recovered_optima_on_ties_equal_brute_force(monkeypatch, chunk):
+def test_recovered_optima_on_ties_equal_brute_force(monkeypatch):
     # many equal sums: kept queries share right sums, and the vectors
     # recovered for them tie, within a half and across the halves
     monkeypatch.setattr(exact, "_BLOCK", 7)
-    monkeypatch.setattr(exact, "_CHUNK", chunk)
     gap = functools.lru_cache(maxsize=None)(brute_gap_witness_scaled)
     for terms in TIED:
         ns = range(1, len(terms) + 1)
@@ -591,16 +584,6 @@ def test_tie_heavy_recovery_is_priced_before_its_candidates(monkeypatch):
     assert peak < 2**20
 
 
-def test_merge_refuses_chunks_that_overwrite_unread_entries(monkeypatch):
-    # two runs that read the entries at the front of the buffer, where the
-    # merge writes, as if the held entries had not moved to its tail; the
-    # first chunk of one entry would overwrite the second run's head
-    monkeypatch.setattr(exact, "_CHUNK", 2)
-    sums = np.array([1.0, 2.0, 3.0, np.nan, np.nan, np.nan])
-    with pytest.raises(RuntimeError, match="not yet merged"):
-        exact._merge(sums, [(0, 3, -0.5), (0, 3, 0.5)])
-
-
 def test_price_reaches_gap_36_and_minsum_58_in_the_default_budget():
     # minsum at tau = 0 keeps half its left vectors; other targets keep all
     budget = 3.9 * 2**30
@@ -616,7 +599,7 @@ def _unbuilt(*args):
 def test_64_bit_encodings_bound_an_explicit_cap(monkeypatch):
     # 3^40 and 2^64 full encodings would wrap int64; priced at 16 and 24 GiB,
     # these are refused before any half is built
-    monkeypatch.setattr(exact, "_merge", _unbuilt)
+    monkeypatch.setattr(_Half, "build", _unbuilt)
     primes = generate(SequenceSpec.primes(), 64).terms
     with pytest.raises(CapExceeded, match="64-bit encodings"):
         min_gap(primes[:40], cap=40, memory_gib=1e6)
@@ -629,7 +612,7 @@ def test_64_bit_encodings_bound_an_explicit_cap(monkeypatch):
 
 
 def test_budget_bounds_a_lifted_cap(monkeypatch):
-    monkeypatch.setattr(exact, "_merge", _unbuilt)
+    monkeypatch.setattr(_Half, "build", _unbuilt)
     with pytest.raises(ResourceLimit):
         min_gap(generate(SequenceSpec.primes(), 31), cap=math.inf, memory_gib=0.01)
 
@@ -723,9 +706,9 @@ def meet_with_shifts(terms, digits, tau, shifted):
     target = tau.numerator * (den // tau.denominator)
     x = [1 / b for b in terms]
     left = _Half(digits, tau == 0, len(digits) ** half)
-    left.grow(x[:half])
+    left.build(x[:half])
     right = _Half(digits, False, len(digits) ** (n - shifted - half))
-    right.grow(x[half:n - shifted])
+    right.build(x[half:n - shifted])
     nonzero = digits == TRITS and tau == 0
     res, encs = _meet(left, right, terms, target, den, 1.0, nonzero=nonzero)
     zero = _expanded_order(x[half:n - shifted], digits).argmin()
@@ -857,7 +840,7 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
     def searched(*args, **kwargs):
         raise AssertionError("a search ran")
 
-    monkeypatch.setattr(_Half, "grow", searched)
+    monkeypatch.setattr(_Half, "build", searched)
     primes = generate(SequenceSpec.primes(), 49)
     with pytest.raises(CapExceeded, match="n=49 exceeds the cap of 48"):
         min_signed_sums(primes, range(1, 50))
@@ -876,6 +859,10 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
     [
         (lambda terms: min_signed_sums(terms, range(1, 31)), 30, SIGNS, True, exact._BLOCK),
         (lambda terms: min_signed_sums(terms, range(1, 31), Fraction(1, 3)), 30, SIGNS, False, exact._BLOCK),
+        # sizes whose price a growth phase above matching once set
+        (lambda terms: min_signed_sums(terms, range(1, 28), Fraction(1, 3)), 27, SIGNS, False, exact._BLOCK),
+        (lambda terms: list(exact._sweep(terms.terms, range(1, 20), TRITS, Fraction(1, 3), math.inf, 1.0)),
+         19, TRITS, False, exact._BLOCK),
         (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, exact._BLOCK),
         # the `exact` benchmark's sweep, whose largest priced phase is matching
         (lambda terms: min_signed_sums(terms, range(1, 41)), 40, SIGNS, True, exact._BLOCK),
@@ -886,7 +873,10 @@ def test_over_cap_and_over_budget_sweeps_refused_before_any_search(monkeypatch):
         # the last one is matched
         (lambda terms: min_gaps(terms, range(1, 19)), 18, TRITS, True, 7),
     ],
-    ids=["minsum-tau0", "minsum-tau1/3", "gap", "minsum-tau0-40", "gap-block64", "gap-block7"],
+    ids=[
+        "minsum-tau0", "minsum-tau1/3", "minsum-tau1/3-27", "trits-tau1/3-19", "gap", "minsum-tau0-40",
+        "gap-block64", "gap-block7",
+    ],
 )
 def test_memory_estimate_bounds_the_traced_peak(monkeypatch, search, n, digits, symmetric, block):
     monkeypatch.setattr(exact, "_BLOCK", block)
