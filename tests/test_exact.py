@@ -509,10 +509,14 @@ def test_expansion_and_build_allocate_no_temporary():
 ZERO_SUMS = ((2, 3, 6), (1, 2, 3, 6), (6, 9, 18), (3, 6, 9, 18, 20))
 
 
-def test_trit_half_holds_the_zero_sum():
+@pytest.mark.parametrize("block", [1, 3, 2 * exact._BLOCK])
+def test_trit_half_holds_the_zero_sum(monkeypatch, block):
     # `_meet` takes the first 0.0 of a trit half for its zero vector. The
     # halves hold values alone, so any vector of sum 0.0 stands for it: a
-    # half with several 0.0 holds the sorted `_expand` sums
+    # half with several 0.0 holds the sorted `_expand` sums, and the meet,
+    # in blocks of any size, still finds the nonzero vectors of least gap
+    monkeypatch.setattr(exact, "_BLOCK", block)
+    gap = functools.lru_cache(maxsize=None)(brute_gap_witness_scaled)
     lists = [generate(spec, 9).terms for spec in COLLIDING] + list(ZERO_SUMS)
     ties = 0
     for terms, symmetric in product(lists, (False, True)):
@@ -529,6 +533,10 @@ def test_trit_half_holds_the_zero_sum():
             assert half.sums[int(np.searchsorted(half.sums, 0.0))] == 0.0
             ties += np.count_nonzero(half.sums == 0.0) > 1
     assert ties >= 4
+    for terms in lists:
+        ns = range(1, len(terms) + 1)
+        got = min_gaps(terms, ns)
+        assert [(g.gap, g.witness.trits) for g in got] == [gap(tuple(terms[:m])) for m in ns]
 
 
 @functools.lru_cache(maxsize=None)
@@ -547,10 +555,12 @@ TIED = (
 ) + ZERO_SUMS
 
 
-def test_recovered_optima_on_ties_equal_brute_force(monkeypatch):
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_recovered_optima_on_ties_equal_brute_force(monkeypatch, block):
     # many equal sums: kept queries share right sums, and the vectors
-    # recovered for them tie, within a half and across the halves
-    monkeypatch.setattr(exact, "_BLOCK", 7)
+    # recovered for them tie, within a half, across the halves and across
+    # the meet's blocks of queries
+    monkeypatch.setattr(exact, "_BLOCK", block)
     gap = functools.lru_cache(maxsize=None)(brute_gap_witness_scaled)
     for terms in TIED:
         ns = range(1, len(terms) + 1)
